@@ -5,8 +5,8 @@ from .basis import WaveBasis, is_wave_polynomial, wave_basis
 from .cauchy import (Field2D, Grid2D, InitialData, evolve_grid, evolve_point,
                      fd_reference, initial_condition_check, pde_residual_fd)
 from .hyp2f1 import GaussParams, RationalFunction1D, fk_ode_residual, g12, hyp2f1_terminating
-from .invert import (QuadratureSpec, RayField, h_shift_inverse,
-                     h_shift_inverse2, recover_n2, recover_n4)
+from .invert import (QuadratureSpec, RayField, h_shift_inverse, recover_n2,
+                     recover_n4)
 from .ring import Monomial, Polynomial, RhoExpr, minkowski_norm_sq, normalize
 from .solutions import (SolutionBundle, beta_coefficients, build_phi,
                         check_n2_background, psi0_residual, recursion_step,
@@ -18,8 +18,7 @@ __all__ = [
     "fd_reference", "initial_condition_check", "pde_residual_fd",
     "GaussParams", "RationalFunction1D", "fk_ode_residual", "g12",
     "hyp2f1_terminating",
-    "QuadratureSpec", "RayField", "h_shift_inverse", "h_shift_inverse2",
-    "recover_n2", "recover_n4",
+    "QuadratureSpec", "RayField", "h_shift_inverse", "recover_n2", "recover_n4",
     "Monomial", "Polynomial", "RhoExpr", "minkowski_norm_sq", "normalize",
     "SolutionBundle", "beta_coefficients", "build_phi", "check_n2_background",
     "psi0_residual", "recursion_step", "residual",

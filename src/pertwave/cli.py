@@ -30,15 +30,6 @@ EXIT_PARSE = 3
 EXIT_DOMAIN = 4
 EXIT_TOLERANCE = 5
 
-_DOMAIN_ERRORS = (
-    errors.DimensionMismatch, errors.SingularPoint, errors.NotAWavePolynomial,
-    errors.UnsupportedDim, errors.DivergentIntegral, errors.NonTerminatingSeries,
-    errors.HypergeomPole, errors.DomainError, errors.FDStepUnderflow,
-    errors.SingularRegion, errors.KernelPole, errors.CFLViolation,
-    errors.GridTooSmall,
-)
-
-
 def _fmt(v):
     return format(float(v), ".17g")
 
@@ -82,8 +73,17 @@ def cmd_build(args):
     return EXIT_OK
 
 
-def cmd_verify(args):
+def _read_phi(args):
+    """The phi document named by --phi; its dim must match --dim."""
     phi = doc_to_expr(read_doc(args.phi))
+    if phi.dim != args.dim:
+        raise errors.DomainError(
+            f"phi document has dim {phi.dim}, requested dim {args.dim}")
+    return phi
+
+
+def cmd_verify(args):
+    phi = _read_phi(args)
     res = residual(phi, args.dim)
     print(f"residual: {res}")
     if res.is_zero():
@@ -94,10 +94,7 @@ def cmd_verify(args):
 
 
 def cmd_invert(args):
-    phi = doc_to_expr(read_doc(args.phi))
-    if phi.dim != args.dim:
-        raise errors.DomainError(
-            f"phi document has dim {phi.dim}, requested dim {args.dim}")
+    phi = _read_phi(args)
     points = read_points_csv(args.points, args.dim)
     q = _quad_spec(args)
     field = RayField.from_rho_expr(phi)
@@ -229,9 +226,12 @@ def main(argv=None):
     except errors.ToleranceNotMet as exc:
         print(f"error: tolerance: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
-    except _DOMAIN_ERRORS as exc:
+    except errors.PertwaveError as exc:
         print(f"error: domain: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except (ValueError, OSError) as exc:
+        print(f"error: usage: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -41,10 +41,6 @@ class ToleranceNotMet(PertwaveError):
     pass
 
 
-class FDStepUnderflow(PertwaveError):
-    pass
-
-
 class SingularRegion(PertwaveError):
     pass
 

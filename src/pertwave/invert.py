@@ -1,12 +1,11 @@
 """Inverse homogeneity operators (H+m)^-1 as ray integrals; coefficient recovery.
 
-(H+k+1)^-1 f at x is the ray integral int_0^1 t^k f(tx) dt; the two-fold
-inverse (H+m+1)^-1 (H+k+1)^-1 uses the double integral over t^k s^m f(stx).
-recover_n2 / recover_n4 invert phi = sum_r P_r rho^r pointwise for n = 2, 4.
-
-Fields are black boxes evaluated along rays from the origin; when a field
-carries an exact RhoExpr the forward H applications are done in the ring,
-otherwise they fall back to central finite differences in the ray scale.
+H = x . grad is the Euler operator, and (H+k+1)^-1 f at x is the ray integral
+int_0^1 v^k f(vx) dv.  recover_n2 / recover_n4 invert phi = sum_r P_r rho^r
+pointwise for n = 2, 4, with rho = 1/(1 + x.x).  Both only sample phi along
+the ray from the origin to x: the operators of the construction are
+polynomial in H, so each P_r is phi plus ray integrals of phi times a
+polynomial in rho and rho^-1.
 """
 
 from __future__ import annotations
@@ -16,13 +15,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, FDStepUnderflow
-from .quadrature import QuadratureSpec, adaptive_gauss, fixed_gauss_01_batch
+from .errors import DomainError
+from .quadrature import QuadratureSpec, adaptive_gauss
 from .ring import RhoExpr, minkowski_norm_sq
 
 DEFAULT_DELTA = 0.25
-_FD_STEP = 1e-5    # first scale-derivatives
-_FD2_STEP = 1e-4   # second scale-derivatives (balances truncation vs roundoff)
 
 
 @dataclass(frozen=True)
@@ -30,8 +27,9 @@ class RayField:
     """Scalar field on the star-shaped set {x : 1 + s^2 (x.x) >= delta, s in [0,1]}.
 
     ``evaluate`` maps an (m, dim) array of points to an (m,) array and must be
-    re-entrant.  ``expr`` optionally carries the exact ring element behind the
-    samples, enabling exact forward H applications.
+    re-entrant.  ``expr`` optionally records the exact ring element behind the
+    samples; nothing in this module reads it, so recovery is the same with or
+    without it.
     """
 
     dim: int
@@ -71,83 +69,6 @@ def h_shift_inverse(f, k, x, q=QuadratureSpec()):
     return adaptive_gauss(integrand, 0.0, 1.0, q)
 
 
-def h_shift_inverse2(f, k, m, x, q=QuadratureSpec()):
-    """(H + m + 1)^-1 (H + k + 1)^-1 f at x via the tensor double ray integral.
-
-    Outer adaptive integral over t; the inner s-integral is a fixed composite
-    Gauss rule at the same order, evaluated in batch across the outer nodes.
-    """
-    if k < 0 or m < 0:
-        raise ValueError("shifts must be non-negative")
-    f.check_ray(x)
-    base = np.asarray(x, dtype=float)
-
-    def outer(tvals):
-        def inner(svals):
-            pts = (svals[:, None] * tvals[None, :])[:, :, None] * base[None, None, :]
-            vals = f.evaluate(pts.reshape(-1, f.dim)).reshape(len(svals), len(tvals))
-            return svals[:, None] ** m * vals
-
-        return tvals ** k * fixed_gauss_01_batch(inner, q.order)
-
-    return adaptive_gauss(outer, 0.0, 1.0, q)
-
-
-def _double_inverse_field(g, q):
-    """(H+2)^-1 (H+3)^-1 g as a batch-evaluable field.
-
-    Collapsing the double ray integral by the substitution v = st gives the
-    single integral int_0^1 v(1-v) g(vp) dv, evaluated with a fixed composite
-    Gauss rule across the whole point batch at once.
-    """
-
-    def evaluate(points):
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points[None, :]
-
-        def inner(vvals):
-            pts = vvals[:, None, None] * points[None, :, :]
-            vals = g.evaluate(pts.reshape(-1, g.dim)).reshape(len(vvals), -1)
-            return (vvals * (1.0 - vvals))[:, None] * vals
-
-        return fixed_gauss_01_batch(inner, q.order)
-
-    return RayField(dim=g.dim, evaluate=evaluate, delta=g.delta)
-
-
-def _scale_derivative(f, points, second=False):
-    """d/ds f(s p)|_{s=1} (and optionally d2/ds2) by central differences."""
-    points = np.asarray(points, dtype=float)
-    radii = np.sqrt(np.sum(points ** 2, axis=1))
-    if np.any(radii < 1e-12):
-        raise FDStepUnderflow(
-            "finite-difference H application at the coordinate origin")
-    h = _FD_STEP * (1.0 + radii)
-    up = f.evaluate((1.0 + h)[:, None] * points)
-    dn = f.evaluate((1.0 - h)[:, None] * points)
-    first = (up - dn) / (2.0 * h)
-    if not second:
-        return first
-    h2 = _FD2_STEP * (1.0 + radii)
-    up2 = f.evaluate((1.0 + h2)[:, None] * points)
-    dn2 = f.evaluate((1.0 - h2)[:, None] * points)
-    mid = f.evaluate(points)
-    second_d = (up2 - 2.0 * mid + dn2) / (h2 * h2)
-    return first, second_d
-
-
-def apply_h(f, points):
-    """Forward H = x . grad on a field at a batch of points.
-
-    Exact through the ring when the field carries an expression, otherwise a
-    central finite difference in the ray scale (H f(p) = d/ds f(sp)|_{s=1}).
-    """
-    if f.expr is not None:
-        return f.expr.euler_h().eval_points(points)
-    return _scale_derivative(f, points)
-
-
 def recover_n2(phi, x, q=QuadratureSpec()):
     """Pointwise (P0, P1) from a solution field for n = 2.
 
@@ -174,74 +95,46 @@ def recover_n2(phi, x, q=QuadratureSpec()):
 def recover_n4(phi, x, q=QuadratureSpec()):
     """Pointwise (P0, P1, P2) from a solution field for n = 4.
 
-    P0 = (H+2)^-1(H+3)^-1 [(H+2)(H+3) phi - 6 rho (H+1) phi]
-    P1 = (4H+8)^-1 [8 rho^-1 (H+3) phi - 32 phi - 8 rho^-1 (H+3) P0 + 8 P0]
-    P2 = rho^-2 phi - rho^-2 P0 - rho^-1 P1  (the solvability constraint
-    phi = P0 + P1 rho + P2 rho^2 rearranged).
+    With s = x.x at the target point, and rho = 1/(1 + v^2 s) inside the ray
+    integrals (the value of rho at vx):
+
+        P0 = phi + A - 12 J
+        P1 = B + 24 J + 2 s C
+        P2 = rho^-2 (phi - P0) - rho^-1 P1   (phi = P0 + P1 rho + P2 rho^2)
+
+        A = (H+2)^-1 [(12 rho^2 - 6 rho) phi]
+        J = (H+3)^-1 [rho^2 phi]
+        B = (H+2)^-1 [((12 + 6s) rho - (24 + 12s) rho^2 - 2 rho^-1 - 4) phi]
+        C = (H+4)^-1 [(1 + 3 rho + 6 rho^2) phi]
+
+    These follow from rho (H+c) g = (H+c+2)(rho g) - 2 rho^2 g,
+    rho^-1 (H+c) g = (H+c-2)(rho^-1 g) + 2 g and (H+2)^-1 (s g) = s (H+4)^-1 g,
+    with products of resolvents split by partial fractions, e.g.
+    (H+2)^-1 (H+3)^-1 = (H+2)^-1 - (H+3)^-1.
     """
     if phi.dim != 4:
         raise DomainError(f"recover_n4 needs a dim-4 field, got dim {phi.dim}")
     base = np.asarray(x, dtype=float)
-    norm_sq = minkowski_norm_sq(base)
-    if 1.0 + norm_sq < phi.delta:
+    s = minkowski_norm_sq(base)
+    if 1.0 + s < phi.delta:
         raise DomainError(f"point {tuple(base)} too close to the singular set")
-    phi.check_ray(base)
 
-    if phi.expr is not None:
-        expr = phi.expr
-        h1 = expr.euler_h()
-        h2 = h1.euler_h()
-        rho = RhoExpr.rho(4)
-        # (H+2)(H+3) phi - 6 rho (H+1) phi
-        g_expr = h2 + h1.scale(5) + expr.scale(6) - (rho * (h1 + expr)).scale(6)
-        g_field = RayField.from_rho_expr(g_expr, delta=phi.delta)
-        h3_expr = h1 + expr.scale(3)
+    def ray_integral(k, weight):
+        """(H+k+1)^-1 [weight(rho) phi] at x."""
+        def evaluate(points):
+            return weight(1.0 / (1.0 + _mink_sq(points))) * phi.evaluate(points)
 
-        def h3_phi(points):
-            return h3_expr.eval_points(points)
+        g = RayField(dim=4, evaluate=evaluate, delta=phi.delta)
+        return h_shift_inverse(g, k, base, q)
 
-        g3_field = RayField.from_rho_expr(g_expr.euler_h() + g_expr.scale(3),
-                                          delta=phi.delta)
-        p0_field = _double_inverse_field(g_field, q)
-        h3_p0_field = _double_inverse_field(g3_field, q)
-
-        def h3_p0(points):
-            return h3_p0_field.evaluate(points)
-    else:
-        # finite-difference noise (~1e-8 from the second scale-derivative)
-        # bounds the reachable quadrature tolerance on this path
-        q = QuadratureSpec(order=q.order, max_subdivisions=q.max_subdivisions,
-                           abs_tol=max(q.abs_tol, 1e-6))
-
-        def g_eval(points):
-            first, second = _scale_derivative(phi, points, second=True)
-            hh = second + first                       # H^2 phi
-            mid = phi.evaluate(points)
-            rho_vals = 1.0 / (1.0 + _mink_sq(points))
-            return (hh + 5.0 * first + 6.0 * mid
-                    - 6.0 * rho_vals * (first + mid))
-
-        g_field = RayField(dim=4, evaluate=g_eval, delta=phi.delta)
-        p0_field = _double_inverse_field(g_field, q)
-
-        def h3_phi(points):
-            return apply_h(phi, points) + 3.0 * phi.evaluate(points)
-
-        def h3_p0(points):
-            return apply_h(p0_field, points) + 3.0 * p0_field.evaluate(points)
-
-    def bracket(points):
-        rho_inv = 1.0 + _mink_sq(points)
-        return (8.0 * rho_inv * h3_phi(points)
-                - 32.0 * phi.evaluate(points)
-                - 8.0 * rho_inv * h3_p0(points)
-                + 8.0 * p0_field.evaluate(points))
-
-    bracket_field = RayField(dim=4, evaluate=bracket, delta=phi.delta)
-    # (4H+8)^-1 = (1/4)(H+2)^-1
-    p1 = 0.25 * h_shift_inverse(bracket_field, 1, base, q)
-    p0 = float(p0_field.evaluate(base[None, :])[0])
+    a = ray_integral(1, lambda rho: 12.0 * rho * rho - 6.0 * rho)
+    j = ray_integral(2, lambda rho: rho * rho)
+    b = ray_integral(1, lambda rho: ((12.0 + 6.0 * s) * rho - (24.0 + 12.0 * s) * rho * rho
+                                     - 2.0 / rho - 4.0))
+    c = ray_integral(3, lambda rho: 1.0 + 3.0 * rho + 6.0 * rho * rho)
     phi_val = float(phi.evaluate(base[None, :])[0])
-    rho_inv = 1.0 + norm_sq
+    p0 = phi_val + a - 12.0 * j
+    p1 = b + 24.0 * j + 2.0 * s * c
+    rho_inv = 1.0 + s
     p2 = rho_inv * rho_inv * (phi_val - p0) - rho_inv * p1
     return p0, p1, p2

@@ -62,37 +62,3 @@ def adaptive_gauss(f, a, b, spec):
                 + recurse(mid, hi, 0.5 * tol, right))
 
     return recurse(a, b, spec.abs_tol, _panel(f, a, b, spec.order))
-
-
-def fixed_gauss_01(f, order, panels=2):
-    """Non-adaptive composite Gauss on [0, 1]; f vectorized over node arrays.
-
-    Used for inner integrals of nested quadratures where the integrand is a
-    smooth rational function and a fixed high-order rule is already at
-    machine precision.
-    """
-    x, w = _nodes(order)
-    total = 0.0
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        total += half * float(np.dot(w, f(mid + half * x)))
-    return total
-
-
-def fixed_gauss_01_batch(f, order, panels=2):
-    """Like fixed_gauss_01 but f maps node array -> (nodes, batch) values.
-
-    Returns the (batch,) array of integrals, evaluating f once per panel.
-    """
-    x, w = _nodes(order)
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    total = None
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        vals = f(mid + half * x)
-        contrib = half * np.tensordot(w, vals, axes=(0, 0))
-        total = contrib if total is None else total + contrib
-    return total

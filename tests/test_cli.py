@@ -5,7 +5,7 @@ import pytest
 
 from pertwave.cauchy import Field2D, Grid2D
 from pertwave.cli import (EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_TOLERANCE,
-                          main, parse_grid)
+                          EXIT_USAGE, main, parse_grid)
 from pertwave.errors import FormatError
 from pertwave.ring import Polynomial, RhoExpr
 from pertwave.serialize import (doc_to_poly, expr_to_doc, poly_to_doc,
@@ -184,3 +184,28 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+
+GRID = "--grid=-0.5,0.5,5:0,0.2,3"
+
+
+@pytest.mark.parametrize("argv, code, kind", [
+    (["basis", "--dim", "4", "--degree", "-1", "--out", "{tmp}/b.jsonl"], EXIT_USAGE, "usage"),
+    (["verify", "--dim", "2", "--phi", "{tmp}/missing.json"], EXIT_USAGE, "usage"),
+    (["build", "--dim", "2", "--seed", "{tmp}/missing.json", "--out", "{tmp}/b.json"],
+     EXIT_USAGE, "usage"),
+    (["evolve", GRID, "--data", "{tmp}/missing.json", "--out", "{tmp}/o.csv"],
+     EXIT_USAGE, "usage"),
+    (["evolve", GRID, "--data", "{tmp}/phi.json", "--order", "1", "--out", "{tmp}/o.csv"],
+     EXIT_USAGE, "usage"),
+    (["verify", "--dim", "4", "--phi", "{tmp}/phi.json"], EXIT_DOMAIN, "domain"),
+], ids=["negative-degree", "verify-missing", "build-missing", "evolve-missing",
+        "bad-order", "verify-dim-mismatch"])
+def test_error_contract(tmp_path, capsys, argv, code, kind):
+    """Every failure exits with its documented code and one error line."""
+    phi = build_phi(Polynomial(2, {(1, 1): Fraction(1)}), 2).phi
+    write_doc(str(tmp_path / "phi.json"), expr_to_doc(phi))
+    assert main([a.format(tmp=tmp_path) for a in argv]) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {kind}:")
