@@ -1,8 +1,9 @@
 """Command-line entry point: basis / build / verify / invert / evolve / fdref / compare.
 
 Exit codes: 0 success, 2 usage, 3 parse error, 4 domain or singularity
-error, 5 tolerance or verification failure.  Every failure prints a single
-machine-readable "error: <reason>" line on stderr.
+error, 5 tolerance or verification failure.  Every failure, argument errors
+included, prints a single machine-readable "error: <kind>: <reason>" line on
+stderr.
 """
 
 from __future__ import annotations
@@ -148,8 +149,16 @@ def cmd_compare(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose errors print one "error: usage:" line, exit 2."""
+
+    def error(self, message):
+        print(f"error: usage: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pertwave",
         description="Exact and numerical solutions of the perturbed massless "
                     "wave equation with singular potential.")

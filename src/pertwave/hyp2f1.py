@@ -1,12 +1,16 @@
-"""Terminating Gauss hypergeometric series and exact univariate rational functions.
+"""Terminating Gauss hypergeometric series and the separated radial ODE check.
 
-Realizes the separated radial ODE check: for even n the Kummer-type solution
+For even n = 2h the separated radial equation
 
-    g12(u) = (-u)^{n/2} (1-u)^{-1-n} F[-n/2, k-1, k+n/2, 1/u]
+    4u f'' - (2n-8+4k) f' - n(n+2)/(1-u)^2 f = 0
 
-is an exact rational function of u, f_k(u) = (1-u)^{1+n/2} g12(u), and
-fk_ode_residual verifies 4u f'' - (2n-8+4k) f' - n(n+2)/(1-u)^2 f = 0 as an
-identity of rational functions.
+has the terminating solution f_k(u) = N(u) (1-u)^{-h} with the numerator
+
+    N(u) = (-u)^h F[-h, k-1, k+h, 1/u],
+
+a polynomial of degree <= h.  Multiplying the equation by (1-u)^{h+2} makes
+"f_k solves it" an identity of polynomials in u, which fk_ode_residual checks
+exactly in ring.Polynomial(dim=1) (u is coordinate 0).
 """
 
 from __future__ import annotations
@@ -15,198 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import HypergeomPole, NonTerminatingSeries, UnsupportedDim
-
-# univariate polynomials are tuples of Fractions, ascending powers, no
-# trailing zeros (the zero polynomial is the empty tuple)
-
-
-def ptrim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def padd(a, b):
-    n = max(len(a), len(b))
-    return ptrim(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
-
-
-def pneg(a):
-    return tuple(-c for c in a)
-
-
-def pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return ptrim(out)
-
-
-def pscale(a, s):
-    s = Fraction(s)
-    if not s:
-        return ()
-    return tuple(c * s for c in a)
-
-
-def pdiff(a):
-    return ptrim(c * i for i, c in enumerate(a) if i)
-
-
-def pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    while len(a) >= len(b) and ptrim(a):
-        a = list(ptrim(a))
-        if len(a) < len(b):
-            break
-        f = a[-1] / lead
-        shift = len(a) - len(b)
-        q[shift] = f
-        for i, cb in enumerate(b):
-            a[shift + i] -= f * cb
-    return ptrim(q), ptrim(a)
-
-
-def pgcd(a, b):
-    while b:
-        _, a = pdivmod(a, b)
-        a, b = b, a
-    if a:
-        a = pscale(a, Fraction(1) / a[-1])  # monic
-    return a
-
-
-def peval(a, u):
-    out = 0.0
-    for c in reversed(a):
-        out = out * u + float(c)
-    return out
-
-
-def ppow(a, k):
-    out = (Fraction(1),)
-    for _ in range(k):
-        out = pmul(out, a)
-    return out
-
-
-class RationalFunction1D:
-    """Exact univariate rational function num/den over Q, stored cancelled."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=(Fraction(1),)):
-        num = ptrim(Fraction(c) for c in num)
-        den = ptrim(Fraction(c) for c in den)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if num:
-            g = pgcd(num, den)
-            if len(g) > 1:
-                num, _ = pdivmod(num, g)
-                den, _ = pdivmod(den, g)
-        else:
-            den = (Fraction(1),)
-        lead = den[-1]
-        if lead != 1:
-            num = pscale(num, Fraction(1) / lead)
-            den = pscale(den, Fraction(1) / lead)
-        self.num = num
-        self.den = den
-
-    def is_zero(self):
-        return not self.num
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalFunction1D):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        other = _coerce(other)
-        return RationalFunction1D(
-            padd(pmul(self.num, other.den), pmul(other.num, self.den)),
-            pmul(self.den, other.den))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction1D(pneg(self.num), self.den)
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        return RationalFunction1D(pmul(self.num, other.num),
-                                  pmul(self.den, other.den))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction1D(pmul(self.num, other.den),
-                                  pmul(self.den, other.num))
-
-    def diff(self):
-        return RationalFunction1D(
-            padd(pmul(pdiff(self.num), self.den),
-                 pneg(pmul(self.num, pdiff(self.den)))),
-            pmul(self.den, self.den))
-
-    def __call__(self, u):
-        return peval(self.num, u) / peval(self.den, u)
-
-    def __str__(self):
-        def fmt(p):
-            if not p:
-                return "0"
-            bits = []
-            for i, c in enumerate(p):
-                if not c:
-                    continue
-                if i == 0:
-                    bits.append(str(c))
-                elif i == 1:
-                    bits.append(f"{c}*u")
-                else:
-                    bits.append(f"{c}*u^{i}")
-            return " + ".join(bits)
-        if self.den == (Fraction(1),):
-            return fmt(self.num)
-        return f"({fmt(self.num)}) / ({fmt(self.den)})"
-
-    __repr__ = __str__
-
-
-def _coerce(value):
-    if isinstance(value, RationalFunction1D):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return RationalFunction1D((Fraction(value),))
-    if isinstance(value, tuple):
-        return RationalFunction1D(value)
-    raise TypeError(f"cannot coerce {value!r} to RationalFunction1D")
-
-
-U = RationalFunction1D((Fraction(0), Fraction(1)))
+from .ring import Polynomial
 
 
 @dataclass(frozen=True)
@@ -221,7 +34,7 @@ def _nonpos_int(v):
 
 
 def hyp2f1_terminating(params):
-    """F[a, b, c, z] as an exact polynomial in z (RationalFunction1D).
+    """F[a, b, c, z] as an exact dim-1 Polynomial in z.
 
     Requires a or b to be a non-positive integer so the series terminates;
     raises HypergeomPole if c hits a pole before the truncation order.
@@ -232,51 +45,49 @@ def hyp2f1_terminating(params):
         raise NonTerminatingSeries(
             f"no upper parameter of F[{a},{b},{c},z] is a non-positive integer")
     m = min(stops)
-    coeffs = []
+    coeffs = {}
     term = Fraction(1)
     for j in range(m + 1):
-        coeffs.append(term)
+        coeffs[(j,)] = term
         if j == m:
             break
         if c + j == 0:
             raise HypergeomPole(
                 f"lower parameter c={c} hits a pole at series index {j + 1}")
         term = term * (a + j) * (b + j) / ((c + j) * (j + 1))
-    return RationalFunction1D(tuple(coeffs))
+    return Polynomial(1, coeffs)
 
 
-def g12(n, k):
-    """(-u)^{n/2} (1-u)^{-1-n} F[-n/2, k-1, k+n/2, 1/u] as a rational function."""
+def radial_numerator(n, k):
+    """N(u) = (-u)^{n/2} F[-n/2, k-1, k+n/2, 1/u] as a dim-1 Polynomial in u."""
     if n % 2 or n < 2:
         raise UnsupportedDim(f"even n >= 2 required, got {n}")
     half = n // 2
     series = hyp2f1_terminating(
         GaussParams(Fraction(-half), Fraction(k - 1), Fraction(k + half)))
     # series is a polynomial in w = 1/u of degree <= n/2; multiplying by
-    # (-u)^{n/2} turns it into a polynomial in u
-    num = [Fraction(0)] * (half + 1)
-    sign = Fraction((-1) ** half)
-    for j, coeff in enumerate(series.num):
-        num[half - j] = sign * coeff
-    one_minus_u = (Fraction(1), Fraction(-1))
-    return RationalFunction1D(tuple(num), ppow(one_minus_u, n + 1))
-
-
-def fk(n, k):
-    """f_k(u) = (1-u)^{1+n/2} g12(u)."""
-    one_minus_u = (Fraction(1), Fraction(-1))
-    pref = RationalFunction1D(ppow(one_minus_u, 1 + n // 2))
-    return pref * g12(n, k)
+    # (-u)^{n/2} sends w^j to (-1)^{n/2} u^{n/2-j}
+    sign = (-1) ** half
+    return Polynomial(1, {(half - j,): sign * c for (j,), c in series.terms.items()})
 
 
 def fk_ode_residual(n, k):
-    """Residual of 4u f'' - (2n-8+4k) f' - n(n+2)/(1-u)^2 f applied to f_k.
+    """(1-u)^{h+2} [4u f'' - (2n-8+4k) f' - n(n+2)(1-u)^{-2} f] for f = f_k, h = n/2.
 
-    Returns the exact rational function; it is identically zero whenever f_k
-    solves the separated radial equation.
+    With f = N (1-u)^{-h} the product rule gives
+
+        4u [N''(1-u)^2 + 2h N'(1-u) + h(h+1) N]
+          - (2n-8+4k) [N'(1-u)^2 + h N (1-u)] - n(n+2) N,
+
+    a dim-1 Polynomial that is zero iff f_k solves the separated radial equation.
     """
-    f = fk(n, k)
-    one_minus_u_sq = RationalFunction1D(ppow((Fraction(1), Fraction(-1)), 2))
-    return (4 * U * f.diff().diff()
-            - (2 * n - 8 + 4 * k) * f.diff()
-            - Fraction(n * (n + 2)) * f / one_minus_u_sq)
+    num = radial_numerator(n, k)
+    h = n // 2
+    u = Polynomial.coordinate(1, 0)
+    w = Polynomial.constant(1, 1) - u
+    w2 = w * w
+    d1 = num.diff(0)
+    d2 = d1.diff(0)
+    return (4 * u * (d2 * w2 + 2 * h * d1 * w + h * (h + 1) * num)
+            - (2 * n - 8 + 4 * k) * (d1 * w2 + h * num * w)
+            - n * (n + 2) * num)

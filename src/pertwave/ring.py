@@ -357,9 +357,6 @@ class RhoExpr:
     def __hash__(self):
         return hash((self.dim, frozenset((s, p) for s, p in self.layers.items())))
 
-    def max_rho_power(self):
-        return max(self.layers) if self.layers else 0
-
     # -- arithmetic -------------------------------------------------------
 
     def _check_dim(self, other):

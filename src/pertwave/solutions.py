@@ -6,8 +6,10 @@ The authoritative constructor is the downward recursion
 
 seeded with a wave polynomial P_{n/2}; phi = sum_r P_r rho^r.  The integral
 representation enters only through its Beta-coefficient consequence for
-homogeneous seeds (beta_coefficients), and the separated radial ODE is
-checked exactly through the terminating hypergeometric route in hyp2f1.
+homogeneous seeds (beta_coefficients).  The separated radial ODE is checked
+in hyp2f1: its terminating solution f_k = N(u) (1-u)^{-n/2} has a polynomial
+numerator N built from a terminating 2F1, so the check is an exact identity
+of dim-1 Polynomials once the powers of (1-u) are cleared.
 """
 
 from __future__ import annotations

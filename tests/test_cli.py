@@ -186,6 +186,18 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["invert", "--dim", "3", "--phi", "p.json", "--points", "x.csv", "--out", "o.csv"],
+    ["basis", "--dim", "2"],
+], ids=["invalid-dim-choice", "missing-required"])
+def test_argparse_error_contract(capsys, argv):
+    """argparse failures print one "error: usage:" line and exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: usage:")
+
 
 GRID = "--grid=-0.5,0.5,5:0,0.2,3"
 

@@ -1,83 +1,34 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pertwave.errors import HypergeomPole, NonTerminatingSeries, UnsupportedDim
-from pertwave.hyp2f1 import (U, GaussParams, RationalFunction1D,
-                             fk, fk_ode_residual, g12, hyp2f1_terminating)
-
-RF = RationalFunction1D
-
-
-coeff_lists = st.lists(
-    st.fractions(min_value=-3, max_value=3, max_denominator=3),
-    min_size=0, max_size=4)
-nonzero_coeff_lists = coeff_lists.filter(lambda c: any(c))
-rationals = st.builds(lambda n, d: RF(tuple(n), tuple(d)),
-                      coeff_lists, nonzero_coeff_lists)
+from pertwave.hyp2f1 import (GaussParams, fk_ode_residual, hyp2f1_terminating,
+                             radial_numerator)
+from pertwave.ring import Polynomial
 
 
-class TestRationalFunctions:
-    def test_cancellation(self):
-        # (u^2 - 1) / (u - 1) == u + 1
-        assert RF((-1, 0, 1), (-1, 1)) == RF((1, 1))
-
-    def test_monic_denominator(self):
-        r = RF((2,), (0, 4))
-        assert r.den == (Fraction(0), Fraction(1))
-        assert r.num == (Fraction(1, 2),)
-
-    def test_diff_quotient_rule(self):
-        r = RF((0, 1), (1, 0, 1))  # u / (1 + u^2)
-        expect = RF((1, 0, -1), (1, 0, 2, 0, 1))
-        assert r.diff() == expect
-
-    def test_eval(self):
-        r = RF((0, 1), (1, 0, 1))
-        assert r(2.0) == pytest.approx(0.4)
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            RF((1,), (0,))
-
-    @settings(max_examples=60, deadline=None)
-    @given(rationals, rationals, rationals)
-    def test_field_laws(self, a, b, c):
-        assert a + b == b + a
-        assert a * b == b * a
-        assert a * (b + c) == a * b + a * c
-        assert (a - b) + b == a
-
-    @settings(max_examples=40, deadline=None)
-    @given(rationals, rationals)
-    def test_diff_leibniz(self, a, b):
-        assert (a * b).diff() == a.diff() * b + a * b.diff()
-
-    @settings(max_examples=40, deadline=None)
-    @given(rationals)
-    def test_div_roundtrip(self, a):
-        if not a.is_zero():
-            assert (a / a) == RF((1,))
+def poly_u(*coeffs):
+    """Dim-1 Polynomial from ascending coefficients."""
+    return Polynomial(1, {(i,): Fraction(c) for i, c in enumerate(coeffs)})
 
 
 class TestTerminatingSeries:
     def test_simple_binomial(self):
         # F[-2, b, b, z] = (1 - z)^2 for generic b: coefficients 1, -2, 1
         got = hyp2f1_terminating(GaussParams(Fraction(-2), Fraction(5), Fraction(5)))
-        assert got == RF((1, -2, 1))
+        assert got == poly_u(1, -2, 1)
 
     def test_degree_bound(self):
         got = hyp2f1_terminating(GaussParams(Fraction(-3), Fraction(1, 2), Fraction(2)))
-        assert len(got.num) <= 4
+        assert got.dim == 1 and got.degree() <= 3
 
     def test_scipy_crosscheck(self):
         from scipy.special import hyp2f1 as sp
         params = GaussParams(Fraction(-3), Fraction(1, 2), Fraction(7, 3))
         poly = hyp2f1_terminating(params)
         for z in (-0.7, -0.2, 0.3, 0.9, 2.5):
-            assert poly(z) == pytest.approx(
+            assert poly((z,)) == pytest.approx(
                 sp(float(params.a), float(params.b), float(params.c), z), rel=1e-12)
 
     def test_requires_terminating(self):
@@ -91,46 +42,61 @@ class TestTerminatingSeries:
     def test_pole_after_termination_ok(self):
         # series stops at index 1, before c = -2 can bite
         got = hyp2f1_terminating(GaussParams(Fraction(-1), Fraction(3), Fraction(-2)))
-        assert got == RF((1, Fraction(3, 2)))
+        assert got == poly_u(1, Fraction(3, 2))
 
 
 class TestRadialSolution:
     def test_g12_n2_k2(self):
-        got = g12(2, 2)
-        expect = RF((Fraction(-1, 3), 1), (-1, 3, -3, 1))
-        assert got == expect
-
-    def test_fk_prefactor_relation(self):
-        for n, k in [(2, 2), (4, 3)]:
-            one_minus_u = RF((1, -1))
-            pref = one_minus_u
-            for _ in range(n // 2):
-                pref = pref * one_minus_u
-            assert fk(n, k) == pref * g12(n, k)
+        assert radial_numerator(2, 2) == poly_u(Fraction(1, 3), -1)
 
     def test_g12_numeric_crosscheck(self):
-        """Evaluate the defining product numerically away from u = 0, 1."""
+        """g12 = N (1-u)^{-1-n} against scipy away from u = 0, 1."""
         from scipy.special import hyp2f1 as sp
         for n, k in [(2, 2), (4, 2), (6, 3)]:
             half = n // 2
+            num = radial_numerator(n, k)
             for u in (-1.5, -0.4, 0.3, 2.0):
                 expect = ((-u) ** half * (1 - u) ** (-1 - n)
                           * sp(-half, k - 1, k + half, 1.0 / u))
-                assert g12(n, k)(u) == pytest.approx(expect, rel=1e-10)
+                assert num((u,)) / (1 - u) ** (n + 1) == pytest.approx(expect, rel=1e-10)
 
-    @pytest.mark.parametrize("n", [2, 4, 6])
-    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
     def test_ode_residual_zero(self, n, k):
         assert fk_ode_residual(n, k).is_zero()
 
     def test_ode_residual_detects_wrong_k(self):
-        """The residual with mismatched first-order coefficient is nonzero."""
-        f = fk(2, 2)
-        one_minus_u_sq = RF((1, -2, 1))
-        wrong = (4 * U * f.diff().diff() - (2 * 2 - 8 + 4 * 5) * f.diff()
-                 - Fraction(8) * f / one_minus_u_sq)
+        """The n=2, k=2 solution with the first-order coefficient of k=5 fails."""
+        n, h, k_wrong = 2, 1, 5
+        num = radial_numerator(n, 2)
+        u = Polynomial.coordinate(1, 0)
+        w = Polynomial.constant(1, 1) - u
+        d1 = num.diff(0)
+        d2 = d1.diff(0)
+        wrong = (4 * u * (d2 * w * w + 2 * h * d1 * w + h * (h + 1) * num)
+                 - (2 * n - 8 + 4 * k_wrong) * (d1 * w * w + h * num * w)
+                 - n * (n + 2) * num)
         assert not wrong.is_zero()
 
     def test_odd_dim_rejected(self):
         with pytest.raises(UnsupportedDim):
-            g12(3, 2)
+            radial_numerator(3, 2)
+        with pytest.raises(UnsupportedDim):
+            fk_ode_residual(3, 2)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_sympy_oracle(n, k):
+    """sympy, independently of ring.Polynomial, confirms N and the radial ODE."""
+    sympy = pytest.importorskip("sympy")
+    u = sympy.Symbol("u")
+    half = n // 2
+    num = sum(sympy.Rational(c.numerator, c.denominator) * u ** e
+              for (e,), c in radial_numerator(n, k).terms.items())
+    series = sympy.hyperexpand(sympy.hyper([-half, k - 1], [k + half], 1 / u))
+    assert sympy.expand((-u) ** half * series - num) == 0
+    f = num * (1 - u) ** -half
+    ode = (4 * u * sympy.diff(f, u, 2) - (2 * n - 8 + 4 * k) * sympy.diff(f, u)
+           - n * (n + 2) / (1 - u) ** 2 * f)
+    assert sympy.simplify(ode) == 0
