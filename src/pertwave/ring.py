@@ -7,6 +7,10 @@ by keeping every rho-layer s >= 1 at t-degree <= 1.  With that convention two
 elements are equal iff their layer dictionaries are structurally equal, so
 every identity below reduces to an exact zero test.
 
+The D'Alembertian and the Euler operator H act on each rho-layer in closed
+form (RhoExpr.box, RhoExpr.euler_h), from d_mu rho = -2 x_mu rho^2,
+H rho = -2 rho + 2 rho^2 and x.x = 1/rho - 1: one normalize call per operator.
+
 Coefficients are fractions.Fraction throughout; evaluation at a point is the
 only place floating point enters.
 """
@@ -27,6 +31,11 @@ Monomial = tuple  # exponent tuple, length = dim, entry 0 is the t exponent
 def grlex_key(exponents):
     """Graded lexicographic sort key (t is the most significant variable)."""
     return (sum(exponents), exponents)
+
+
+def _nonzero(terms):
+    """Drop the zero coefficients that accumulation left behind."""
+    return {e: c for e, c in terms.items() if c}
 
 
 def minkowski_norm_sq(point):
@@ -61,10 +70,8 @@ class Polynomial:
                         f"exponent tuple {exps} does not match dim {self.dim}")
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
-                coeff = Fraction(coeff)
-                if coeff:
-                    clean[exps] = clean.get(exps, Fraction(0)) + coeff
-            self.terms = {e: c for e, c in clean.items() if c}
+                clean[exps] = clean.get(exps, 0) + Fraction(coeff)
+            self.terms = _nonzero(clean)
 
     # -- constructors -----------------------------------------------------
 
@@ -135,12 +142,8 @@ class Polynomial:
             self._check_dim(other)
             terms = dict(self.terms)
             for e, c in other.terms.items():
-                acc = terms.get(e, Fraction(0)) + c
-                if acc:
-                    terms[e] = acc
-                elif e in terms:
-                    del terms[e]
-            return Polynomial(self.dim, terms, _trusted=True)
+                terms[e] = terms.get(e, 0) + c
+            return Polynomial(self.dim, _nonzero(terms), _trusted=True)
         return NotImplemented
 
     def __neg__(self):
@@ -157,12 +160,8 @@ class Polynomial:
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
                     e = tuple(a + b for a, b in zip(e1, e2))
-                    acc = terms.get(e, Fraction(0)) + c1 * c2
-                    if acc:
-                        terms[e] = acc
-                    elif e in terms:
-                        del terms[e]
-            return Polynomial(self.dim, terms, _trusted=True)
+                    terms[e] = terms.get(e, 0) + c1 * c2
+            return Polynomial(self.dim, _nonzero(terms), _trusted=True)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -189,26 +188,24 @@ class Polynomial:
                 de = list(e)
                 de[axis] = k - 1
                 de = tuple(de)
-                acc = terms.get(de, Fraction(0)) + c * k
-                if acc:
-                    terms[de] = acc
-                elif de in terms:
-                    del terms[de]
-        return Polynomial(self.dim, terms, _trusted=True)
+                terms[de] = terms.get(de, 0) + c * k
+        return Polynomial(self.dim, _nonzero(terms), _trusted=True)
 
     def box(self):
-        """D'Alembertian -d2/dt2 + sum_i d2/dxi2."""
-        out = -self.diff(0).diff(0)
-        for axis in range(1, self.dim):
-            out = out + self.diff(axis).diff(axis)
-        return out
+        """D'Alembertian -d2/dt2 + sum_i d2/dxi2: -e0(e0-1) on t, +ei(ei-1) on xi."""
+        terms = {}
+        for e, c in self.terms.items():
+            for axis, k in enumerate(e):
+                if k >= 2:
+                    de = e[:axis] + (k - 2,) + e[axis + 1:]
+                    terms[de] = terms.get(de, 0) + (c if axis else -c) * (k * (k - 1))
+        return Polynomial(self.dim, _nonzero(terms), _trusted=True)
 
     def euler_h(self):
-        """Euler homogeneity operator t*dt + sum_i xi*dxi."""
-        out = Polynomial.zero(self.dim)
-        for axis in range(self.dim):
-            out = out + Polynomial.coordinate(self.dim, axis) * self.diff(axis)
-        return out
+        """Euler operator t*dt + sum_i xi*dxi: each term times its total degree."""
+        return Polynomial(self.dim,
+                          {e: c * sum(e) for e, c in self.terms.items() if any(e)},
+                          _trusted=True)
 
     # -- evaluation -------------------------------------------------------
 
@@ -230,7 +227,7 @@ class Polynomial:
         return out
 
     def __call__(self, point):
-        return float(self.eval_points(np.asarray(point, dtype=float)[None, :])[0])
+        return float(self.eval_points(np.reshape(point, (1, -1)))[0])
 
     # -- display ----------------------------------------------------------
 
@@ -283,22 +280,17 @@ def _reduce_layer(poly):
         if not c:
             continue
         if e[0] < 2:
-            acc = rem.get(e, Fraction(0)) + c
-            if acc:
-                rem[e] = acc
-            elif e in rem:
-                del rem[e]
+            rem[e] = rem.get(e, 0) + c
             continue
         f = (e[0] - 2,) + e[1:]
-        quot[f] = quot.get(f, Fraction(0)) - c
+        quot[f] = quot.get(f, 0) - c
         work.append((f, c))
         for axis in range(1, dim):
             fe = list(f)
             fe[axis] += 2
             work.append((tuple(fe), c))
-    quot = {e: c for e, c in quot.items() if c}
-    return (Polynomial(dim, quot, _trusted=True),
-            Polynomial(dim, rem, _trusted=True))
+    return (Polynomial(dim, _nonzero(quot), _trusted=True),
+            Polynomial(dim, _nonzero(rem), _trusted=True))
 
 
 class RhoExpr:
@@ -426,19 +418,28 @@ class RhoExpr:
         return normalize(raw, self.dim)
 
     def box(self):
-        """D'Alembertian -d2/dt2 + sum_i d2/dxi2 in normal form."""
-        out = -self.diff(0).diff(0)
-        for axis in range(1, self.dim):
-            out = out + self.diff(axis).diff(axis)
-        return out
+        """D'Alembertian in normal form, with a = 4s(s+1) on each layer:
+
+        box(P rho^s) = rho^s box P + rho^(s+1) [-4s HP + (a - 2sn) P] - a rho^(s+2) P.
+        """
+        raw = []
+        for s, p in self.layers.items():
+            raw.append((s, p.box()))
+            if s:
+                a = 4 * s * (s + 1)
+                raw += [(s + 1, p.euler_h().scale(-4 * s)),
+                        (s + 1, p.scale(a - 2 * s * self.dim)), (s + 2, p.scale(-a))]
+        return normalize(raw, self.dim)
 
     def euler_h(self):
-        """Euler operator H = t*dt + sum_i xi*dxi (no metric signs)."""
-        out = RhoExpr.zero(self.dim)
-        for axis in range(self.dim):
-            coord = RhoExpr.from_polynomial(Polynomial.coordinate(self.dim, axis))
-            out = out + coord * self.diff(axis)
-        return out
+        """Euler operator H = t*dt + sum_i xi*dxi (no metric signs) in normal form:
+
+        H(P rho^s) = rho^s (HP - 2s P) + 2s rho^(s+1) P on each layer.
+        """
+        raw = []
+        for s, p in self.layers.items():
+            raw += [(s, p.euler_h()), (s, p.scale(-2 * s)), (s + 1, p.scale(2 * s))]
+        return normalize(raw, self.dim)
 
     # -- evaluation -------------------------------------------------------
 
@@ -460,7 +461,7 @@ class RhoExpr:
         return out
 
     def __call__(self, point):
-        return float(self.eval_points(np.asarray(point, dtype=float)[None, :])[0])
+        return float(self.eval_points(np.reshape(point, (1, -1)))[0])
 
     # -- display ----------------------------------------------------------
 
@@ -530,5 +531,4 @@ def normalize(raw, dim):
                 else:
                     layers[s - 1] = below
         s -= 1
-    layers = {s: p for s, p in layers.items() if not p.is_zero()}
     return RhoExpr(dim, layers, _normalized=True)

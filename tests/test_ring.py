@@ -1,12 +1,15 @@
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import nonsingular_points, polynomials, rho_exprs
+from pertwave.basis import wave_basis
 from pertwave.errors import DimensionMismatch, SingularPoint
 from pertwave.ring import Polynomial, RhoExpr, minkowski_norm_sq, normalize
+from pertwave.solutions import build_phi
 
 
 def one_plus_xx(dim):
@@ -155,6 +158,51 @@ class TestOperators:
         assert lhs == expr.box().scale(2)
 
 
+def diff_chain_box(x):
+    """Reference box: -d0 d0 + sum_i di di, one diff at a time."""
+    out = -x.diff(0).diff(0)
+    for axis in range(1, x.dim):
+        out = out + x.diff(axis).diff(axis)
+    return out
+
+
+def diff_chain_euler_h(x):
+    """Reference H: sum_mu x_mu d_mu, one diff at a time."""
+    out = x.scale(0)
+    for axis in range(x.dim):
+        out = out + Polynomial.coordinate(x.dim, axis) * x.diff(axis)
+    return out
+
+
+class TestClosedFormOperators:
+    """box and euler_h equal their diff-chain definitions, structurally.
+
+    The commutator law checks box and H only against each other, so a wrong
+    closed-form coefficient can pass it; these compare each with diff.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=4).flatmap(rho_exprs))
+    def test_rho_expr(self, expr):
+        assert expr.box() == diff_chain_box(expr)
+        assert expr.euler_h() == diff_chain_euler_h(expr)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=4).flatmap(polynomials))
+    def test_polynomial(self, poly):
+        assert poly.box() == diff_chain_box(poly)
+        assert poly.euler_h() == diff_chain_euler_h(poly)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_solution_bundles(self, n):
+        for k in range(4):
+            for seed in wave_basis(n, k).elements:
+                bundle = build_phi(seed, n, check=False)
+                for x in (bundle.phi,) + bundle.coefficients:
+                    assert x.box() == diff_chain_box(x)
+                    assert x.euler_h() == diff_chain_euler_h(x)
+
+
 class TestEval:
     def test_rho_at_origin(self):
         assert RhoExpr.rho(2)((0.0, 0.0)) == 1.0
@@ -162,6 +210,13 @@ class TestEval:
     def test_x_rho(self):
         x_rho = RhoExpr.from_polynomial(Polynomial.coordinate(2, 1)) * RhoExpr.rho(2)
         assert x_rho((0.0, 1.0)) == pytest.approx(0.5, abs=1e-15)
+
+    def test_scalar_point(self):
+        assert RhoExpr.rho(1)(0.5) == pytest.approx(4 / 3)
+        with pytest.raises(DimensionMismatch):
+            RhoExpr.rho(2)(0.5)
+        with pytest.raises(DimensionMismatch):
+            Polynomial.coordinate(3, 1)(0.5)
 
     def test_singular_point(self):
         with pytest.raises(SingularPoint):
