@@ -1,12 +1,15 @@
 """Closed-form n=2 Cauchy evolution and an independent finite-difference oracle.
 
-evolve_point evaluates the closed-form kernel solution of
+evolve_grid evaluates the closed-form kernel solution of
 
     -phi_tt + phi_xx + 8 phi / (1 + x^2 - t^2)^2 = 0
 
 from initial position data u0 and velocity data v0 given at t = a.  The two
 kernel integrals are taken exactly as oriented in the closed form, from
-w = x + (t-a) to w = x - (t-a).  fd_reference is a leapfrog solver used only
+w = x + (t-a) to w = x - (t-a).  Each time row is one batch: one u0 and one
+v0 call give every node's first adaptive bisection step, and adaptive_gauss
+finishes only the integrals that miss the tolerance there.  evolve_point is
+the one-node batch.  fd_reference is a leapfrog solver used only
 as an oracle; it shares no code path with the kernel evaluation.
 """
 
@@ -21,7 +24,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import (CFLViolation, DomainError, GridTooSmall, KernelPole,
                      SingularRegion)
-from .quadrature import QuadratureSpec, adaptive_gauss
+from .quadrature import QuadratureSpec, adaptive_gauss, gauss_nodes
 from .ring import RhoExpr
 
 EPS_SING = 1e-3
@@ -136,23 +139,71 @@ class Field2D:
             raise DomainError("field contains non-finite values")
 
 
-def _check_point(x, t, eps_sing=EPS_SING):
-    margin = 1.0 + x * x - t * t
-    if margin < eps_sing:
-        raise SingularRegion(
-            f"point (x={x}, t={t}) has 1 + x^2 - t^2 = {margin} < {eps_sing}")
-    return margin
-
-
 def _check_kernel_pole(a, w_lo, w_hi):
     if abs(a) < 1.0:
         return  # 1 - a^2 + w^2 >= 1 - a^2 > 0 everywhere
     pole = math.sqrt(a * a - 1.0)
-    lo, hi = min(w_lo, w_hi), max(w_lo, w_hi)
-    for w_star in (pole, -pole):
-        if lo <= w_star <= hi:
+    lo, hi = np.minimum(w_lo, w_hi), np.maximum(w_lo, w_hi)
+    for w_star in (pole, -pole):  # nodes on t = a integrate over nothing
+        if np.any((lo <= w_star) & (w_star <= hi) & (lo < hi)):
             raise KernelPole(
                 f"kernel denominator 1 - a^2 + w^2 vanishes at w = {w_star}")
+
+
+# The two kernel integrands of node (x, t) at abscissae w of any shape; the
+# batch and the adaptive fallback both call them.
+def _k1_integrand(d, x, t, w):
+    a = d.a
+    den = 1.0 - a * a + w * w
+    num = t * (1.0 + a * a + w * w) + a * (x * x - 2.0 * w * x - t * t - 1.0)
+    return num / ((1.0 + x * x - t * t) * den * den) * d.u0(w.ravel()).reshape(w.shape)
+
+
+def _k2_integrand(d, x, t, w):
+    a = d.a
+    den = 1.0 - a * a + w * w
+    num = (1.0 - x * x + t * t) * (1.0 + a * a - w * w) - 4.0 * a * t + 4.0 * w * x
+    return num / ((1.0 + x * x - t * t) * den) * d.v0(w.ravel()).reshape(w.shape)
+
+
+def _evolve_nodes(d, x, t, q):
+    """Closed-form phi at the nodes (x[k], t[k]), batched over the nodes.
+
+    Each kernel integral over [x + (t-a), x - (t-a)] first gets the opening
+    step of adaptive_gauss for every node at once: the whole panel against
+    its two halves, from one u0 and one v0 call.  Only the integrals that
+    miss abs_tol there are finished by adaptive_gauss on the same integrand.
+    """
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    margin = 1.0 + x * x - t * t
+    bad = np.flatnonzero(margin < EPS_SING)
+    if bad.size:
+        k = bad[0]
+        raise SingularRegion(
+            f"point (x={x[k]}, t={t[k]}) has 1 + x^2 - t^2 = {margin[k]} < {EPS_SING}")
+    delta = t - d.a
+    ends = d.u0(np.concatenate([x - delta, x + delta]))
+    out = 0.5 * (ends[:x.size] + ends[x.size:])
+    if not delta.any():  # all nodes on the data slice t = a
+        return out
+    w_lo, w_hi = x + delta, x - delta  # oriented exactly as in the closed form
+    _check_kernel_pole(d.a, w_lo, w_hi)
+    w_mid = 0.5 * (w_lo + w_hi)
+    starts = np.stack([w_lo, w_lo, w_mid], axis=1)  # whole panel, left, right
+    stops = np.stack([w_hi, w_mid, w_hi], axis=1)
+    half = 0.5 * (stops - starts)
+    nodes, weights = gauss_nodes(q.order)
+    w = (0.5 * (starts + stops))[..., None] + half[..., None] * nodes
+    for coef, integrand in ((2.0, _k1_integrand), (0.5, _k2_integrand)):
+        panels = half * (integrand(d, x[:, None, None], t[:, None, None], w)
+                         * weights).sum(axis=-1)
+        whole, split = panels[:, 0], panels[:, 1] + panels[:, 2]
+        # "not <=", as in adaptive_gauss, so a NaN estimate falls back too
+        for k in np.flatnonzero(~(np.abs(split - whole) <= q.abs_tol)):
+            split[k] = adaptive_gauss(
+                lambda s, k=k: integrand(d, x[k], t[k], s), w_lo[k], w_hi[k], q)
+        out = out - coef * split
+    return out
 
 
 def evolve_point(d, x, t, q=QuadratureSpec()):
@@ -161,43 +212,14 @@ def evolve_point(d, x, t, q=QuadratureSpec()):
     Depends only on data in [x - (t-a), x + (t-a)]; the quadrature never
     samples outside that interval.
     """
-    x, t = float(x), float(t)
-    margin = _check_point(x, t)
-    a = d.a
-    delta = t - a
-    boundary = 0.5 * float(d.u0(np.array([x - delta]))[0]
-                           + d.u0(np.array([x + delta]))[0])
-    if delta == 0.0:
-        return boundary
-    w_lo, w_hi = x + delta, x - delta  # oriented exactly as in the closed form
-    _check_kernel_pole(a, w_lo, w_hi)
-
-    def k1_integrand(w):
-        den = (1.0 - a * a + w * w)
-        num = t * (1.0 + a * a + w * w) + a * (x * x - 2.0 * w * x - t * t - 1.0)
-        return num / (margin * den * den) * d.u0(w)
-
-    def k2_integrand(w):
-        den = 1.0 - a * a + w * w
-        num = (1.0 - x * x + t * t) * (1.0 + a * a - w * w) - 4.0 * a * t + 4.0 * w * x
-        return num / (margin * den) * d.v0(w)
-
-    i1 = adaptive_gauss(k1_integrand, w_lo, w_hi, q)
-    i2 = adaptive_gauss(k2_integrand, w_lo, w_hi, q)
-    return boundary - 2.0 * i1 - 0.5 * i2
+    return float(_evolve_nodes(d, [float(x)], [float(t)], q)[0])
 
 
 def evolve_grid(d, g, q=QuadratureSpec()):
-    """Field2D of evolve_point values over the grid; deterministic sweep."""
+    """Field2D of closed-form values over the grid, one batch per time row."""
     g.check_singularity()
-    xs, ts = g.xs(), g.ts()
-    values = np.empty((g.nx, g.nt))
-    for j, t in enumerate(ts):
-        for i, x in enumerate(xs):
-            try:
-                values[i, j] = evolve_point(d, x, t, q)
-            except SingularRegion as exc:
-                raise SingularRegion(f"node (x={x}, t={t}): {exc}") from exc
+    xs = g.xs()
+    values = np.column_stack([_evolve_nodes(d, xs, t, q) for t in g.ts()])
     return Field2D(grid=g, values=values)
 
 
@@ -279,20 +301,16 @@ def pde_residual_fd(f):
 def initial_condition_check(d, q=QuadratureSpec(), xs=None, dt_step=1e-4):
     """(max |phi(., a) - u0|, max |d/dt phi(., a) - v0|) over sample positions.
 
-    The velocity is taken by a one-sided 4th-order finite difference of
-    evolve_point in t.
+    The velocity is taken by a one-sided 4th-order finite difference in t of
+    the closed form, all 5 * len(xs) nodes in one batch.
     """
     if xs is None:
         xs = np.linspace(-1.0, 1.0, 21)
     xs = np.asarray(xs, dtype=float)
-    pos_err = 0.0
-    vel_err = 0.0
+    xx, tt = np.broadcast_arrays(xs, d.a + np.arange(5)[:, None] * dt_step)
+    samples = _evolve_nodes(d, xx.ravel(), tt.ravel(), q).reshape(xx.shape)
     weights = (-25.0, 48.0, -36.0, 16.0, -3.0)
-    for x in xs:
-        u_exact = float(d.u0(np.array([x]))[0])
-        v_exact = float(d.v0(np.array([x]))[0])
-        pos_err = max(pos_err, abs(evolve_point(d, x, d.a, q) - u_exact))
-        samples = [evolve_point(d, x, d.a + i * dt_step, q) for i in range(5)]
-        vel = sum(w * s for w, s in zip(weights, samples)) / (12.0 * dt_step)
-        vel_err = max(vel_err, abs(vel - v_exact))
+    vel = sum(w * s for w, s in zip(weights, samples)) / (12.0 * dt_step)
+    pos_err = float(np.max(np.abs(samples[0] - d.u0(xs)), initial=0.0))
+    vel_err = float(np.max(np.abs(vel - d.v0(xs)), initial=0.0))
     return pos_err, vel_err

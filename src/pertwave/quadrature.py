@@ -24,13 +24,13 @@ class QuadratureSpec:
 
 
 @lru_cache(maxsize=32)
-def _nodes(order):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+def gauss_nodes(order):
+    """Gauss-Legendre abscissae and weights of the given order on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _panel(f, a, b, order):
-    x, w = _nodes(order)
+    x, w = gauss_nodes(order)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return half * float(np.dot(w, f(mid + half * x)))

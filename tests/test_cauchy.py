@@ -1,14 +1,16 @@
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from pertwave import cauchy
 from pertwave.cauchy import (Field2D, Grid2D, InitialData, evolve_grid,
                              evolve_point, fd_reference,
                              initial_condition_check, pde_residual_fd)
 from pertwave.errors import (CFLViolation, DomainError, GridTooSmall,
                              KernelPole, SingularRegion)
-from pertwave.quadrature import QuadratureSpec
+from pertwave.quadrature import QuadratureSpec, adaptive_gauss
 from pertwave.ring import Polynomial, RhoExpr
 from pertwave.solutions import build_phi
 
@@ -27,6 +29,30 @@ def exact_tx():
 
 def phi_eval(expr, x, t):
     return float(expr.eval_points(np.array([[t, x]]))[0])
+
+
+def scalar_reference(d, x, t, q):
+    """The closed form node by node: two scalar adaptive_gauss integrals."""
+    a, delta = d.a, t - d.a
+    margin = 1.0 + x * x - t * t
+    boundary = 0.5 * float(d.u0(np.array([x - delta]))[0]
+                           + d.u0(np.array([x + delta]))[0])
+    if delta == 0.0:
+        return boundary
+
+    def k1(w):
+        den = 1.0 - a * a + w * w
+        num = t * (1.0 + a * a + w * w) + a * (x * x - 2.0 * w * x - t * t - 1.0)
+        return num / (margin * den * den) * d.u0(w)
+
+    def k2(w):
+        den = 1.0 - a * a + w * w
+        num = (1.0 - x * x + t * t) * (1.0 + a * a - w * w) - 4.0 * a * t + 4.0 * w * x
+        return num / (margin * den) * d.v0(w)
+
+    i1 = adaptive_gauss(k1, x + delta, x - delta, q)
+    i2 = adaptive_gauss(k2, x + delta, x - delta, q)
+    return boundary - 2.0 * i1 - 0.5 * i2
 
 
 class TestEvolvePoint:
@@ -70,7 +96,8 @@ class TestEvolvePoint:
 
     def test_singular_point_rejected(self):
         d = InitialData.from_rho_expr(exact_x_rho())
-        with pytest.raises(SingularRegion):
+        message = "point (x=0.0, t=1.0) has 1 + x^2 - t^2 = 0.0 < 0.001"
+        with pytest.raises(SingularRegion, match=re.escape(message)):
             evolve_point(d, 0.0, 1.0, Q)
 
     def test_kernel_pole_rejected(self):
@@ -78,7 +105,7 @@ class TestEvolvePoint:
                         v0=lambda w: np.zeros_like(w))
         # evolving back from a = 1.5, the dependence interval [0.8, 1.4]
         # straddles the kernel pole at w = sqrt(a^2 - 1) ~ 1.118
-        with pytest.raises(KernelPole):
+        with pytest.raises(KernelPole, match="vanishes at w = 1.118"):
             evolve_point(d, 1.1, 1.2, Q)
 
 
@@ -145,6 +172,52 @@ class TestEvolveGrid:
         pos_err, vel_err = initial_condition_check(d, Q, xs=np.linspace(-0.8, 0.8, 9))
         assert pos_err < 1e-12
         assert vel_err < 1e-6
+
+    def test_point_is_the_one_node_grid(self):
+        """evolve_point and evolve_grid share one code path, bit for bit."""
+        d = InitialData.from_rho_expr(exact_tx(), a=0.1)
+        g = Grid2D(-0.7, 0.6, 6, 0.1, 0.45, 4)
+        f = evolve_grid(d, g, Q)
+        for i, x in enumerate(g.xs()):
+            for j, t in enumerate(g.ts()):
+                assert evolve_point(d, x, t, Q) == f.values[i, j]
+
+    def test_sharp_data_falls_back_to_adaptive(self, monkeypatch):
+        """Integrals that miss abs_tol after one bisection are finished by
+        adaptive_gauss and agree with the node-by-node closed form."""
+        d = InitialData(a=0.0, u0=lambda w: np.exp(-3000.0 * (w - 0.1) ** 2),
+                        v0=lambda w: np.exp(-3000.0 * (w + 0.2) ** 2))
+        g = Grid2D(-1.0, 1.0, 41, 0.0, 0.5, 21)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return adaptive_gauss(*args)
+
+        monkeypatch.setattr(cauchy, "adaptive_gauss", counting)
+        f = evolve_grid(d, g, Q)
+        assert calls
+        expect = np.array([[scalar_reference(d, x, t, Q) for t in g.ts()] for x in g.xs()])
+        assert np.max(np.abs(f.values - expect)) <= 1e-14
+
+    def test_grid_kernel_pole_rejected(self):
+        d = InitialData(a=1.5, u0=lambda w: np.zeros_like(w),
+                        v0=lambda w: np.zeros_like(w))
+        # the node (1.2, 1.2) depends on [0.9, 1.5], which holds w = 1.118...
+        g = Grid2D(1.2, 1.6, 5, 1.2, 1.5, 3)
+        with pytest.raises(KernelPole, match="vanishes at w = 1.118"):
+            evolve_grid(d, g, Q)
+
+    def test_singular_grid_rejected(self):
+        d = InitialData.from_rho_expr(exact_x_rho())
+        with pytest.raises(SingularRegion, match=re.escape("grid reaches 1 + x^2 - t^2")):
+            evolve_grid(d, Grid2D(-1.0, 1.0, 5, 0.0, 1.2, 5), Q)
+
+    def test_out_of_table_rejected(self):
+        w = np.linspace(-1.0, 1.0, 41)
+        d = InitialData.from_samples(w, np.sin(w), np.cos(w))
+        with pytest.raises(DomainError, match=re.escape("outside tabulated range [-1.0, 1.0]")):
+            evolve_grid(d, Grid2D(-0.9, 0.9, 7, 0.0, 0.3, 3), Q)
 
 
 class TestFdReference:
