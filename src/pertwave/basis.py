@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DimensionMismatch, UnsupportedDim
-from .ring import Polynomial, grlex_key
+from .ring import Polynomial, box_monomial, grlex_key
 
 MAX_DEGREE = 12
 
@@ -38,26 +38,6 @@ def monomials(dim, degree):
     return out
 
 
-def _box_columns(dim, degree, domain, codomain_index):
-    """Sparse columns of the D'Alembertian on each degree-`degree` monomial."""
-    cols = []
-    for exps in domain:
-        col = {}
-        t = exps[0]
-        if t >= 2:
-            e = (t - 2,) + exps[1:]
-            col[codomain_index[e]] = col.get(codomain_index[e], 0) - t * (t - 1)
-        for axis in range(1, dim):
-            k = exps[axis]
-            if k >= 2:
-                e = list(exps)
-                e[axis] = k - 2
-                idx = codomain_index[tuple(e)]
-                col[idx] = col.get(idx, 0) + k * (k - 1)
-        cols.append(col)
-    return cols
-
-
 def _rref(rows, ncols):
     """In-place reduced row echelon form of sparse Fraction rows.
 
@@ -76,7 +56,7 @@ def _rref(rows, ncols):
         row = rows.pop(pivot_row)
         inv = Fraction(1) / row[col]
         row = {c: v * inv for c, v in row.items()}
-        for r in rows:
+        for r in rows + [prow for _, prow in pivots]:
             f = r.get(col)
             if f:
                 for c, v in row.items():
@@ -85,15 +65,6 @@ def _rref(rows, ncols):
                         r[c] = acc
                     elif c in r:
                         del r[c]
-        for _, prow in pivots:
-            f = prow.get(col)
-            if f:
-                for c, v in row.items():
-                    acc = prow.get(c, Fraction(0)) - f * v
-                    if acc:
-                        prow[c] = acc
-                    elif c in prow:
-                        del prow[c]
         pivots.append((col, row))
         rows = [r for r in rows if r]
     pivots.sort(key=lambda item: item[0])
@@ -164,7 +135,7 @@ def wave_basis(n, k, monomial_order=None):
         raise ValueError("monomial_order must be a permutation of the degree-k monomials")
     codomain = monomials(n, k - 2)
     codomain_index = {e: i for i, e in enumerate(codomain)}
-    cols = _box_columns(n, k, domain, codomain_index)
+    cols = [{codomain_index[e]: f for e, f in box_monomial(exps)} for exps in domain]
     elements = []
     for vec in nullspace(cols, len(domain)):
         ints = _integerize(vec)

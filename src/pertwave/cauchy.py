@@ -25,9 +25,30 @@ from scipy.interpolate import CubicSpline
 from .errors import (CFLViolation, DomainError, GridTooSmall, KernelPole,
                      SingularRegion)
 from .quadrature import QuadratureSpec, adaptive_gauss, gauss_nodes
-from .ring import RhoExpr
+from .ring import RhoExpr, margin
 
+# Cauchy guard: nodes and grids keep 1 + x^2 - t^2 >= EPS_SING.  The kernel
+# divides by that margin and the leapfrog oracle steps with the potential
+# 8/margin^2, so the cut bounds those factors by 1e3 and 8e6 on every
+# admitted node and grid.
 EPS_SING = 1e-3
+
+
+def _check_margin(x, t, message):
+    """SingularRegion unless 1 + x^2 - t^2 >= EPS_SING at every (x, t).
+
+    x and t broadcast together; `message` is formatted with the first
+    offending x, t, its margin m and eps = EPS_SING.
+    """
+    points = np.empty(np.broadcast(x, t).shape + (2,))
+    points[..., 0], points[..., 1] = t, x
+    points = points.reshape(-1, 2)
+    m = margin(points)
+    bad = np.flatnonzero(m < EPS_SING)
+    if bad.size:
+        k = bad[0]
+        raise SingularRegion(
+            message.format(x=points[k, 1], t=points[k, 0], m=m[k], eps=EPS_SING))
 
 
 @dataclass(frozen=True)
@@ -114,15 +135,13 @@ class Grid2D:
     def dt(self):
         return (self.t_max - self.t_min) / (self.nt - 1)
 
-    def check_singularity(self, eps_sing=EPS_SING):
+    def check_singularity(self):
+        """SingularRegion unless the whole rectangle keeps 1 + x^2 - t^2 >= EPS_SING."""
         worst_x = min(abs(self.x_min), abs(self.x_max))
         if self.x_min <= 0.0 <= self.x_max:
             worst_x = 0.0
         worst_t = max(abs(self.t_min), abs(self.t_max))
-        margin = 1.0 + worst_x ** 2 - worst_t ** 2
-        if margin < eps_sing:
-            raise SingularRegion(
-                f"grid reaches 1 + x^2 - t^2 = {margin} < {eps_sing}")
+        _check_margin(worst_x, worst_t, "grid reaches 1 + x^2 - t^2 = {m} < {eps}")
 
 
 @dataclass(frozen=True)
@@ -175,12 +194,7 @@ def _evolve_nodes(d, x, t, q):
     miss abs_tol there are finished by adaptive_gauss on the same integrand.
     """
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    margin = 1.0 + x * x - t * t
-    bad = np.flatnonzero(margin < EPS_SING)
-    if bad.size:
-        k = bad[0]
-        raise SingularRegion(
-            f"point (x={x[k]}, t={t[k]}) has 1 + x^2 - t^2 = {margin[k]} < {EPS_SING}")
+    _check_margin(x, t, "point (x={x}, t={t}) has 1 + x^2 - t^2 = {m} < {eps}")
     delta = t - d.a
     ends = d.u0(np.concatenate([x - delta, x + delta]))
     out = 0.5 * (ends[:x.size] + ends[x.size:])
@@ -224,6 +238,7 @@ def evolve_grid(d, g, q=QuadratureSpec()):
 
 
 def _potential(xs, t):
+    # the oracle keeps its own (1 + x^2) - t^2 rounding, independent of ring.margin
     return 8.0 / (1.0 + xs ** 2 - t * t) ** 2
 
 
@@ -248,10 +263,9 @@ def fd_reference(d, g, cfl=0.9, refine=1):
     # substep so that stored slices land exactly on the requested t nodes
     m_sub = max(1, int(math.ceil(g.dt / (cfl * dx))))
     dt = g.dt / m_sub
-
-    margin = 1.0 + xs ** 2 - g.t_max ** 2
-    if np.min(margin) < EPS_SING:
-        raise SingularRegion("widened FD domain reaches the singular set")
+    # the leapfrog steps from t_min to t_max: the margin is least at one of them
+    _check_margin(xs[:, None], [g.t_min, g.t_max],
+                  "widened FD domain reaches 1 + x^2 - t^2 = {m} < {eps} at (x={x}, t={t})")
 
     u0 = np.asarray(d.u0(xs), dtype=float)
     v0 = np.asarray(d.v0(xs), dtype=float)
@@ -291,8 +305,7 @@ def pde_residual_fd(f):
     vals = f.values
     dxx = (vals[2:, 1:-1] - 2.0 * vals[1:-1, 1:-1] + vals[:-2, 1:-1]) / g.dx ** 2
     dtt = (vals[1:-1, 2:] - 2.0 * vals[1:-1, 1:-1] + vals[1:-1, :-2]) / g.dt ** 2
-    pot = 8.0 / (1.0 + xs[1:-1, None] ** 2 - ts[None, 1:-1] ** 2) ** 2
-    res = -dtt + dxx + pot * vals[1:-1, 1:-1]
+    res = -dtt + dxx + _potential(xs[1:-1, None], ts[None, 1:-1]) * vals[1:-1, 1:-1]
     inner = Grid2D(x_min=xs[1], x_max=xs[-2], nx=g.nx - 2,
                    t_min=ts[1], t_max=ts[-2], nt=g.nt - 2)
     return Field2D(grid=inner, values=res)

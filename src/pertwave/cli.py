@@ -18,9 +18,8 @@ from .basis import wave_basis
 from .cauchy import Grid2D, InitialData, evolve_grid, fd_reference
 from .invert import RayField, recover_n2, recover_n4
 from .quadrature import QuadratureSpec
-from .ring import RhoExpr
 from .serialize import (atomic_write_text, bundle_to_doc, doc_to_expr,
-                        doc_to_poly, expr_to_doc, poly_to_doc, read_doc,
+                        doc_to_poly, format_float, poly_to_doc, read_doc,
                         read_field_csv, read_points_csv, read_samples_csv,
                         write_doc, write_doc_lines, write_field_csv)
 from .solutions import build_phi, residual
@@ -30,9 +29,6 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_DOMAIN = 4
 EXIT_TOLERANCE = 5
-
-def _fmt(v):
-    return format(float(v), ".17g")
 
 
 def parse_grid(text):
@@ -106,8 +102,8 @@ def cmd_invert(args):
     lines = [header]
     for point in points:
         values = recover(field, point, q)
-        cells = [_fmt(c) for c in point] + [_fmt(v) for v in values]
-        cells.append(_fmt(q.abs_tol))
+        cells = [format_float(c) for c in point] + [format_float(v) for v in values]
+        cells.append(format_float(q.abs_tol))
         lines.append(",".join(cells))
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"{len(points)} points inverted to {args.out}")
@@ -143,7 +139,7 @@ def cmd_compare(args):
         value = float(np.max(np.abs(diff))) if diff.size else 0.0
     else:
         value = float(np.sqrt(np.mean(diff ** 2))) if diff.size else 0.0
-    print(_fmt(value))
+    print(format_float(value))
     if value > args.tol:
         return EXIT_TOLERANCE
     return EXIT_OK

@@ -5,7 +5,9 @@ int_0^1 v^k f(vx) dv.  recover_n2 / recover_n4 invert phi = sum_r P_r rho^r
 pointwise for n = 2, 4, with rho = 1/(1 + x.x).  Both only sample phi along
 the ray from the origin to x: the operators of the construction are
 polynomial in H, so each P_r is phi plus ray integrals of phi times a
-polynomial in rho and rho^-1.
+polynomial in rho and rho^-1, all taken by one rho-weighted ray integral.
+Every ray integral first checks that its whole ray keeps the singular-set
+margin 1 + x.x (ring.margin) at or above DEFAULT_DELTA, else DomainError.
 """
 
 from __future__ import annotations
@@ -17,49 +19,49 @@ import numpy as np
 
 from .errors import DomainError
 from .quadrature import QuadratureSpec, adaptive_gauss
-from .ring import RhoExpr, minkowski_norm_sq
+from .ring import RhoExpr, margin
 
+# Ray-inversion guard: every point of the ray from the origin to x keeps
+# 1 + x.x >= DEFAULT_DELTA, so rho <= 1/DEFAULT_DELTA = 4 along it and the
+# rho-weighted integrands of the recovery formulas stay bounded.
 DEFAULT_DELTA = 0.25
 
 
 @dataclass(frozen=True)
 class RayField:
-    """Scalar field on the star-shaped set {x : 1 + s^2 (x.x) >= delta, s in [0,1]}.
+    """Scalar field sampled along rays from the origin.
 
     ``evaluate`` maps an (m, dim) array of points to an (m,) array and must be
-    re-entrant.  ``expr`` optionally records the exact ring element behind the
-    samples; nothing in this module reads it, so recovery is the same with or
-    without it.
+    re-entrant.  A target x is admissible when its whole ray {sx : s in [0, 1]}
+    keeps 1 + (sx).(sx) >= DEFAULT_DELTA; h_shift_inverse rejects any other x
+    with DomainError before sampling.  ``expr`` optionally records the exact
+    ring element behind the samples; nothing in this module reads it, so
+    recovery is the same with or without it.
     """
 
     dim: int
     evaluate: Callable[[np.ndarray], np.ndarray]
-    delta: float = DEFAULT_DELTA
     expr: Optional[RhoExpr] = field(default=None, compare=False)
 
     @classmethod
-    def from_rho_expr(cls, expr, delta=DEFAULT_DELTA):
-        return cls(dim=expr.dim, evaluate=expr.eval_points, delta=delta, expr=expr)
-
-    def check_ray(self, x):
-        """The whole ray segment {sx : s in [0,1]} must stay in the domain."""
-        norm_sq = minkowski_norm_sq(x)
-        worst = 1.0 + min(norm_sq, 0.0)
-        if worst < self.delta:
-            raise DomainError(
-                f"ray to {tuple(x)} leaves the domain margin delta={self.delta}")
+    def from_rho_expr(cls, expr):
+        return cls(dim=expr.dim, evaluate=expr.eval_points, expr=expr)
 
 
-def _mink_sq(points):
-    points = np.asarray(points, dtype=float)
-    return -points[:, 0] ** 2 + np.sum(points[:, 1:] ** 2, axis=1)
+def _check_ray(x):
+    """The whole ray segment {sx : s in [0,1]} must stay in the domain."""
+    # 1 + s^2 (x.x) is monotone in s: its minimum is at s = 0 or s = 1
+    worst = min(margin(np.reshape(x, (1, -1)))[0], 1.0)
+    if worst < DEFAULT_DELTA:
+        raise DomainError(
+            f"ray to {tuple(map(float, x))} leaves the domain margin delta={DEFAULT_DELTA}")
 
 
 def h_shift_inverse(f, k, x, q=QuadratureSpec()):
     """(H + k + 1)^-1 f at x, as the adaptive ray integral int_0^1 t^k f(tx) dt."""
     if k < 0:
         raise ValueError(f"shift k must be non-negative, got {k}")
-    f.check_ray(x)
+    _check_ray(x)
     base = np.asarray(x, dtype=float)
 
     def integrand(tvals):
@@ -67,6 +69,14 @@ def h_shift_inverse(f, k, x, q=QuadratureSpec()):
         return tvals ** k * f.evaluate(pts)
 
     return adaptive_gauss(integrand, 0.0, 1.0, q)
+
+
+def _rho_ray_integral(phi, x, k, weight, q):
+    """(H+k+1)^-1 [weight(rho) phi] at x, with rho = 1/(1 + x.x) at each ray point."""
+    def evaluate(points):
+        return weight(1.0 / margin(points)) * phi.evaluate(points)
+
+    return h_shift_inverse(RayField(dim=phi.dim, evaluate=evaluate), k, x, q)
 
 
 def recover_n2(phi, x, q=QuadratureSpec()):
@@ -78,17 +88,9 @@ def recover_n2(phi, x, q=QuadratureSpec()):
     if phi.dim != 2:
         raise DomainError(f"recover_n2 needs a dim-2 field, got dim {phi.dim}")
     base = np.asarray(x, dtype=float)
-    norm_sq = minkowski_norm_sq(base)
-    if 1.0 + norm_sq < phi.delta:
-        raise DomainError(f"point {tuple(base)} too close to the singular set")
-
-    def two_rho_phi(points):
-        return 2.0 / (1.0 + _mink_sq(points)) * phi.evaluate(points)
-
-    g = RayField(dim=2, evaluate=two_rho_phi, delta=phi.delta)
-    shifted = h_shift_inverse(g, 0, base, q)
+    shifted = _rho_ray_integral(phi, base, 0, lambda rho: 2.0 * rho, q)
     p0 = float(phi.evaluate(base[None, :])[0]) - shifted
-    p1 = (1.0 + norm_sq) * shifted
+    p1 = margin(base[None, :])[0] * shifted
     return p0, p1
 
 
@@ -115,26 +117,16 @@ def recover_n4(phi, x, q=QuadratureSpec()):
     if phi.dim != 4:
         raise DomainError(f"recover_n4 needs a dim-4 field, got dim {phi.dim}")
     base = np.asarray(x, dtype=float)
-    s = minkowski_norm_sq(base)
-    if 1.0 + s < phi.delta:
-        raise DomainError(f"point {tuple(base)} too close to the singular set")
-
-    def ray_integral(k, weight):
-        """(H+k+1)^-1 [weight(rho) phi] at x."""
-        def evaluate(points):
-            return weight(1.0 / (1.0 + _mink_sq(points))) * phi.evaluate(points)
-
-        g = RayField(dim=4, evaluate=evaluate, delta=phi.delta)
-        return h_shift_inverse(g, k, base, q)
-
-    a = ray_integral(1, lambda rho: 12.0 * rho * rho - 6.0 * rho)
-    j = ray_integral(2, lambda rho: rho * rho)
-    b = ray_integral(1, lambda rho: ((12.0 + 6.0 * s) * rho - (24.0 + 12.0 * s) * rho * rho
-                                     - 2.0 / rho - 4.0))
-    c = ray_integral(3, lambda rho: 1.0 + 3.0 * rho + 6.0 * rho * rho)
+    rho_inv = margin(base[None, :])[0]
+    s = rho_inv - 1.0  # x.x at the target point
+    a = _rho_ray_integral(phi, base, 1, lambda rho: 12.0 * rho * rho - 6.0 * rho, q)
+    j = _rho_ray_integral(phi, base, 2, lambda rho: rho * rho, q)
+    b = _rho_ray_integral(phi, base, 1, lambda rho: ((12.0 + 6.0 * s) * rho
+                                                     - (24.0 + 12.0 * s) * rho * rho
+                                                     - 2.0 / rho - 4.0), q)
+    c = _rho_ray_integral(phi, base, 3, lambda rho: 1.0 + 3.0 * rho + 6.0 * rho * rho, q)
     phi_val = float(phi.evaluate(base[None, :])[0])
     p0 = phi_val + a - 12.0 * j
     p1 = b + 24.0 * j + 2.0 * s * c
-    rho_inv = 1.0 + s
     p2 = rho_inv * rho_inv * (phi_val - p0) - rho_inv * p1
     return p0, p1, p2

@@ -23,6 +23,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, SingularPoint
 
+# Evaluation guard: |1 + x.x| below this is treated as the singular set.
+# For O(1) coordinates 1 + x.x has then lost 12 of its ~16 significant digits
+# to cancellation, and rho = 1/(1 + x.x) exceeds 1e12.
 _SING_TOL = 1e-12
 
 Monomial = tuple  # exponent tuple, length = dim, entry 0 is the t exponent
@@ -38,10 +41,23 @@ def _nonzero(terms):
     return {e: c for e, c in terms.items() if c}
 
 
-def minkowski_norm_sq(point):
-    """-t^2 + sum(xi^2) for a coordinate sequence (t, x1, ...)."""
-    t = point[0]
-    return -t * t + sum(v * v for v in point[1:])
+def box_monomial(exps):
+    """box of the monomial with exponents exps, as (exponents, integer factor) pairs.
+
+    -d2/dt2 gives -e0(e0-1) on t and each d2/dxi2 gives +ei(ei-1) on xi.
+    """
+    return [(exps[:axis] + (k - 2,) + exps[axis + 1:], k * (k - 1) if axis else -k * (k - 1))
+            for axis, k in enumerate(exps) if k >= 2]
+
+
+def margin(points):
+    """1 + x.x = 1 - t^2 + sum(xi^2) (that is, 1/rho) at each row of an (m, dim) array.
+
+    Every singular-set guard measures distance from 1 + x.x = 0 with this
+    one formula; each guard keeps its own threshold and error class.
+    """
+    sq = np.asarray(points, dtype=float) ** 2
+    return 1.0 - sq[:, 0] + np.add.reduce(sq[:, 1:], axis=1)
 
 
 class Polynomial:
@@ -122,10 +138,6 @@ class Polynomial:
             return -1
         return max(e[0] for e in self.terms)
 
-    def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
     def sorted_terms(self):
         """Terms in descending graded-lex order (leading term first)."""
         return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]),
@@ -192,13 +204,11 @@ class Polynomial:
         return Polynomial(self.dim, _nonzero(terms), _trusted=True)
 
     def box(self):
-        """D'Alembertian -d2/dt2 + sum_i d2/dxi2: -e0(e0-1) on t, +ei(ei-1) on xi."""
+        """D'Alembertian -d2/dt2 + sum_i d2/dxi2, term by term (box_monomial)."""
         terms = {}
         for e, c in self.terms.items():
-            for axis, k in enumerate(e):
-                if k >= 2:
-                    de = e[:axis] + (k - 2,) + e[axis + 1:]
-                    terms[de] = terms.get(de, 0) + (c if axis else -c) * (k * (k - 1))
+            for de, f in box_monomial(e):
+                terms[de] = terms.get(de, 0) + c * f
         return Polynomial(self.dim, _nonzero(terms), _trusted=True)
 
     def euler_h(self):
@@ -232,9 +242,12 @@ class Polynomial:
     # -- display ----------------------------------------------------------
 
     def _term_str(self, exps, coeff):
-        names = ["t"] + [f"x{i}" for i in range(1, self.dim)]
-        if self.dim == 2:
+        if self.dim == 1:
+            names = ["u"]  # dim-1 polynomials are in the radial variable u (hyp2f1)
+        elif self.dim == 2:
             names = ["t", "x"]
+        else:
+            names = ["t"] + [f"x{i}" for i in range(1, self.dim)]
         parts = []
         for name, k in zip(names, exps):
             if k == 1:
@@ -451,7 +464,7 @@ class RhoExpr:
         if points.shape[1] != self.dim:
             raise DimensionMismatch(
                 f"points have {points.shape[1]} coords, expected {self.dim}")
-        denom = 1.0 - points[:, 0] ** 2 + np.sum(points[:, 1:] ** 2, axis=1)
+        denom = margin(points)
         if np.any(np.abs(denom) < _SING_TOL):
             raise SingularPoint("evaluation on the singular set 1 + x.x = 0")
         rho = 1.0 / denom

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import FormatError
-from .ring import Polynomial, RhoExpr, grlex_key
+from .ring import Polynomial, RhoExpr, normalize
 
 FORMAT_VERSION = 1
 
@@ -33,9 +33,7 @@ def _parse_coeff(s):
 
 
 def _layer_entry(rho_power, poly):
-    terms = [{"coeff": _coeff_str(c), "exponents": list(e)}
-             for e, c in sorted(poly.terms.items(),
-                                key=lambda item: grlex_key(item[0]), reverse=True)]
+    terms = [{"coeff": _coeff_str(c), "exponents": list(e)} for e, c in poly.sorted_terms()]
     return {"rho_power": rho_power, "terms": terms}
 
 
@@ -48,12 +46,7 @@ def expr_to_doc(expr):
 
 
 def poly_to_doc(poly):
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "dim": poly.dim,
-        "layers": [] if poly.is_zero() else [_layer_entry(0, poly)],
-    }
-    return doc
+    return expr_to_doc(RhoExpr.from_polynomial(poly))
 
 
 def doc_to_expr(doc):
@@ -70,7 +63,6 @@ def doc_to_expr(doc):
             raw.append((int(layer["rho_power"]), Polynomial(dim, terms)))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed document: {exc}") from exc
-    from .ring import normalize
     return normalize(raw, dim)
 
 
@@ -127,6 +119,11 @@ def write_doc_lines(path, docs):
 
 
 def read_doc_lines(path):
+    """Documents of a JSON-lines file, one per line.
+
+    Public because it reads the output of `pertwave basis` (written by
+    write_doc_lines); the round-trip tests use it.
+    """
     docs = []
     try:
         with open(path) as handle:
@@ -139,7 +136,8 @@ def read_doc_lines(path):
     return docs
 
 
-def _fmt_float(v):
+def format_float(v):
+    """17 significant digits: enough that parsing the text gives back the same double."""
     return format(float(v), ".17g")
 
 
@@ -150,8 +148,7 @@ def field_to_csv(field):
     lines = ["x,t,value"]
     for j in range(g.nt):
         for i in range(g.nx):
-            lines.append(
-                f"{_fmt_float(xs[i])},{_fmt_float(ts[j])},{_fmt_float(field.values[i, j])}")
+            lines.append(",".join(format_float(v) for v in (xs[i], ts[j], field.values[i, j])))
     return "\n".join(lines) + "\n"
 
 

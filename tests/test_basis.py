@@ -79,7 +79,7 @@ def test_degree_zero_constant():
 def test_elements_are_wave_polynomials(n, k):
     wb = wave_basis(n, k)
     for p in wb.elements:
-        assert p.is_homogeneous()
+        assert p.euler_h() == p.scale(k)  # Euler: homogeneous of degree k
         assert p.degree() in (k, -1) or k == 0
         assert is_wave_polynomial(p)
 

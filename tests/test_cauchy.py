@@ -100,6 +100,16 @@ class TestEvolvePoint:
         with pytest.raises(SingularRegion, match=re.escape(message)):
             evolve_point(d, 0.0, 1.0, Q)
 
+    def test_singular_margin_boundary(self):
+        """At x = 0, the last double t with 1 - t^2 >= 1e-3 evolves; the next is singular."""
+        phi = build_phi(Polynomial.constant(2, 1), 2).phi
+        d = InitialData.from_rho_expr(phi)
+        inside, outside = 0.9994998749374608, 0.999499874937461
+        assert 1.0 - inside ** 2 >= 1e-3 > 1.0 - outside ** 2
+        assert evolve_point(d, 0.0, inside, Q) == pytest.approx(phi_eval(phi, 0.0, inside))
+        with pytest.raises(SingularRegion):
+            evolve_point(d, 0.0, outside, Q)
+
     def test_kernel_pole_rejected(self):
         d = InitialData(a=1.5, u0=lambda w: np.zeros_like(w),
                         v0=lambda w: np.zeros_like(w))
@@ -250,6 +260,15 @@ class TestFdReference:
         g = Grid2D(-1.0, 1.0, 11, 0.0, 0.5, 6)
         with pytest.raises(CFLViolation):
             fd_reference(d, g, cfl=1.1)
+
+    def test_widened_domain_guard_covers_the_data_slice(self):
+        """The widened domain reaches x = 0 on the slice t = a = -0.9995, where 1 - a^2 < 1e-3."""
+        a = -0.9995
+        d = InitialData(a=a, u0=lambda w: np.exp(-8.0 * w ** 2), v0=lambda w: np.zeros_like(w))
+        g = Grid2D(0.5, 1.0, 11, a, -0.5, 11)
+        g.check_singularity()
+        with pytest.raises(SingularRegion, match=re.escape("widened FD domain reaches")):
+            fd_reference(d, g)
 
     def test_start_slice_guard(self):
         d = InitialData.from_rho_expr(exact_x_rho(), a=0.0)

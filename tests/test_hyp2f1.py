@@ -49,6 +49,9 @@ class TestRadialSolution:
     def test_g12_n2_k2(self):
         assert radial_numerator(2, 2) == poly_u(Fraction(1, 3), -1)
 
+    def test_prints_in_u(self):
+        assert str(radial_numerator(2, 2)) == "-u + 1/3"
+
     def test_scalar_evaluation(self):
         assert radial_numerator(2, 2)(0.3) == pytest.approx(1 / 3 - 0.3)
 

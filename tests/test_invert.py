@@ -181,3 +181,18 @@ class TestRecoverN4:
         a = recover_n4(f1, x, Q)
         b = recover_n4(f2, x, Q)
         assert np.allclose(2 * np.asarray(a), np.asarray(b), rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, recover", [(2, recover_n2), (4, recover_n4)])
+def test_domain_margin_boundary(n, recover):
+    """1 + x.x = 0.25 exactly at t = 1, x1 = 0.5 recovers; one ulp further in t is rejected."""
+    bundle = build_phi(Polynomial.monomial(n, (1, 1) + (0,) * (n - 2)), n)
+    f = RayField.from_rho_expr(bundle.phi)
+    x = np.zeros(n)
+    x[:2] = 1.0, 0.5
+    values = recover(f, x, Q)
+    for r, v in enumerate(values):
+        assert v == pytest.approx(bundle.coefficient(r).eval_points(x[None, :])[0], abs=1e-10)
+    x[0] = np.nextafter(1.0, 2.0)
+    with pytest.raises(DomainError):
+        recover(f, x, Q)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from conftest import nonsingular_points, polynomials, rho_exprs
 from pertwave.basis import wave_basis
 from pertwave.errors import DimensionMismatch, SingularPoint
-from pertwave.ring import Polynomial, RhoExpr, minkowski_norm_sq, normalize
+from pertwave.ring import Polynomial, RhoExpr, margin, normalize
 from pertwave.solutions import build_phi
 
 
@@ -222,8 +222,15 @@ class TestEval:
         with pytest.raises(SingularPoint):
             RhoExpr.rho(2)((2 ** 0.5, 1.0))
 
-    def test_minkowski_norm(self):
-        assert minkowski_norm_sq((2.0, 1.0, 1.0)) == pytest.approx(-2.0)
+    def test_singular_tolerance_boundary(self):
+        """|1 + x.x| = 1e-12 exactly still evaluates; one ulp closer is singular."""
+        assert RhoExpr.rho(2)((1.0, 1e-6)) == pytest.approx(1e12)
+        with pytest.raises(SingularPoint):
+            RhoExpr.rho(2)((1.0, np.nextafter(1e-6, 0.0)))
+
+    def test_margin(self):
+        points = np.array([[2.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.5, 0.0, 1.0]])
+        assert margin(points).tolist() == [-1.0, 1.0, 1.75]
 
 
 @settings(max_examples=40, deadline=None)
