@@ -7,7 +7,7 @@ from .cauchy import (Field2D, Grid2D, InitialData, evolve_grid, evolve_point,
 from .hyp2f1 import GaussParams, fk_ode_residual, hyp2f1_terminating, radial_numerator
 from .invert import (QuadratureSpec, RayField, h_shift_inverse, recover_n2,
                      recover_n4)
-from .ring import Monomial, Polynomial, RhoExpr, margin, normalize
+from .ring import Polynomial, RhoExpr, margin, normalize
 from .solutions import (SolutionBundle, beta_coefficients, build_phi,
                         check_n2_background, psi0_residual, recursion_step,
                         residual)
@@ -18,7 +18,7 @@ __all__ = [
     "fd_reference", "initial_condition_check", "pde_residual_fd",
     "GaussParams", "fk_ode_residual", "hyp2f1_terminating", "radial_numerator",
     "QuadratureSpec", "RayField", "h_shift_inverse", "recover_n2", "recover_n4",
-    "Monomial", "Polynomial", "RhoExpr", "margin", "normalize",
+    "Polynomial", "RhoExpr", "margin", "normalize",
     "SolutionBundle", "beta_coefficients", "build_phi", "check_n2_background",
     "psi0_residual", "recursion_step", "residual",
 ]

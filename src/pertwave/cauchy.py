@@ -27,10 +27,10 @@ from .errors import (CFLViolation, DomainError, GridTooSmall, KernelPole,
 from .quadrature import QuadratureSpec, adaptive_gauss, gauss_nodes
 from .ring import RhoExpr, margin
 
-# Cauchy guard: nodes and grids keep 1 + x^2 - t^2 >= EPS_SING.  The kernel
-# divides by that margin and the leapfrog oracle steps with the potential
-# 8/margin^2, so the cut bounds those factors by 1e3 and 8e6 on every
-# admitted node and grid.
+# Cauchy guard: nodes, grids and the data intervals on t = a keep
+# 1 + x^2 - t^2 >= EPS_SING.  The kernel divides by that margin and the
+# leapfrog oracle steps with the potential 8/margin^2, so the cut bounds those
+# factors by 1e3 and 8e6 on every admitted node, grid and data interval.
 EPS_SING = 1e-3
 
 
@@ -158,15 +158,23 @@ class Field2D:
             raise DomainError("field contains non-finite values")
 
 
-def _check_kernel_pole(a, w_lo, w_hi):
-    if abs(a) < 1.0:
-        return  # 1 - a^2 + w^2 >= 1 - a^2 > 0 everywhere
-    pole = math.sqrt(a * a - 1.0)
+def _check_data_intervals(a, w_lo, w_hi):
+    """Guard the kernel denominator 1 - a^2 + w^2 on each data interval on t = a.
+
+    KernelPole if an interval holds a zero of it, else SingularRegion unless
+    it stays >= EPS_SING, checked at each interval's point nearest w = 0.
+    """
+    if 1.0 - a * a >= EPS_SING:
+        return  # 1 - a^2 + w^2 >= 1 - a^2 >= EPS_SING everywhere
     lo, hi = np.minimum(w_lo, w_hi), np.maximum(w_lo, w_hi)
-    for w_star in (pole, -pole):  # nodes on t = a integrate over nothing
-        if np.any((lo <= w_star) & (w_star <= hi) & (lo < hi)):
-            raise KernelPole(
-                f"kernel denominator 1 - a^2 + w^2 vanishes at w = {w_star}")
+    if abs(a) >= 1.0:
+        pole = math.sqrt(a * a - 1.0)
+        for w_star in (pole, -pole):  # nodes on t = a integrate over nothing
+            if np.any((lo <= w_star) & (w_star <= hi) & (lo < hi)):
+                raise KernelPole(
+                    f"kernel denominator 1 - a^2 + w^2 vanishes at w = {w_star}")
+    _check_margin(np.clip(0.0, lo, hi), a,
+                  "data slice t = {t} has 1 - t^2 + w^2 = {m} < {eps} at w = {x}")
 
 
 # The two kernel integrands of node (x, t) at abscissae w of any shape; the
@@ -201,7 +209,7 @@ def _evolve_nodes(d, x, t, q):
     if not delta.any():  # all nodes on the data slice t = a
         return out
     w_lo, w_hi = x + delta, x - delta  # oriented exactly as in the closed form
-    _check_kernel_pole(d.a, w_lo, w_hi)
+    _check_data_intervals(d.a, w_lo, w_hi)
     w_mid = 0.5 * (w_lo + w_hi)
     starts = np.stack([w_lo, w_lo, w_mid], axis=1)  # whole panel, left, right
     stops = np.stack([w_hi, w_mid, w_hi], axis=1)

@@ -28,8 +28,6 @@ from .errors import DimensionMismatch, SingularPoint
 # to cancellation, and rho = 1/(1 + x.x) exceeds 1e12.
 _SING_TOL = 1e-12
 
-Monomial = tuple  # exponent tuple, length = dim, entry 0 is the t exponent
-
 
 def grlex_key(exponents):
     """Graded lexicographic sort key (t is the most significant variable)."""

@@ -1,11 +1,11 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from pertwave.basis import (is_wave_polynomial, monomials, nullspace,
-                            wave_basis)
+from pertwave.basis import is_wave_polynomial, monomials, wave_basis
 from pertwave.errors import DimensionMismatch, UnsupportedDim
-from pertwave.ring import Polynomial
+from pertwave.ring import Polynomial, grlex_key
 
 
 def span_matrix_rref(elements, order):
@@ -116,17 +116,36 @@ def test_size_matches_brute_force_rank(n, k):
     assert len(wb.elements) == expected
 
 
-@pytest.mark.parametrize("n,k", [(2, 3), (3, 3), (4, 4)])
-def test_span_stable_under_monomial_permutation(n, k):
-    default = wave_basis(n, k)
-    order = monomials(n, k)
-    permuted = list(reversed(order))
-    alt = wave_basis(n, k, monomial_order=permuted)
-    assert len(default.elements) == len(alt.elements)
-    pivots_a = span_matrix_rref(list(default.elements), order)
-    pivots_b = span_matrix_rref(list(alt.elements), order)
-    assert all(in_span(p, pivots_b, order) for p in default.elements)
-    assert all(in_span(p, pivots_a, order) for p in alt.elements)
+@pytest.mark.parametrize("n,k,expected", [
+    (2, 2, [{(1, 1): 1}, {(2, 0): 1, (0, 2): 1}]),
+    (2, 3, [{(3, 0): 1, (1, 2): 3}, {(2, 1): 3, (0, 3): 1}]),
+    (3, 2, [{(1, 1, 0): 1}, {(1, 0, 1): 1}, {(2, 0, 0): 1, (0, 2, 0): 1},
+            {(0, 1, 1): 1}, {(2, 0, 0): 1, (0, 0, 2): 1}]),
+    (2, 4, [{(3, 1): 1, (1, 3): 1}, {(4, 0): 1, (2, 2): 6, (0, 4): 1}]),
+], ids=["n2k2", "n2k3", "n3k2", "n2k4"])
+def test_exact_small_bases(n, k, expected):
+    assert wave_basis(n, k).elements == tuple(Polynomial(n, e) for e in expected)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
+@pytest.mark.parametrize("k", range(7))
+def test_basis_characterisation(n, k):
+    """With box = 0 these properties pin the basis uniquely.
+
+    Each element's part of t-degree <= 1 is one monomial; those monomials are
+    the t-degree <= 1 monomials of degree k in descending graded-lex order;
+    coefficients are coprime integers, positive on the graded-lex-largest term.
+    """
+    elements = wave_basis(n, k).elements
+    free = []
+    for p in elements:
+        low = [e for e in p.terms if e[0] <= 1]
+        assert len(low) == 1
+        free.append(low[0])
+        assert all(c.denominator == 1 for c in p.terms.values())
+        assert gcd(*(c.numerator for c in p.terms.values())) == 1
+        assert p.terms[max(p.terms, key=grlex_key)] > 0
+    assert free == [e for e in monomials(n, k) if e[0] <= 1]
 
 
 def test_is_wave_polynomial_examples():
@@ -140,12 +159,3 @@ def test_degree_cap_and_bad_dim():
         wave_basis(2, 13)
     with pytest.raises(DimensionMismatch):
         wave_basis(1, 2)
-
-
-def test_nullspace_simple():
-    # single relation x0 + 2 x1 = 0 in 3 columns
-    cols = [{0: 1}, {0: 2}, {}]
-    vecs = nullspace(cols, 3)
-    assert len(vecs) == 2
-    for v in vecs:
-        assert sum(Fraction(c) * v.get(j, 0) for j, c in [(0, 1), (1, 2)]) == 0

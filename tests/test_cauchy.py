@@ -218,6 +218,16 @@ class TestEvolveGrid:
         with pytest.raises(KernelPole, match="vanishes at w = 1.118"):
             evolve_grid(d, g, Q)
 
+    def test_singular_data_interval_rejected(self):
+        """Every node passes, but the last row's data reach 1 - a^2 + w^2 < 1e-3."""
+        a = -0.9995
+        d = InitialData(a=a, u0=lambda w: np.exp(-8.0 * np.asarray(w) ** 2),
+                        v0=lambda w: np.zeros_like(np.asarray(w, dtype=float)))
+        # node (0.5, -0.5) depends on [0.0005, 0.9995]; at w = 0.0005 the
+        # margin 1 - a^2 + w^2 evaluates to 0.000999999999999855
+        with pytest.raises(SingularRegion, match=re.escape("data slice t = -0.9995 has")):
+            evolve_grid(d, Grid2D(0.5, 1.0, 11, a, -0.5, 6), Q)
+
     def test_singular_grid_rejected(self):
         d = InitialData.from_rho_expr(exact_x_rho())
         with pytest.raises(SingularRegion, match=re.escape("grid reaches 1 + x^2 - t^2")):

@@ -153,6 +153,18 @@ class TestEvolveCompare:
                      "--data", phi_path, "--out", str(tmp_path / "o.csv")])
         assert code == EXIT_DOMAIN
 
+    def test_evolve_singular_data_interval(self, tmp_path, capsys):
+        w = np.linspace(-2.0, 2.0, 401)
+        samples = str(tmp_path / "bump.csv")
+        with open(samples, "w") as f:
+            f.write("w,u0,v0\n")
+            for wi in w:
+                f.write(f"{format(wi, '.17g')},{format(np.exp(-8.0 * wi * wi), '.17g')},0\n")
+        code = main(["evolve", "--a=-0.9995", "--grid=0.5,1,11:-0.9995,-0.5,6",
+                     "--data", samples, "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_DOMAIN
+        assert capsys.readouterr().err.startswith("error: domain: data slice t = -0.9995")
+
     def test_evolve_from_samples(self, tmp_path):
         _, phi = self.make_phi_doc(tmp_path)
         w = np.linspace(-3.0, 3.0, 301)
