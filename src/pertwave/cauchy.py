@@ -67,15 +67,16 @@ class InitialData:
             raise DomainError(f"Cauchy data needs dim 2, got {expr.dim}")
         dt_expr = expr.diff(0)
 
+        def on_slice(w):  # the points (a, w) as one (m, 2) array
+            pts = np.empty((np.size(w), 2))
+            pts[:, 0], pts[:, 1] = a, np.ravel(w)
+            return pts
+
         def u0(w):
-            w = np.atleast_1d(np.asarray(w, dtype=float))
-            pts = np.column_stack([np.full(w.shape, a), w])
-            return expr.eval_points(pts)
+            return expr.eval_points(on_slice(w))
 
         def v0(w):
-            w = np.atleast_1d(np.asarray(w, dtype=float))
-            pts = np.column_stack([np.full(w.shape, a), w])
-            return dt_expr.eval_points(pts)
+            return dt_expr.eval_points(on_slice(w))
 
         return cls(a=float(a), u0=u0, v0=v0, expr=expr)
 
@@ -257,8 +258,10 @@ def fd_reference(d, g, cfl=0.9, refine=1):
     the requested region never touches the artificial boundaries; `refine`
     divides the spatial step for convergence studies.
     """
-    if cfl > 0.95 or cfl <= 0.0:
+    if not 0.0 < cfl <= 0.95:  # written so that NaN fails it too
         raise CFLViolation(f"cfl must be in (0, 0.95], got {cfl}")
+    if not refine >= 1:
+        raise ValueError(f"refine must be >= 1, got {refine}")
     if abs(g.t_min - d.a) > 1e-12:
         raise DomainError(
             f"fd_reference must start at the data slice t = {d.a}, grid starts at {g.t_min}")

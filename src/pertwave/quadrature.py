@@ -19,7 +19,7 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.order < 2:
             raise ValueError(f"order must be >= 2, got {self.order}")
-        if self.abs_tol <= 0:
+        if not self.abs_tol > 0:  # written so that NaN fails it too
             raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
 
 

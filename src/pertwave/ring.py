@@ -11,8 +11,10 @@ The D'Alembertian and the Euler operator H act on each rho-layer in closed
 form (RhoExpr.box, RhoExpr.euler_h), from d_mu rho = -2 x_mu rho^2,
 H rho = -2 rho + 2 rho^2 and x.x = 1/rho - 1: one normalize call per operator.
 
-Coefficients are fractions.Fraction throughout; evaluation at a point is the
-only place floating point enters.
+Coefficients are fractions.Fraction throughout; evaluation at points is the
+only place floating point enters.  One evaluator serves both types
+(Polynomial is its rho^0 case): it builds each coordinate and rho power once
+per call and shares it across all terms and layers.
 """
 
 from __future__ import annotations
@@ -56,6 +58,41 @@ def margin(points):
     """
     sq = np.asarray(points, dtype=float) ** 2
     return 1.0 - sq[:, 0] + np.add.reduce(sq[:, 1:], axis=1)
+
+
+def _evaluate(dim, layers, points, rho=False):
+    """sum_s P_s rho^s at each row of an (m, dim) array, from layers {s: P_s}.
+
+    Powers come from repeated multiplication (numpy's pow is far slower for
+    k >= 3).  With rho set, rho = 1/(1 + x.x) after the _SING_TOL guard;
+    without it, layers may only hold s = 0.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points[None, :]
+    if points.shape[1] != dim:
+        raise DimensionMismatch(f"points have {points.shape[1]} coords, expected {dim}")
+    powers = [[None, col] for col in points.T]  # powers[axis][k]; axis dim is rho
+    if rho:
+        denom = margin(points)
+        if (np.abs(denom) < _SING_TOL).any():
+            raise SingularPoint("evaluation on the singular set 1 + x.x = 0")
+        powers.append([None, 1.0 / denom])
+    keys = [e + (s,) for s, p in layers.items() for e in p.terms]
+    for row, top in zip(powers, map(max, zip(*keys))):
+        while len(row) <= top:
+            row.append(row[-1] * row[1])
+    out = np.zeros(len(points))
+    for s, p in layers.items():
+        acc = 0.0
+        for e, c in p.terms.items():
+            term = float(c)
+            for row, k in zip(powers, e):
+                if k:
+                    term *= row[k]  # float * array first: powers are never written
+            acc += term
+        out += acc * powers[dim][s] if s else acc
+    return out
 
 
 class Polynomial:
@@ -219,20 +256,7 @@ class Polynomial:
 
     def eval_points(self, points):
         """Evaluate at an (m, dim) float array; returns an (m,) array."""
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points[None, :]
-        if points.shape[1] != self.dim:
-            raise DimensionMismatch(
-                f"points have {points.shape[1]} coords, expected {self.dim}")
-        out = np.zeros(points.shape[0])
-        for e, c in self.terms.items():
-            term = np.full(points.shape[0], float(c))
-            for axis, k in enumerate(e):
-                if k:
-                    term = term * points[:, axis] ** k
-            out += term
-        return out
+        return _evaluate(self.dim, {0: self}, points)
 
     def __call__(self, point):
         return float(self.eval_points(np.reshape(point, (1, -1)))[0])
@@ -456,20 +480,7 @@ class RhoExpr:
 
     def eval_points(self, points):
         """Evaluate at an (m, dim) float array, substituting rho = 1/(1+x.x)."""
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points[None, :]
-        if points.shape[1] != self.dim:
-            raise DimensionMismatch(
-                f"points have {points.shape[1]} coords, expected {self.dim}")
-        denom = margin(points)
-        if np.any(np.abs(denom) < _SING_TOL):
-            raise SingularPoint("evaluation on the singular set 1 + x.x = 0")
-        rho = 1.0 / denom
-        out = np.zeros(points.shape[0])
-        for s, p in self.layers.items():
-            out += p.eval_points(points) * rho ** s
-        return out
+        return _evaluate(self.dim, self.layers, points, rho=True)
 
     def __call__(self, point):
         return float(self.eval_points(np.reshape(point, (1, -1)))[0])

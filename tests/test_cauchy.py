@@ -268,8 +268,16 @@ class TestFdReference:
     def test_cfl_guard(self):
         d = InitialData.from_rho_expr(exact_x_rho())
         g = Grid2D(-1.0, 1.0, 11, 0.0, 0.5, 6)
-        with pytest.raises(CFLViolation):
-            fd_reference(d, g, cfl=1.1)
+        for cfl in (1.1, 0.0, float("nan")):
+            with pytest.raises(CFLViolation):
+                fd_reference(d, g, cfl=cfl)
+
+    @pytest.mark.parametrize("refine", [0, -1])
+    def test_refine_guard(self, refine):
+        d = InitialData.from_rho_expr(exact_x_rho())
+        g = Grid2D(-1.0, 1.0, 11, 0.0, 0.5, 6)
+        with pytest.raises(ValueError, match="refine must be >= 1"):
+            fd_reference(d, g, refine=refine)
 
     def test_widened_domain_guard_covers_the_data_slice(self):
         """The widened domain reaches x = 0 on the slice t = a = -0.9995, where 1 - a^2 < 1e-3."""

@@ -223,9 +223,18 @@ GRID = "--grid=-0.5,0.5,5:0,0.2,3"
      EXIT_USAGE, "usage"),
     (["evolve", GRID, "--data", "{tmp}/phi.json", "--order", "1", "--out", "{tmp}/o.csv"],
      EXIT_USAGE, "usage"),
+    (["evolve", GRID, "--data", "{tmp}/phi.json", "--abs-tol", "nan", "--out", "{tmp}/o.csv"],
+     EXIT_USAGE, "usage"),
+    (["fdref", GRID, "--data", "{tmp}/phi.json", "--refine", "0", "--out", "{tmp}/o.csv"],
+     EXIT_USAGE, "usage"),
+    (["fdref", GRID, "--data", "{tmp}/phi.json", "--refine", "-1", "--out", "{tmp}/o.csv"],
+     EXIT_USAGE, "usage"),
+    (["fdref", GRID, "--data", "{tmp}/phi.json", "--cfl", "nan", "--out", "{tmp}/o.csv"],
+     EXIT_DOMAIN, "domain"),
     (["verify", "--dim", "4", "--phi", "{tmp}/phi.json"], EXIT_DOMAIN, "domain"),
 ], ids=["negative-degree", "verify-missing", "build-missing", "evolve-missing",
-        "bad-order", "verify-dim-mismatch"])
+        "bad-order", "nan-abs-tol", "refine-zero", "refine-negative", "nan-cfl",
+        "verify-dim-mismatch"])
 def test_error_contract(tmp_path, capsys, argv, code, kind):
     """Every failure exits with its documented code and one error line."""
     phi = build_phi(Polynomial(2, {(1, 1): Fraction(1)}), 2).phi

@@ -53,8 +53,9 @@ class TestQuadrature:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(order=1)
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=0.0)
+        for abs_tol in (0.0, -1e-12, float("nan")):
+            with pytest.raises(ValueError):
+                QuadratureSpec(abs_tol=abs_tol)
 
 
 class TestShiftInverse:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from conftest import nonsingular_points, polynomials, rho_exprs
 from pertwave.basis import wave_basis
 from pertwave.errors import DimensionMismatch, SingularPoint
+from pertwave.hyp2f1 import radial_numerator
 from pertwave.ring import Polynomial, RhoExpr, margin, normalize
 from pertwave.solutions import build_phi
 
@@ -231,6 +232,57 @@ class TestEval:
     def test_margin(self):
         points = np.array([[2.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.5, 0.0, 1.0]])
         assert margin(points).tolist() == [-1.0, 1.0, 1.75]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_evaluator(self, dim, data):
+        expr = data.draw(rho_exprs(dim, max_power=4))
+        poly = data.draw(polynomials(dim, max_degree=6))
+        pts = nonsingular_points(np.random.default_rng(dim), dim, 12)
+        assert_matches_reference(expr, expr.layers, pts)
+        assert_matches_reference(poly, {0: poly}, pts)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_special_elements_and_empty_points(self, dim):
+        pts = nonsingular_points(np.random.default_rng(dim), dim, 12)
+        cases = [RhoExpr.zero(dim), RhoExpr.constant(dim, Fraction(-3, 7)), RhoExpr.rho(dim),
+                 RhoExpr.rho(dim, 5), Polynomial.zero(dim), Polynomial.constant(dim, 5)]
+        for x in cases:
+            layers = x.layers if isinstance(x, RhoExpr) else {0: x}
+            assert_matches_reference(x, layers, pts)
+            assert x.eval_points(np.empty((0, dim))).shape == (0,)
+            with pytest.raises(DimensionMismatch):
+                x.eval_points(np.zeros((3, dim + 1)))
+
+    def test_polynomial_has_no_singular_set(self):
+        assert Polynomial.coordinate(2, 0)((1.0, 0.0)) == 1.0  # 1 + x.x = 0 here
+
+    def test_radial_polynomials_in_u(self):
+        u = np.linspace(-0.9, 0.9, 19)[:, None]
+        for n, k in [(2, 2), (4, 3), (6, 1), (8, 4)]:
+            p = radial_numerator(n, k)
+            assert_matches_reference(p, {0: p}, u)
+
+
+def reference_eval(layers, points):
+    """Term-by-term sum of float(c) * prod(points ** exps) * rho^s, rho = 1/(1 - t^2 + sum xi^2).
+
+    Also returns the sum of the terms' magnitudes, the scale of a relative tolerance.
+    """
+    rho = 1.0 / (1.0 - points[:, 0] ** 2 + np.sum(points[:, 1:] ** 2, axis=1))
+    value, scale = np.zeros(len(points)), np.zeros(len(points))
+    for s, p in layers.items():
+        for exps, c in p.terms.items():
+            term = float(c) * np.prod(points ** np.array(exps), axis=1) * rho ** s
+            value += term
+            scale += np.abs(term)
+    return value, scale
+
+
+def assert_matches_reference(x, layers, points):
+    value, scale = reference_eval(layers, points)
+    assert np.all(np.abs(x.eval_points(points) - value) <= 1e-14 * scale)
 
 
 @settings(max_examples=40, deadline=None)
