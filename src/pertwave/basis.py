@@ -16,7 +16,6 @@ integer coefficients with positive leading coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial, gcd
 
 from .errors import DimensionMismatch, UnsupportedDim
@@ -69,7 +68,7 @@ def _seed(n, exps):
              for j in [0, *range(len(layers) - 1, 0, -1)]
              for e, c in sorted(layers[j].items(), reverse=True)}
     g = gcd(*terms.values())
-    return Polynomial(n, {e: Fraction(c // g) for e, c in terms.items()}, _trusted=True)
+    return Polynomial(n, {e: c // g for e, c in terms.items()}, _trusted=True)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (CFLViolation, DomainError, GridTooSmall, KernelPole,
                      SingularRegion)
@@ -85,8 +84,12 @@ class InitialData:
         """Natural cubic-spline interpolation of tabulated data.
 
         Evaluation outside the tabulated range raises DomainError so that
-        quadrature abscissae can never silently extrapolate.
+        quadrature abscissae can never silently extrapolate.  scipy is
+        imported here, not with the module, so that importing pertwave does
+        not pay for scipy.interpolate.
         """
+        from scipy.interpolate import CubicSpline
+
         w = np.asarray(w, dtype=float)
         if w.size < 4:
             raise DomainError("need at least 4 samples for cubic interpolation")

@@ -11,8 +11,13 @@ The D'Alembertian and the Euler operator H act on each rho-layer in closed
 form (RhoExpr.box, RhoExpr.euler_h), from d_mu rho = -2 x_mu rho^2,
 H rho = -2 rho + 2 rho^2 and x.x = 1/rho - 1: one normalize call per operator.
 
-Coefficients are fractions.Fraction throughout; evaluation at points is the
-only place floating point enters.  One evaluator serves both types
+A stored coefficient is an int when it is integral and a fractions.Fraction
+otherwise (Fraction(k, 1) == k with equal hashes, so this changes no
+equality); integer inputs therefore stay in int arithmetic.  normalize
+divides each rho-layer by 1 + x.x one t-slice at a time: from the top
+t-degree down, the slice t^k A_k(x) sends -A_k to the quotient and
+(1 + sum xi^2) A_k to the slice t^(k-2).  Evaluation at points is the only
+place floating point enters.  One evaluator serves both types
 (Polynomial is its rho^0 case): it builds each coordinate and rho power once
 per call and shares it across all terms and layers.
 """
@@ -20,6 +25,7 @@ per call and shares it across all terms and layers.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 
@@ -36,9 +42,18 @@ def grlex_key(exponents):
     return (sum(exponents), exponents)
 
 
+def _coeff(value):
+    """value as a stored coefficient: an int when integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 def _nonzero(terms):
-    """Drop the zero coefficients that accumulation left behind."""
-    return {e: c for e, c in terms.items() if c}
+    """Drop the zero coefficients that accumulation left behind; integral ones become int."""
+    return {e: c if type(c) is int or c.denominator != 1 else c.numerator
+            for e, c in terms.items() if c}
 
 
 def box_monomial(exps):
@@ -56,8 +71,10 @@ def margin(points):
     Every singular-set guard measures distance from 1 + x.x = 0 with this
     one formula; each guard keeps its own threshold and error class.
     """
-    sq = np.asarray(points, dtype=float) ** 2
-    return 1.0 - sq[:, 0] + np.add.reduce(sq[:, 1:], axis=1)
+    sq = np.asarray(points, dtype=float).T ** 2
+    # whole columns added left to right: the order of a row-wise reduction
+    # over the spatial axes, without numpy's slow short-axis reduce
+    return 1.0 - sq[0] + sum(sq[1:], 0.0)
 
 
 def _evaluate(dim, layers, points, rho=False):
@@ -98,8 +115,9 @@ def _evaluate(dim, layers, points, rho=False):
 class Polynomial:
     """Multivariate polynomial over Q with a canonical term dictionary.
 
-    ``terms`` maps exponent tuples to nonzero Fractions; no zero coefficient
-    is ever stored, so equality is plain structural equality.
+    ``terms`` maps exponent tuples to nonzero coefficients, each an int when
+    integral and a Fraction otherwise; no zero coefficient is ever stored, so
+    equality is plain structural equality.
     """
 
     __slots__ = ("dim", "terms")
@@ -132,7 +150,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, dim, value):
-        value = Fraction(value)
+        value = _coeff(value)
         if not value:
             return cls.zero(dim)
         return cls(dim, {(0,) * dim: value}, _trusted=True)
@@ -143,7 +161,7 @@ class Polynomial:
             raise DimensionMismatch(f"axis {axis} out of range for dim {dim}")
         exps = [0] * dim
         exps[axis] = 1
-        return cls(dim, {tuple(exps): Fraction(1)}, _trusted=True)
+        return cls(dim, {tuple(exps): 1}, _trusted=True)
 
     @classmethod
     def monomial(cls, dim, exponents, coeff=1):
@@ -206,7 +224,7 @@ class Polynomial:
             terms = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
+                    e = tuple(map(add, e1, e2))
                     terms[e] = terms.get(e, 0) + c1 * c2
             return Polynomial(self.dim, _nonzero(terms), _trusted=True)
         if isinstance(other, (int, Fraction)):
@@ -216,12 +234,15 @@ class Polynomial:
     __rmul__ = __mul__
 
     def scale(self, scalar):
-        scalar = Fraction(scalar)
+        """scalar * self: an int product per coefficient, or one reduced Fraction."""
+        scalar = _coeff(scalar)
         if not scalar:
             return Polynomial.zero(self.dim)
-        return Polynomial(self.dim,
-                          {e: c * scalar for e, c in self.terms.items()},
-                          _trusted=True)
+        num, den = scalar.numerator, scalar.denominator
+        terms = {e: c * num if den == 1 and type(c) is int
+                 else Fraction(c.numerator * num, c.denominator * den)
+                 for e, c in self.terms.items()}
+        return Polynomial(self.dim, _nonzero(terms), _trusted=True)
 
     # -- calculus ---------------------------------------------------------
 
@@ -248,8 +269,12 @@ class Polynomial:
 
     def euler_h(self):
         """Euler operator t*dt + sum_i xi*dxi: each term times its total degree."""
+        return self._h_affine(1, 0)
+
+    def _h_affine(self, a, b):
+        """(a*H + b) self for integers a, b: each term times a*(its total degree) + b."""
         return Polynomial(self.dim,
-                          {e: c * sum(e) for e, c in self.terms.items() if any(e)},
+                          _nonzero({e: c * (a * sum(e) + b) for e, c in self.terms.items()}),
                           _trusted=True)
 
     # -- evaluation -------------------------------------------------------
@@ -299,33 +324,34 @@ class Polynomial:
 
 
 def _reduce_layer(poly):
-    """Divide by (1 + sum xi^2) - t^2, treating t^2 as the head monomial.
+    """Divide by (1 + X) - t^2 with X = sum xi^2, treating t^2 as the head monomial.
 
     Returns (quotient, remainder) with poly == quotient*(1+x.x) + remainder
-    and remainder of t-degree <= 1.  The rewrite t^2 -> 1 + sum xi^2 strictly
-    lowers the t-exponent, so the loop terminates and the remainder is the
-    unique t-reduced representative.
+    and remainder of t-degree <= 1, the unique t-reduced representative.
+    Writing poly = sum_k t^k A_k(x), from the top k down to 2 each slice is
+    t^k A_k = -t^(k-2) A_k (1+x.x) + t^(k-2) (1+X) A_k: -A_k goes into the
+    quotient at t^(k-2) and (1+X) A_k merges into A_(k-2).
     """
-    dim = poly.dim
+    slices = {}
+    for e, c in poly.terms.items():
+        slices.setdefault(e[0], {})[e[1:]] = c
     quot = {}
-    rem = {}
-    work = list(poly.terms.items())
-    while work:
-        e, c = work.pop()
-        if not c:
+    for k in range(max(slices, default=0), 1, -1):
+        a = slices.pop(k, None)
+        if not a:
             continue
-        if e[0] < 2:
-            rem[e] = rem.get(e, 0) + c
-            continue
-        f = (e[0] - 2,) + e[1:]
-        quot[f] = quot.get(f, 0) - c
-        work.append((f, c))
-        for axis in range(1, dim):
-            fe = list(f)
-            fe[axis] += 2
-            work.append((tuple(fe), c))
-    return (Polynomial(dim, _nonzero(quot), _trusted=True),
-            Polynomial(dim, _nonzero(rem), _trusted=True))
+        below = slices.setdefault(k - 2, {})
+        for x, c in a.items():
+            if not c:
+                continue
+            quot[(k - 2,) + x] = -c
+            below[x] = below.get(x, 0) + c
+            for axis in range(len(x)):
+                xe = x[:axis] + (x[axis] + 2,) + x[axis + 1:]
+                below[xe] = below.get(xe, 0) + c
+    rem = {(k,) + x: c for k, a in slices.items() for x, c in a.items()}
+    return (Polynomial(poly.dim, _nonzero(quot), _trusted=True),
+            Polynomial(poly.dim, _nonzero(rem), _trusted=True))
 
 
 class RhoExpr:
@@ -354,7 +380,7 @@ class RhoExpr:
 
     @classmethod
     def constant(cls, dim, value):
-        value = Fraction(value)
+        value = _coeff(value)
         if not value:
             return cls.zero(dim)
         return cls(dim, {0: Polynomial.constant(dim, value)}, _normalized=True)
@@ -429,7 +455,7 @@ class RhoExpr:
     __rmul__ = __mul__
 
     def scale(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = _coeff(scalar)
         if not scalar:
             return RhoExpr.zero(self.dim)
         return RhoExpr(self.dim, {s: p.scale(scalar) for s, p in self.layers.items()},
@@ -448,8 +474,7 @@ class RhoExpr:
             if not dp.is_zero():
                 raw.append((s, dp))
             if s:
-                factor = Fraction(2 * s if axis == 0 else -2 * s)
-                raw.append((s + 1, (coord * p).scale(factor)))
+                raw.append((s + 1, (coord * p).scale(2 * s if axis == 0 else -2 * s)))
         return normalize(raw, self.dim)
 
     def box(self):
@@ -462,8 +487,8 @@ class RhoExpr:
             raw.append((s, p.box()))
             if s:
                 a = 4 * s * (s + 1)
-                raw += [(s + 1, p.euler_h().scale(-4 * s)),
-                        (s + 1, p.scale(a - 2 * s * self.dim)), (s + 2, p.scale(-a))]
+                raw += [(s + 1, p._h_affine(-4 * s, a - 2 * s * self.dim)),
+                        (s + 2, p.scale(-a))]
         return normalize(raw, self.dim)
 
     def euler_h(self):
@@ -473,7 +498,7 @@ class RhoExpr:
         """
         raw = []
         for s, p in self.layers.items():
-            raw += [(s, p.euler_h()), (s, p.scale(-2 * s)), (s + 1, p.scale(2 * s))]
+            raw += [(s, p._h_affine(1, -2 * s)), (s + 1, p.scale(2 * s))]
         return normalize(raw, self.dim)
 
     # -- evaluation -------------------------------------------------------
@@ -518,9 +543,9 @@ class RhoExpr:
 def normalize(raw, dim):
     """Canonical RhoExpr from a list of (rho_power, Polynomial) pairs.
 
-    For every layer s >= 1 the coefficient is divided by 1 + x.x (with t^2 as
-    head); the quotient migrates to layer s-1 and the t-reduced remainder
-    stays, repeated until every positive layer has t-degree <= 1.
+    Pairs with the same rho power are summed.  Then, from the top layer
+    down, every layer s >= 1 is divided by 1 + x.x (with t^2 as head); the
+    quotient merges into layer s-1 and the t-reduced remainder stays.
     """
     layers = {}
     for s, poly in raw:
@@ -528,29 +553,23 @@ def normalize(raw, dim):
             raise ValueError("rho powers must be non-negative")
         if poly.dim != dim:
             raise DimensionMismatch(f"dim {poly.dim} vs {dim}")
-        if poly.is_zero():
-            continue
         acc = layers.get(s)
-        acc = poly if acc is None else acc + poly
-        if acc.is_zero():
-            layers.pop(s, None)
+        if acc is None:
+            layers[s] = dict(poly.terms)
         else:
-            layers[s] = acc
-    s = max(layers, default=0)
-    while s >= 1:
-        poly = layers.get(s)
-        if poly is not None and poly.t_degree() >= 2:
-            quot, rem = _reduce_layer(poly)
-            if rem.is_zero():
-                del layers[s]
-            else:
-                layers[s] = rem
-            if not quot.is_zero():
-                below = layers.get(s - 1)
-                below = quot if below is None else below + quot
-                if below.is_zero():
-                    layers.pop(s - 1, None)
-                else:
-                    layers[s - 1] = below
-        s -= 1
-    return RhoExpr(dim, layers, _normalized=True)
+            for e, c in poly.terms.items():
+                acc[e] = acc.get(e, 0) + c
+    for s in range(max(layers, default=0), 0, -1):
+        terms = layers.get(s)
+        if terms and max(e[0] for e in terms) >= 2:
+            quot, rem = _reduce_layer(Polynomial(dim, terms, _trusted=True))
+            layers[s] = rem.terms
+            below = layers.setdefault(s - 1, {})
+            for e, c in quot.terms.items():
+                below[e] = below.get(e, 0) + c
+    out = {}
+    for s, terms in layers.items():
+        terms = _nonzero(terms)
+        if terms:
+            out[s] = Polynomial(dim, terms, _trusted=True)
+    return RhoExpr(dim, out, _normalized=True)

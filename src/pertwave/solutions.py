@@ -29,8 +29,8 @@ def recursion_step(p_next, n, r):
         raise UnsupportedDim(f"recursion defined for even n >= 2, got {n}")
     if not 0 <= r <= n // 2 - 1:
         raise IndexError(f"recursion index r={r} out of range for n={n}")
-    num = p_next.euler_h().scale(2) + p_next.scale(n - 2 * r - 4)
-    return num.scale(Fraction(2 * (r + 1), (n - 2 * r) * (n + 2 * r + 2)))
+    factor = Fraction(2 * (r + 1), (n - 2 * r) * (n + 2 * r + 2))
+    return p_next._h_affine(2, n - 2 * r - 4).scale(factor)
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,23 @@ class SolutionBundle:
         return self.coefficients[self.dim // 2 - r]
 
 
+def _cleared(polys):
+    """(D, [D*p for p in polys]) with D the lcm of their coefficient denominators.
+
+    Each D*p has int coefficients, computed without building a Fraction.
+    """
+    d = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return d, [Polynomial(p.dim, {e: c.numerator * (d // c.denominator)
+                                  for e, c in p.terms.items()}, _trusted=True)
+               for p in polys]
+
+
 def build_phi(seed, n, check=True):
-    """Build the exact solution bundle from the seed P_{n/2}."""
+    """Build the exact solution bundle from the seed P_{n/2}.
+
+    phi is normalized as D*phi in integer arithmetic, D the lcm of the
+    denominators of the P_r, and scaled by 1/D once.
+    """
     if n % 2 or n < 2:
         raise UnsupportedDim(f"explicit solutions exist for even n >= 2, got {n}")
     if seed.dim != n:
@@ -61,8 +76,8 @@ def build_phi(seed, n, check=True):
     coeffs = [seed]
     for r in range(n // 2 - 1, -1, -1):
         coeffs.append(recursion_step(coeffs[-1], n, r))
-    phi = normalize(
-        [(r, p) for r, p in zip(range(n // 2, -1, -1), coeffs)], n)
+    d, cleared = _cleared(coeffs)
+    phi = normalize(list(zip(range(n // 2, -1, -1), cleared)), n).scale(Fraction(1, d))
     bundle = SolutionBundle(dim=n, seed=seed, coefficients=tuple(coeffs), phi=phi)
     if check:
         for p in coeffs:
@@ -74,8 +89,16 @@ def build_phi(seed, n, check=True):
 
 
 def residual(phi, n):
-    """Normal form of box(phi) + n(n+2) rho^2 phi; zero iff phi solves the PDE."""
-    return phi.box() + (RhoExpr.rho(phi.dim, 2) * phi).scale(n * (n + 2))
+    """Normal form of box(phi) + n(n+2) rho^2 phi; zero iff phi solves the PDE.
+
+    Both terms are linear in phi, so they are taken of D*phi, with D the lcm
+    of phi's coefficient denominators, in integer arithmetic, and the sum is
+    scaled by 1/D once.
+    """
+    d, cleared = _cleared(phi.layers.values())
+    psi = RhoExpr(phi.dim, dict(zip(phi.layers, cleared)), _normalized=True)
+    res = psi.box() + (RhoExpr.rho(phi.dim, 2) * psi).scale(n * (n + 2))
+    return res.scale(Fraction(1, d))
 
 
 def psi0_residual(n):

@@ -1,8 +1,13 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pertwave
+from pertwave.basis import wave_basis
 from pertwave.cauchy import Field2D, Grid2D
 from pertwave.cli import (EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_TOLERANCE,
                           EXIT_USAGE, main, parse_grid)
@@ -18,6 +23,14 @@ def write_seed(tmp_path, poly, name="seed.json"):
     path = str(tmp_path / name)
     write_doc(path, poly_to_doc(poly))
     return path
+
+
+def test_import_does_not_load_scipy():
+    """A fresh `import pertwave.cli` loads no scipy module (cold start of every command)."""
+    src = str(Path(pertwave.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import pertwave.cli; "
+            "sys.exit(any(m.partition('.')[0] == 'scipy' for m in sys.modules))")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_parse_grid():
@@ -76,6 +89,31 @@ class TestBuildVerify:
                      str(tmp_path / "x.json")])
         assert code == EXIT_PARSE
         assert "error: parse:" in capsys.readouterr().err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("n, k, i", [(2, 4, 1), (4, 3, 2), (6, 3, 0), (8, 3, 0)])
+def test_build_verify_golden(tmp_path, capsys, n, k, i):
+    """build and verify outputs are byte-identical to the committed files.
+
+    verify runs on the built phi (PASS) and on phi without its rho^0 layer,
+    whose residual has fractional coefficients (FAIL).
+    """
+    seed = write_seed(tmp_path, wave_basis(n, k).elements[i])
+    out = tmp_path / "bundle.json"
+    assert main(["build", "--dim", str(n), "--seed", seed, "--out", str(out)]) == EXIT_OK
+    assert out.read_text() == (GOLDEN / f"build_n{n}.json").read_text()
+    phi = read_doc(str(out))["phi"]
+    truncated = dict(phi, layers=[layer for layer in phi["layers"] if layer["rho_power"]])
+    printed = []
+    for doc, code in ((phi, EXIT_OK), (truncated, EXIT_TOLERANCE)):
+        write_doc(str(tmp_path / "phi.json"), doc)
+        capsys.readouterr()
+        assert main(["verify", "--dim", str(n), "--phi", str(tmp_path / "phi.json")]) == code
+        printed.append(capsys.readouterr().out)
+    assert "".join(printed) == (GOLDEN / f"verify_n{n}.txt").read_text()
 
 
 class TestInvert:

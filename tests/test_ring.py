@@ -9,8 +9,9 @@ from conftest import nonsingular_points, polynomials, rho_exprs
 from pertwave.basis import wave_basis
 from pertwave.errors import DimensionMismatch, SingularPoint
 from pertwave.hyp2f1 import radial_numerator
-from pertwave.ring import Polynomial, RhoExpr, margin, normalize
-from pertwave.solutions import build_phi
+from pertwave.ring import Polynomial, RhoExpr, _reduce_layer, margin, normalize
+from pertwave.serialize import doc_to_expr, expr_to_doc
+from pertwave.solutions import build_phi, residual
 
 
 def one_plus_xx(dim):
@@ -57,6 +58,106 @@ class TestNormalize:
         a = expr.eval_points(pts)
         b = renorm.eval_points(pts)
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+def work_list_reduce(poly):
+    """Reference division by 1 + x.x: rewrite t^2 -> 1 + sum xi^2 one term at a time."""
+    dim = poly.dim
+    quot = {}
+    rem = {}
+    work = list(poly.terms.items())
+    while work:
+        e, c = work.pop()
+        if not c:
+            continue
+        if e[0] < 2:
+            rem[e] = rem.get(e, 0) + c
+            continue
+        f = (e[0] - 2,) + e[1:]
+        quot[f] = quot.get(f, 0) - c
+        work.append((f, c))
+        for axis in range(1, dim):
+            fe = list(f)
+            fe[axis] += 2
+            work.append((tuple(fe), c))
+    return Polynomial(dim, quot), Polynomial(dim, rem)
+
+
+@st.composite
+def t_heavy_polynomials(draw):
+    """Polynomials in dims 1-5 with t-degree up to 8 and spatial degrees up to 3."""
+    dim = draw(st.integers(min_value=1, max_value=5))
+    exps = st.tuples(st.integers(0, 8), *[st.integers(0, 3)] * (dim - 1))
+    coeffs = st.one_of(st.integers(-6, 6), st.fractions(-4, 4, max_denominator=6))
+    return Polynomial(dim, draw(st.dictionaries(exps, coeffs, max_size=6)))
+
+
+class TestReduceLayer:
+    @settings(max_examples=150, deadline=None)
+    @given(t_heavy_polynomials())
+    def test_matches_work_list_reference(self, poly):
+        quot, rem = _reduce_layer(poly)
+        assert (quot, rem) == work_list_reduce(poly)
+        assert poly == quot * one_plus_xx(poly.dim) + rem
+        assert rem.t_degree() <= 1
+        assert_canonical(quot, rem)
+
+    def test_slices_merge(self):
+        """t^4 reduces through t^2: quotient -(t^2 + 1 + x^2), remainder (1 + x^2)^2."""
+        t4 = Polynomial(2, {(4, 0): 1})
+        quot, rem = _reduce_layer(t4)
+        assert quot == Polynomial(2, {(2, 0): -1, (0, 0): -1, (0, 2): -1})
+        assert rem == Polynomial(2, {(0, 0): 1, (0, 2): 2, (0, 4): 1})
+
+
+def assert_canonical(*items):
+    """Every stored coefficient is an int exactly when it is integral."""
+    for x in items:
+        for p in x.layers.values() if isinstance(x, RhoExpr) else [x]:
+            for c in p.terms.values():
+                assert type(c) is (int if c.denominator == 1 else Fraction), (c, type(c))
+
+
+class TestCanonicalCoefficients:
+    def test_integral_fraction_is_int(self):
+        a = Polynomial(2, {(1, 0): Fraction(6, 3), (0, 1): Fraction(1, 2)})
+        b = Polynomial(2, {(1, 0): 2, (0, 1): Fraction(1, 2)})
+        assert a == b and hash(a) == hash(b)
+        assert type(a.terms[(1, 0)]) is int
+        assert_canonical(a, Polynomial.constant(3, Fraction(4, 2)), RhoExpr.constant(2, 1.0),
+                         Polynomial.coordinate(2, 1), Polynomial.monomial(2, (1, 1), Fraction(3)),
+                         b.scale(2), b.scale(Fraction(1, 2)), b.euler_h(), b.diff(1))
+        assert str(a) == "2*t + 1/2*x"
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_basis_and_bundles(self, n):
+        for k in range(5):
+            for seed in wave_basis(n, k).elements:
+                assert all(type(c) is int for c in seed.terms.values())
+                for s in (seed, seed.scale(Fraction(3, 7))):
+                    bundle = build_phi(s, n, check=False)
+                    assert_canonical(bundle.seed, bundle.phi, *bundle.coefficients)
+                    truncated = RhoExpr(n, {r: p for r, p in bundle.phi.layers.items() if r},
+                                        _normalized=True)
+                    assert_canonical(residual(truncated, n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=4).flatmap(rho_exprs))
+    def test_operators_and_documents(self, expr):
+        assert_canonical(expr, expr.box(), expr.euler_h(), residual(expr, 4),
+                         expr.scale(Fraction(2, 3)), expr * expr,
+                         doc_to_expr(expr_to_doc(expr)))
+
+    def test_document_coefficients(self):
+        doc = {"format_version": 1, "dim": 2, "layers": [
+            {"rho_power": 0, "terms": [{"coeff": "6/3", "exponents": [1, 0]},
+                                       {"coeff": "1/2", "exponents": [1, 0]},
+                                       {"coeff": "4/8", "exponents": [0, 1]}]}]}
+        expr = doc_to_expr(doc)
+        assert expr.layers[0].terms == {(1, 0): Fraction(5, 2), (0, 1): Fraction(1, 2)}
+        doc["layers"][0]["terms"][1]["coeff"] = "1/1"
+        assert_canonical(doc_to_expr(doc))
+        assert doc_to_expr(doc).layers[0].terms[(1, 0)] == 3
 
 
 class TestArithmetic:
@@ -232,6 +333,16 @@ class TestEval:
     def test_margin(self):
         points = np.array([[2.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.5, 0.0, 1.0]])
         assert margin(points).tolist() == [-1.0, 1.0, 1.75]
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_margin_bitwise_row_reduction(self, dim):
+        """Column sums give the row-wise reduction's doubles, at dim 1 (no spatial axes) too."""
+        rng = np.random.default_rng(dim)
+        points = rng.uniform(-3.0, 3.0, (257, dim)) * rng.choice([1e-9, 1.0, 1e6], (257, dim))
+        sq = points ** 2
+        row_wise = 1.0 - sq[:, 0] + np.add.reduce(sq[:, 1:], axis=1)
+        assert np.array_equal(margin(points), row_wise)
+        assert margin(np.empty((0, dim))).shape == (0,)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     @settings(max_examples=30, deadline=None)
