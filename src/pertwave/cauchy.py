@@ -4,13 +4,11 @@ evolve_grid evaluates the closed-form kernel solution of
 
     -phi_tt + phi_xx + 8 phi / (1 + x^2 - t^2)^2 = 0
 
-from initial position data u0 and velocity data v0 given at t = a.  The two
-kernel integrals are taken exactly as oriented in the closed form, from
-w = x + (t-a) to w = x - (t-a).  Each time row is one batch: one u0 and one
-v0 call give every node's first adaptive bisection step, and adaptive_gauss
-finishes only the integrals that miss the tolerance there.  evolve_point is
-the one-node batch.  fd_reference is a leapfrog solver used only
-as an oracle; it shares no code path with the kernel evaluation.
+from initial position data u0 and velocity data v0 given at t = a.  Its two
+kernel integrals share the data interval, oriented as in the closed form
+from w = x + (t-a) to w = x - (t-a), so they are one integrand, and each
+time row is one adaptive_gauss batch; evolve_point is the one-node batch.
+fd_reference is a leapfrog oracle; it shares no code path with the kernel.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import numpy as np
 
 from .errors import (CFLViolation, DomainError, GridTooSmall, KernelPole,
                      SingularRegion)
-from .quadrature import QuadratureSpec, adaptive_gauss, gauss_nodes
+from .quadrature import QuadratureSpec, adaptive_gauss
 from .ring import RhoExpr, margin
 
 # Cauchy guard: nodes, grids and the data intervals on t = a keep
@@ -58,6 +56,10 @@ class InitialData:
     u0: Callable[[np.ndarray], np.ndarray]
     v0: Callable[[np.ndarray], np.ndarray]
     expr: Optional[RhoExpr] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if not math.isfinite(self.a):
+            raise DomainError(f"data slice t = a must be finite, got {self.a}")
 
     @classmethod
     def from_rho_expr(cls, expr, a=0.0):
@@ -122,7 +124,7 @@ class Grid2D:
     def __post_init__(self):
         if self.nx < 2 or self.nt < 2:
             raise GridTooSmall(f"grid needs nx, nt >= 2, got {self.nx}x{self.nt}")
-        if self.x_max <= self.x_min or self.t_max <= self.t_min:
+        if not (self.x_min < self.x_max and self.t_min < self.t_max):  # NaN fails it too
             raise DomainError("grid bounds must be increasing")
 
     def xs(self):
@@ -181,30 +183,9 @@ def _check_data_intervals(a, w_lo, w_hi):
                   "data slice t = {t} has 1 - t^2 + w^2 = {m} < {eps} at w = {x}")
 
 
-# The two kernel integrands of node (x, t) at abscissae w of any shape; the
-# batch and the adaptive fallback both call them.
-def _k1_integrand(d, x, t, w):
-    a = d.a
-    den = 1.0 - a * a + w * w
-    num = t * (1.0 + a * a + w * w) + a * (x * x - 2.0 * w * x - t * t - 1.0)
-    return num / ((1.0 + x * x - t * t) * den * den) * d.u0(w.ravel()).reshape(w.shape)
-
-
-def _k2_integrand(d, x, t, w):
-    a = d.a
-    den = 1.0 - a * a + w * w
-    num = (1.0 - x * x + t * t) * (1.0 + a * a - w * w) - 4.0 * a * t + 4.0 * w * x
-    return num / ((1.0 + x * x - t * t) * den) * d.v0(w.ravel()).reshape(w.shape)
-
-
 def _evolve_nodes(d, x, t, q):
-    """Closed-form phi at the nodes (x[k], t[k]), batched over the nodes.
-
-    Each kernel integral over [x + (t-a), x - (t-a)] first gets the opening
-    step of adaptive_gauss for every node at once: the whole panel against
-    its two halves, from one u0 and one v0 call.  Only the integrals that
-    miss abs_tol there are finished by adaptive_gauss on the same integrand.
-    """
+    """Closed-form phi at the nodes (x[k], t[k]): the boundary term minus one
+    adaptive_gauss batch of 2 K1 u0 + K2 v0 / 2, with a row per node."""
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     _check_margin(x, t, "point (x={x}, t={t}) has 1 + x^2 - t^2 = {m} < {eps}")
     delta = t - d.a
@@ -212,24 +193,19 @@ def _evolve_nodes(d, x, t, q):
     out = 0.5 * (ends[:x.size] + ends[x.size:])
     if not delta.any():  # all nodes on the data slice t = a
         return out
-    w_lo, w_hi = x + delta, x - delta  # oriented exactly as in the closed form
+    w_lo, w_hi = x + delta, x - delta
     _check_data_intervals(d.a, w_lo, w_hi)
-    w_mid = 0.5 * (w_lo + w_hi)
-    starts = np.stack([w_lo, w_lo, w_mid], axis=1)  # whole panel, left, right
-    stops = np.stack([w_hi, w_mid, w_hi], axis=1)
-    half = 0.5 * (stops - starts)
-    nodes, weights = gauss_nodes(q.order)
-    w = (0.5 * (starts + stops))[..., None] + half[..., None] * nodes
-    for coef, integrand in ((2.0, _k1_integrand), (0.5, _k2_integrand)):
-        panels = half * (integrand(d, x[:, None, None], t[:, None, None], w)
-                         * weights).sum(axis=-1)
-        whole, split = panels[:, 0], panels[:, 1] + panels[:, 2]
-        # "not <=", as in adaptive_gauss, so a NaN estimate falls back too
-        for k in np.flatnonzero(~(np.abs(split - whole) <= q.abs_tol)):
-            split[k] = adaptive_gauss(
-                lambda s, k=k: integrand(d, x[k], t[k], s), w_lo[k], w_hi[k], q)
-        out = out - coef * split
-    return out
+    a, xk, tk, scale = d.a, x[:, None], t[:, None], (1.0 + x * x - t * t)[:, None]
+
+    def kernel(w):  # in place, so that fewer temporaries keep each row's heap small
+        den = 1.0 - a * a + w * w
+        k1 = tk * (1.0 + a * a + w * w) + a * (xk * xk - 2.0 * w * xk - tk * tk - 1.0)
+        k1 *= d.u0(w.ravel()).reshape(w.shape) / (0.5 * scale * den * den)
+        k2 = (1.0 - xk * xk + tk * tk) * (1.0 + a * a - w * w) - 4.0 * a * tk + 4.0 * w * xk
+        k2 *= d.v0(w.ravel()).reshape(w.shape) / (2.0 * scale * den)
+        return k1 + k2
+
+    return out - adaptive_gauss(kernel, w_lo, w_hi, q)
 
 
 def evolve_point(d, x, t, q=QuadratureSpec()):

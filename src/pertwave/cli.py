@@ -129,11 +129,12 @@ def cmd_fdref(args):
 
 
 def cmd_compare(args):
+    if np.isnan(args.tol):
+        raise ValueError("--tol must be a number, got nan")
     fa = read_field_csv(args.a)
     fb = read_field_csv(args.b)
-    if fa.values.shape != fb.values.shape:
-        raise errors.DomainError(
-            f"field shapes differ: {fa.values.shape} vs {fb.values.shape}")
+    if fa.grid != fb.grid:
+        raise errors.DomainError(f"field grids differ: {fa.grid} vs {fb.grid}")
     diff = fa.values - fb.values
     if args.norm == "linf":
         value = float(np.max(np.abs(diff))) if diff.size else 0.0

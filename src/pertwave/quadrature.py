@@ -1,4 +1,4 @@
-"""Adaptive composite Gauss-Legendre quadrature, vectorized over nodes."""
+"""Adaptive composite Gauss-Legendre quadrature over one interval or a batch."""
 
 from __future__ import annotations
 
@@ -29,36 +29,59 @@ def gauss_nodes(order):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _panel(f, a, b, order):
-    x, w = gauss_nodes(order)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(np.dot(w, f(mid + half * x)))
-
-
 def adaptive_gauss(f, a, b, spec):
-    """Integrate the vectorized scalar integrand f over [a, b].
+    """Integrate the vectorized integrand f over [a, b], or over each [a[i], b[i]].
 
-    Interval bisection: a panel is accepted once the one-panel and two-panel
-    estimates agree to the (subdivided) absolute tolerance.  Orientation is
-    respected (a > b yields the signed integral).  Raises ToleranceNotMet
-    when the subdivision budget runs out.
+    For arrays a and b of length m, f maps an (m, N) array, row i holding
+    abscissae in [a[i], b[i]], to its values.  A panel is accepted once its
+    one-panel and two-panel estimates agree to the (halved per bisection)
+    absolute tolerance, never when that is NaN.  Each interval keeps the
+    panels, tree-order sums and budget of spec.max_subdivisions bisections
+    it would have alone (ToleranceNotMet when that runs out), so batching
+    changes no result.  a > b gives the signed integral; a == b gives 0.0.
     """
-    if a == b:
-        return 0.0
-    budget = [spec.max_subdivisions]
+    batched = np.ndim(a) > 0
+    a, b = (np.asarray(v, dtype=float).reshape(-1, 1) for v in (a, b))
+    live = a != b
+    if not live.any():
+        return np.zeros(len(a)) if batched else 0.0
+    nodes, weights = gauss_nodes(spec.order)
 
-    def recurse(lo, hi, tol, whole):
-        mid = 0.5 * (lo + hi)
-        left = _panel(f, lo, mid, spec.order)
-        right = _panel(f, mid, hi, spec.order)
-        if abs(left + right - whole) <= tol:
-            return left + right
-        if budget[0] <= 0:
+    def estimates(lo, hi):
+        """Gauss estimates on the (m, p) panels [lo, hi], from one call of f."""
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        points = mid[..., None] + half[..., None] * nodes
+        values = f(points.reshape(len(lo), -1) if batched else points.ravel())
+        return half * (np.reshape(values, points.shape) * weights).sum(axis=-1)
+
+    def settle(lo, hi, whole, est, tol, used, live):
+        """Integrals over the (m, p) panels [lo, hi] of one level, given est on their halves."""
+        p = lo.shape[1]
+        halves = est[:, :p] + est[:, p:]
+        bisect = live & ~(np.abs(halves - whole) <= tol)
+        count = bisect.sum(axis=1)
+        if not count.any():
+            return halves
+        used = used + count
+        if used.max() > spec.max_subdivisions:
+            i = np.argmax(used)
             raise ToleranceNotMet(
-                f"quadrature subdivision budget exhausted on [{lo}, {hi}]")
-        budget[0] -= 1
-        return (recurse(lo, mid, 0.5 * tol, left)
-                + recurse(mid, hi, 0.5 * tol, right))
+                f"quadrature subdivision budget exhausted on [{a[i, 0]}, {b[i, 0]}]")
+        # per row, the left then the right halves of the bisected panels, padded with dead ones
+        pick = np.argsort(~bisect, axis=1, kind="stable")[:, :count.max()]
+        kept = np.arange(pick.shape[1]) < count[:, None]
+        lo, hi = np.take_along_axis(lo, pick, axis=1), np.take_along_axis(hi, pick, axis=1)
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.hstack([lo, mid]), np.hstack([mid, hi])
+        mid = 0.5 * (lo + hi)
+        value = settle(lo, hi, np.take_along_axis(est, np.hstack([pick, pick + p]), axis=1),
+                       estimates(np.hstack([lo, mid]), np.hstack([mid, hi])),
+                       0.5 * tol, used, np.tile(kept, 2))
+        halves[bisect] = np.add(*np.hsplit(value, 2))[kept]
+        return halves
 
-    return recurse(a, b, spec.abs_tol, _panel(f, a, b, spec.order))
+    # the opening step takes each whole interval together with its two halves
+    mid = 0.5 * (a + b)
+    est = estimates(np.hstack([a, a, mid]), np.hstack([b, mid, b]))
+    out = np.where(live, settle(a, b, est[:, :1], est[:, 1:], spec.abs_tol, 0, live), 0.0)[:, 0]
+    return out if batched else float(out[0])

@@ -164,16 +164,15 @@ def read_field_csv(path):
         raise FormatError(f"{path}: cannot parse field CSV: {exc}") from exc
     if data.dtype.names != ("x", "t", "value"):
         raise FormatError(f"{path}: expected header x,t,value, got {data.dtype.names}")
-    xs = np.unique(data["x"])
-    ts = np.unique(data["t"])
-    if xs.size * ts.size != data.size:
-        raise FormatError(f"{path}: field CSV is not a full rectangular grid")
+    xs, xi = np.unique(data["x"], return_inverse=True)
+    ts, ti = np.unique(data["t"], return_inverse=True)
+    cells = xi * ts.size + ti
+    if xs.size * ts.size != data.size or np.unique(cells).size != data.size:
+        raise FormatError(f"{path}: field CSV must hold each cell of a grid exactly once")
     grid = Grid2D(x_min=float(xs[0]), x_max=float(xs[-1]), nx=xs.size,
                   t_min=float(ts[0]), t_max=float(ts[-1]), nt=ts.size)
     values = np.empty((xs.size, ts.size))
-    xi = np.searchsorted(xs, data["x"])
-    ti = np.searchsorted(ts, data["t"])
-    values[xi, ti] = data["value"]
+    values.flat[cells] = data["value"]
     return Field2D(grid=grid, values=values)
 
 

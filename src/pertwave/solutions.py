@@ -97,8 +97,8 @@ def residual(phi, n):
     """
     d, cleared = _cleared(phi.layers.values())
     psi = RhoExpr(phi.dim, dict(zip(phi.layers, cleared)), _normalized=True)
-    res = psi.box() + (RhoExpr.rho(phi.dim, 2) * psi).scale(n * (n + 2))
-    return res.scale(Fraction(1, d))
+    rho2_psi = normalize([(s + 2, p) for s, p in psi.layers.items()], phi.dim)
+    return (psi.box() + rho2_psi.scale(n * (n + 2))).scale(Fraction(1, d))
 
 
 def psi0_residual(n):

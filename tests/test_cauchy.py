@@ -192,9 +192,10 @@ class TestEvolveGrid:
             for j, t in enumerate(g.ts()):
                 assert evolve_point(d, x, t, Q) == f.values[i, j]
 
-    def test_sharp_data_falls_back_to_adaptive(self, monkeypatch):
-        """Integrals that miss abs_tol after one bisection are finished by
-        adaptive_gauss and agree with the node-by-node closed form."""
+    def test_sharp_data_refines_in_the_row_batch(self, monkeypatch):
+        """Integrals that miss abs_tol after one bisection refine on their own
+        trees inside the row's adaptive_gauss call and agree with the
+        node-by-node closed form."""
         d = InitialData(a=0.0, u0=lambda w: np.exp(-3000.0 * (w - 0.1) ** 2),
                         v0=lambda w: np.exp(-3000.0 * (w + 0.2) ** 2))
         g = Grid2D(-1.0, 1.0, 41, 0.0, 0.5, 21)

@@ -270,13 +270,27 @@ GRID = "--grid=-0.5,0.5,5:0,0.2,3"
     (["fdref", GRID, "--data", "{tmp}/phi.json", "--cfl", "nan", "--out", "{tmp}/o.csv"],
      EXIT_DOMAIN, "domain"),
     (["verify", "--dim", "4", "--phi", "{tmp}/phi.json"], EXIT_DOMAIN, "domain"),
+    (["compare", "--a", "{tmp}/f.csv", "--b", "{tmp}/f.csv", "--tol", "nan"],
+     EXIT_USAGE, "usage"),
+    (["compare", "--a", "{tmp}/f.csv", "--b", "{tmp}/shifted.csv"], EXIT_DOMAIN, "domain"),
+    (["evolve", "--grid=nan,0.5,5:0,0.2,3", "--data", "{tmp}/phi.json", "--out", "{tmp}/o.csv"],
+     EXIT_DOMAIN, "domain"),
+    (["evolve", GRID, "--a", "nan", "--data", "{tmp}/phi.json", "--out", "{tmp}/o.csv"],
+     EXIT_DOMAIN, "domain"),
+    (["fdref", "--grid=nan,0.5,5:0,0.2,3", "--data", "{tmp}/phi.json", "--out", "{tmp}/o.csv"],
+     EXIT_DOMAIN, "domain"),
 ], ids=["negative-degree", "verify-missing", "build-missing", "evolve-missing",
         "bad-order", "nan-abs-tol", "refine-zero", "refine-negative", "nan-cfl",
-        "verify-dim-mismatch"])
+        "verify-dim-mismatch", "compare-nan-tol", "compare-other-grid", "evolve-nan-grid",
+        "evolve-nan-a", "fdref-nan-grid"])
 def test_error_contract(tmp_path, capsys, argv, code, kind):
     """Every failure exits with its documented code and one error line."""
     phi = build_phi(Polynomial(2, {(1, 1): Fraction(1)}), 2).phi
     write_doc(str(tmp_path / "phi.json"), expr_to_doc(phi))
+    values = np.arange(15, dtype=float).reshape(5, 3)
+    for name, x0 in (("f.csv", 0.0), ("shifted.csv", 0.1)):  # one shape, two grids
+        grid = Grid2D(x0, x0 + 1.0, 5, 0.0, 0.2, 3)
+        write_field_csv(str(tmp_path / name), Field2D(grid=grid, values=values))
     assert main([a.format(tmp=tmp_path) for a in argv]) == code
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {kind}:")

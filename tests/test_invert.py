@@ -50,6 +50,52 @@ class TestQuadrature:
         with pytest.raises(ToleranceNotMet):
             adaptive_gauss(lambda t: np.abs(t - 1 / 3) ** 0.1, 0.0, 1.0, spec)
 
+    def test_batch_matches_each_interval_alone(self):
+        """Smooth, sharply peaked (refines), reversed and empty intervals in one
+        batch: every element is the value the rule gives that interval alone."""
+        spec = QuadratureSpec(order=16)
+        a, b = np.array([0.0, -1.0, 2.0, 0.5]), np.array([1.0, 1.0, 0.0, 0.5])
+        # the empty interval's integrand 1/(t - 0.5)^2 is infinite on it
+        eps, c = np.array([1.0, 1e-4, 1.0, 0.0]), np.array([0.0, 0.3, -0.2, 0.5])
+        calls = []
+
+        def batch(t):
+            calls.append(t.shape)
+            return 1.0 / (eps[:, None] + (t - c[:, None]) ** 2)
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = adaptive_gauss(batch, a, b, spec)
+        assert len(calls) > 1 and all(shape[0] == 4 for shape in calls)
+        for i in range(4):
+            alone = adaptive_gauss(lambda t: 1.0 / (eps[i] + (t - c[i]) ** 2), a[i], b[i], spec)
+            assert got[i] == alone
+        assert got[3] == 0.0
+
+    def test_empty_batch_never_samples(self):
+        def failing(t):
+            raise AssertionError("sampled an empty interval")
+
+        assert adaptive_gauss(failing, 0.5, 0.5, Q) == 0.0
+        got = adaptive_gauss(failing, np.array([0.5, -1.0]), np.array([0.5, -1.0]), Q)
+        assert np.array_equal(got, [0.0, 0.0])
+
+    def test_batch_budget_is_per_interval(self):
+        """exp needs 1 bisection and sqrt(t + 1e-3) 21: together they fit a
+        budget of 21, because each interval has its own; the kinked integrand
+        alone exhausts it and fails the batch."""
+        spec = QuadratureSpec(order=4, max_subdivisions=21, abs_tol=1e-10)
+        rows = [np.exp, lambda t: np.sqrt(t + 1e-3), lambda t: np.abs(t - 1 / 3) ** 0.1]
+
+        def batch(keep):
+            return lambda t: np.stack([rows[k](t[i]) for i, k in enumerate(keep)])
+
+        ones = np.ones(3)
+        with pytest.raises(ToleranceNotMet):
+            adaptive_gauss(batch([0, 1, 2]), 0.0 * ones, ones, spec)
+        got = adaptive_gauss(batch([0, 1]), 0.0 * ones[:2], ones[:2], spec)
+        assert got == pytest.approx([math.e - 1.0, 2.0 / 3.0 * (1.001 ** 1.5 - 1e-3 ** 1.5)],
+                                    abs=1e-9)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(order=1)

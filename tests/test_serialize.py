@@ -140,6 +140,14 @@ class TestFieldCsv:
         with pytest.raises(FormatError):
             read_field_csv(path)
 
+    def test_rejects_duplicated_cell(self, tmp_path):
+        """Right row count and axes, but one cell twice and another missing."""
+        path = str(tmp_path / "bad.csv")
+        with open(path, "w") as f:
+            f.write("x,t,value\n0,0,1\n1,0,2\n0,1,3\n0,1,4\n")
+        with pytest.raises(FormatError, match="exactly once"):
+            read_field_csv(path)
+
     def test_rejects_wrong_header(self, tmp_path):
         path = str(tmp_path / "bad.csv")
         with open(path, "w") as f:
