@@ -8,6 +8,8 @@ from initial position data u0 and velocity data v0 given at t = a.  Its two
 kernel integrals share the data interval, oriented as in the closed form
 from w = x + (t-a) to w = x - (t-a), so they are one integrand, and each
 time row is one adaptive_gauss batch; evolve_point is the one-node batch.
+Data from an exact phi are restricted to t = a once, exactly: each of u0
+and v0 is one rational function of w, evaluated by Horner in place.
 fd_reference is a leapfrog oracle; it shares no code path with the kernel.
 """
 
@@ -15,14 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import (CFLViolation, DomainError, GridTooSmall, KernelPole,
-                     SingularRegion)
+                     SingularPoint, SingularRegion)
 from .quadrature import QuadratureSpec, adaptive_gauss
-from .ring import RhoExpr, margin
+from .ring import _SING_TOL, Polynomial, RhoExpr, margin
 
 # Cauchy guard: nodes, grids and the data intervals on t = a keep
 # 1 + x^2 - t^2 >= EPS_SING.  The kernel divides by that margin and the
@@ -32,20 +35,19 @@ EPS_SING = 1e-3
 
 
 def _check_margin(x, t, message):
-    """SingularRegion unless 1 + x^2 - t^2 >= EPS_SING at every (x, t).
+    """SingularRegion unless 1 + x^2 - t^2 is finite and >= EPS_SING at every (x, t).
 
     x and t broadcast together; `message` is formatted with the first
-    offending x, t, its margin m and eps = EPS_SING.
+    offending x, t, its margin m and eps = EPS_SING.  A NaN or infinite
+    margin (a non-finite or overflowing x or t) gets a message of its own.
     """
-    points = np.empty(np.broadcast(x, t).shape + (2,))
-    points[..., 0], points[..., 1] = t, x
-    points = points.reshape(-1, 2)
+    points = np.stack(np.broadcast_arrays(t, x), axis=-1, dtype=float).reshape(-1, 2)
     m = margin(points)
-    bad = np.flatnonzero(m < EPS_SING)
+    bad = np.flatnonzero(~((m >= EPS_SING) & (m < math.inf)))  # written so that NaN fails too
     if bad.size:
         k = bad[0]
-        raise SingularRegion(
-            message.format(x=points[k, 1], t=points[k, 0], m=m[k], eps=EPS_SING))
+        text = message if np.isfinite(m[k]) else "point (x={x}, t={t}) has margin {m}"
+        raise SingularRegion(text.format(x=points[k, 1], t=points[k, 0], m=m[k], eps=EPS_SING))
 
 
 @dataclass(frozen=True)
@@ -63,23 +65,46 @@ class InitialData:
 
     @classmethod
     def from_rho_expr(cls, expr, a=0.0):
-        """Restrict an exact dim-2 solution to t = a; v0 from its exact t-derivative."""
+        """Restrict an exact dim-2 solution, and for v0 its t-derivative, to t = a.
+
+        Each is N(w) rho^S on the slice, with S the top rho power and
+        1/rho = m = 1 - a^2 + w^2; N = sum_s P_s(a, w) m^(S-s) is exact until
+        its coefficients are rounded to float, once.
+        """
         if expr.dim != 2:
             raise DomainError(f"Cauchy data needs dim 2, got {expr.dim}")
-        dt_expr = expr.diff(0)
+        if not math.isfinite(a):
+            raise DomainError(f"data slice t = a must be finite, got {a}")
+        ta, zero = Fraction(a), Polynomial.zero(1)  # Fraction(a) is exact for every float
+        m = Polynomial(1, {(0,): 1 - ta * ta, (2,): 1})
+        m0 = margin([(a, 0.0)])[0]  # ring.margin at (a, w) is m0 + w^2, rounded as below
 
-        def on_slice(w):  # the points (a, w) as one (m, 2) array
-            pts = np.empty((np.size(w), 2))
-            pts[:, 0], pts[:, 1] = a, np.ravel(w)
-            return pts
+        def on_slice(phi):
+            top, num = max(phi.layers, default=0), zero
+            for s in range(top + 1):  # Horner in m over the layers
+                terms = phi.layers.get(s, zero).terms.items()
+                num = num * m + sum((Polynomial.monomial(1, e[1:], c * ta ** e[0])
+                                     for e, c in terms), zero)
+            coeffs = [float(num.terms.get((k,), 0)) for k in range(num.degree(), -1, -1)] or [0.0]
 
-        def u0(w):
-            return expr.eval_points(on_slice(w))
+            def data(w):
+                w = np.asarray(w, dtype=float)
+                out = np.full(w.shape, coeffs[0])
+                for c in coeffs[1:]:
+                    out *= w
+                    out += c
+                den = w * w
+                den += m0
+                if (np.abs(den) < _SING_TOL).any():
+                    raise SingularPoint(f"data slice t = {a} meets the singular set 1 + x.x = 0")
+                rho = np.divide(1.0, den, out=den)
+                for _ in range(top):
+                    out *= rho
+                return out
 
-        def v0(w):
-            return dt_expr.eval_points(on_slice(w))
+            return data
 
-        return cls(a=float(a), u0=u0, v0=v0, expr=expr)
+        return cls(a=float(a), u0=on_slice(expr), v0=on_slice(expr.diff(0)), expr=expr)
 
     @classmethod
     def from_samples(cls, w, u, v, a=0.0):
@@ -102,7 +127,7 @@ class InitialData:
         def guard(spline):
             def f(q):
                 q = np.atleast_1d(np.asarray(q, dtype=float))
-                if np.any(q < lo) or np.any(q > hi):
+                if not ((q >= lo) & (q <= hi)).all():  # NaN is outside too
                     raise DomainError(
                         f"initial data requested outside tabulated range [{lo}, {hi}]")
                 return spline(q)
@@ -124,8 +149,9 @@ class Grid2D:
     def __post_init__(self):
         if self.nx < 2 or self.nt < 2:
             raise GridTooSmall(f"grid needs nx, nt >= 2, got {self.nx}x{self.nt}")
-        if not (self.x_min < self.x_max and self.t_min < self.t_max):  # NaN fails it too
-            raise DomainError("grid bounds must be increasing")
+        if not (-math.inf < self.x_min < self.x_max < math.inf
+                and -math.inf < self.t_min < self.t_max < math.inf):  # NaN fails it too
+            raise DomainError("grid bounds must be finite and increasing")
 
     def xs(self):
         return np.linspace(self.x_min, self.x_max, self.nx)
@@ -143,11 +169,8 @@ class Grid2D:
 
     def check_singularity(self):
         """SingularRegion unless the whole rectangle keeps 1 + x^2 - t^2 >= EPS_SING."""
-        worst_x = min(abs(self.x_min), abs(self.x_max))
-        if self.x_min <= 0.0 <= self.x_max:
-            worst_x = 0.0
-        worst_t = max(abs(self.t_min), abs(self.t_max))
-        _check_margin(worst_x, worst_t, "grid reaches 1 + x^2 - t^2 = {m} < {eps}")
+        _check_margin(np.clip(0.0, self.x_min, self.x_max), max(abs(self.t_min), abs(self.t_max)),
+                      "grid reaches 1 + x^2 - t^2 = {m} < {eps}")
 
 
 @dataclass(frozen=True)
@@ -197,13 +220,17 @@ def _evolve_nodes(d, x, t, q):
     _check_data_intervals(d.a, w_lo, w_hi)
     a, xk, tk, scale = d.a, x[:, None], t[:, None], (1.0 + x * x - t * t)[:, None]
 
-    def kernel(w):  # in place, so that fewer temporaries keep each row's heap small
-        den = 1.0 - a * a + w * w
-        k1 = tk * (1.0 + a * a + w * w) + a * (xk * xk - 2.0 * w * xk - tk * tk - 1.0)
+    def kernel(w):  # w^2 once, and k2 built in its buffer: fewer row-sized temporaries
+        w2 = w * w
+        den = 1.0 - a * a + w2
+        k1 = tk * (1.0 + a * a + w2) + a * (xk * xk - 2.0 * w * xk - tk * tk - 1.0)
         k1 *= d.u0(w.ravel()).reshape(w.shape) / (0.5 * scale * den * den)
-        k2 = (1.0 - xk * xk + tk * tk) * (1.0 + a * a - w * w) - 4.0 * a * tk + 4.0 * w * xk
+        k2 = np.subtract(1.0 + a * a, w2, out=w2)
+        k2 *= 1.0 - xk * xk + tk * tk
+        k2 -= 4.0 * a * tk
+        k2 += 4.0 * w * xk
         k2 *= d.v0(w.ravel()).reshape(w.shape) / (2.0 * scale * den)
-        return k1 + k2
+        return np.add(k1, k2, out=k1)
 
     return out - adaptive_gauss(kernel, w_lo, w_hi, q)
 

@@ -49,10 +49,10 @@ class RayField:
 
 
 def _check_ray(x):
-    """The whole ray segment {sx : s in [0,1]} must stay in the domain."""
+    """The whole ray segment {sx : s in [0,1]} must stay in the domain, x finite."""
     # 1 + s^2 (x.x) is monotone in s: its minimum is at s = 0 or s = 1
     worst = min(margin(np.reshape(x, (1, -1)))[0], 1.0)
-    if worst < DEFAULT_DELTA:
+    if not (worst >= DEFAULT_DELTA and np.isfinite(x).all()):
         raise DomainError(
             f"ray to {tuple(map(float, x))} leaves the domain margin delta={DEFAULT_DELTA}")
 

@@ -16,10 +16,10 @@ otherwise (Fraction(k, 1) == k with equal hashes, so this changes no
 equality); integer inputs therefore stay in int arithmetic.  normalize
 divides each rho-layer by 1 + x.x one t-slice at a time: from the top
 t-degree down, the slice t^k A_k(x) sends -A_k to the quotient and
-(1 + sum xi^2) A_k to the slice t^(k-2).  Evaluation at points is the only
-place floating point enters.  One evaluator serves both types
-(Polynomial is its rho^0 case): it builds each coordinate and rho power once
-per call and shares it across all terms and layers.
+(1 + sum xi^2) A_k to the slice t^(k-2).  Floating point enters only at
+evaluation: eval_points (Polynomial is its rho^0 case) builds each coordinate
+and rho power once per call for all terms and layers, and exact n = 2 Cauchy
+data are one rational function of w on t = a, evaluated by Horner (cauchy).
 """
 
 from __future__ import annotations

@@ -1,15 +1,19 @@
+import json
+import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pertwave import cauchy
+from pertwave.basis import wave_basis
 from pertwave.cauchy import (Field2D, Grid2D, InitialData, evolve_grid,
                              evolve_point, fd_reference,
                              initial_condition_check, pde_residual_fd)
 from pertwave.errors import (CFLViolation, DomainError, GridTooSmall,
-                             KernelPole, SingularRegion)
+                             KernelPole, SingularPoint, SingularRegion)
 from pertwave.quadrature import QuadratureSpec, adaptive_gauss
 from pertwave.ring import Polynomial, RhoExpr
 from pertwave.solutions import build_phi
@@ -110,6 +114,20 @@ class TestEvolvePoint:
         with pytest.raises(SingularRegion):
             evolve_point(d, 0.0, outside, Q)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200, -1e200])
+    @pytest.mark.parametrize("axis", ["x", "t"])
+    def test_non_finite_node_rejected(self, bad, axis):
+        """NaN, an infinite x or t, or one whose square overflows, fails the node
+        guard before the data are sampled."""
+        def never(w):
+            raise AssertionError("sampled the data at a non-finite node")
+
+        d = InitialData(a=0.0, u0=never, v0=never)
+        x, t = (bad, 0.3) if axis == "x" else (0.2, bad)
+        with pytest.raises(SingularRegion, match=re.escape(f"point (x={x}, t={t}) has margin")):
+            evolve_point(d, x, t, Q)
+
     def test_kernel_pole_rejected(self):
         d = InitialData(a=1.5, u0=lambda w: np.zeros_like(w),
                         v0=lambda w: np.zeros_like(w))
@@ -142,6 +160,62 @@ class TestInitialData:
         with pytest.raises(DomainError):
             InitialData.from_rho_expr(RhoExpr.rho(4))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        w = np.linspace(-1.0, 1.0, 11)
+        d = InitialData.from_samples(w, np.sin(w), np.cos(w))
+        with pytest.raises(DomainError, match="outside tabulated range"):
+            d.u0(np.array([0.1, bad]))
+
+
+def slice_reference(expr, a, w):
+    """expr at the points (a, w) through the ring's point evaluator."""
+    return expr.eval_points(np.column_stack([np.full_like(w, a), w]))
+
+
+class TestSliceData:
+    """u0 and v0 of exact data: one rational function of w on the slice t = a."""
+
+    W = np.linspace(-1.6, 1.6, 161)
+
+    @pytest.mark.parametrize("a", [0.0, 0.1, -0.3, 0.5])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    def test_matches_ring_evaluation(self, k, a):
+        for seed in wave_basis(2, k).elements:
+            expr = build_phi(seed, 2).phi
+            d = InitialData.from_rho_expr(expr, a=a)
+            for got, ref in ((d.u0(self.W), slice_reference(expr, a, self.W)),
+                             (d.v0(self.W), slice_reference(expr.diff(0), a, self.W))):
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_singular_set_of_the_slice(self):
+        """On t = 1.25 the set 1 + x.x = 0 is w = +-0.75, both exact doubles."""
+        d = InitialData.from_rho_expr(exact_x_rho(), a=1.25)
+        assert np.isfinite(d.u0(np.array([0.0, 0.7, 0.8]))).all()
+        for w in (0.75, -0.75):
+            for data in (d.u0, d.v0):
+                with pytest.raises(SingularPoint):
+                    data(np.array([0.0, w]))
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_non_finite_slice_rejected(self, a):
+        with pytest.raises(DomainError, match="must be finite"):
+            InitialData.from_rho_expr(exact_x_rho(), a=a)
+
+    def test_velocity_of_x_rho_vanishes_exactly(self):
+        """d/dt (x rho) = 2 t x rho^2 is zero on t = 0, exactly."""
+        d = InitialData.from_rho_expr(exact_x_rho(), a=0.0)
+        v = d.v0(self.W)
+        assert v.shape == self.W.shape
+        assert np.array_equal(v, np.zeros_like(self.W))
+        assert not np.signbit(v).any()
+
+    def test_shape_follows_the_abscissae(self):
+        d = InitialData.from_rho_expr(exact_tx(), a=0.1)
+        w = self.W[:160].reshape(8, 20)
+        assert d.u0(w).shape == w.shape
+        assert np.array_equal(d.u0(w).ravel(), d.u0(w.ravel()))
+
 
 class TestGrids:
     def test_spacing(self):
@@ -155,6 +229,14 @@ class TestGrids:
             Grid2D(0.0, 1.0, 1, 0.0, 1.0, 3)
         with pytest.raises(DomainError):
             Grid2D(1.0, 0.0, 3, 0.0, 1.0, 3)
+
+    @pytest.mark.parametrize("bounds", [(-math.inf, 1.0, 0.0, 0.5), (-1.0, math.inf, 0.0, 0.5),
+                                        (-1.0, 1.0, -math.inf, 0.5), (-1.0, 1.0, 0.0, math.inf),
+                                        (math.nan, 1.0, 0.0, 0.5)])
+    def test_non_finite_bounds_rejected(self, bounds):
+        x0, x1, t0, t1 = bounds
+        with pytest.raises(DomainError, match="finite and increasing"):
+            Grid2D(x0, x1, 5, t0, t1, 3)
 
     def test_singularity_check(self):
         with pytest.raises(SingularRegion):
@@ -210,6 +292,17 @@ class TestEvolveGrid:
         assert calls
         expect = np.array([[scalar_reference(d, x, t, Q) for t in g.ts()] for x in g.xs()])
         assert np.max(np.abs(f.values - expect)) <= 1e-14
+
+    def test_golden_degree_three_grid(self):
+        """A degree-3 datum on t = 0.1 holds the values pinned in tests/golden to
+        2e-15 max(1, |phi|), so kernel and data changes cannot drift unnoticed."""
+        doc = json.loads((Path(__file__).parent / "golden" / "evolve_n2_deg3.json").read_text())
+        phi = (build_phi(Polynomial(2, {(3, 0): 1, (1, 2): 3}), 2).phi
+               + build_phi(Polynomial(2, {(2, 1): 3, (0, 3): 1}), 2).phi.scale(Fraction(2, 3)))
+        d = InitialData.from_rho_expr(phi, a=doc["a"])
+        f = evolve_grid(d, Grid2D(**doc["grid"]), Q)
+        pinned = np.array(doc["values"])
+        assert np.all(np.abs(f.values - pinned) <= 2e-15 * np.maximum(1.0, np.abs(pinned)))
 
     def test_grid_kernel_pole_rejected(self):
         d = InitialData(a=1.5, u0=lambda w: np.zeros_like(w),

@@ -33,6 +33,33 @@ def test_import_does_not_load_scipy():
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
+# build, then evolve on the phi it wrote, all in one interpreter; exits nonzero
+# if any scipy module got loaded (the same script runs in the CI workflow)
+EXACT_EVOLVE = """
+import json, sys
+from pathlib import Path
+from pertwave.cli import main
+assert main(["basis", "--dim", "2", "--degree", "3", "--out", "basis.jsonl"]) == 0
+Path("seed.json").write_text(Path("basis.jsonl").read_text().splitlines()[0])
+assert main(["build", "--dim", "2", "--seed", "seed.json", "--out", "bundle.json"]) == 0
+Path("phi.json").write_text(json.dumps(json.loads(Path("bundle.json").read_text())["phi"]))
+assert main(["evolve", "--a=0.1", "--grid=-0.5,0.5,11:0.1,0.4,4", "--data", "phi.json",
+             "--out", "field.csv"]) == 0
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+sys.exit(f"scipy modules loaded: {loaded}" if loaded else 0)
+"""
+
+
+def test_exact_evolve_does_not_load_scipy(tmp_path):
+    """Exact Cauchy data (a phi document) evolve without scipy in a fresh interpreter."""
+    src = str(Path(pertwave.__file__).resolve().parent.parent)
+    code = f"import sys; sys.path.insert(0, {src!r})\n" + EXACT_EVOLVE
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert read_field_csv(str(tmp_path / "field.csv")).values.shape == (11, 4)
+
+
 def test_parse_grid():
     g = parse_grid("-1,1,11:0,0.5,6")
     assert g == Grid2D(-1.0, 1.0, 11, 0.0, 0.5, 6)

@@ -243,3 +243,17 @@ def test_domain_margin_boundary(n, recover):
     x[0] = np.nextafter(1.0, 2.0)
     with pytest.raises(DomainError):
         recover(f, x, Q)
+
+
+@pytest.mark.parametrize("n, recover", [(2, recover_n2), (4, recover_n4)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_non_finite_point_rejected(n, recover, bad, axis):
+    """NaN or an infinite coordinate fails the ray guard before phi is sampled."""
+    def evaluate(points):
+        raise AssertionError("sampled a non-finite ray")
+
+    x = np.full(n, 0.1)
+    x[axis] = bad
+    with pytest.raises(DomainError, match="leaves the domain margin"):
+        recover(RayField(dim=n, evaluate=evaluate), x, Q)
