@@ -4,7 +4,8 @@
 For each even dimension, prints the wave-polynomial basis dimensions up to a
 degree cap, spells out one full coefficient chain P_{n/2} ... P_0, confirms
 the residual is structurally zero, and (for n = 2 and 4) recovers the
-coefficients back from pointwise samples of phi.
+coefficients back from pointwise samples of phi.  Exits 1 when a recovered
+coefficient misses the exact one by more than 1e-8 max(1, |P|).
 """
 
 import argparse
@@ -36,7 +37,11 @@ def show_bundle(n, degree):
     return bundle
 
 
+TOL = 1e-8
+
+
 def inversion_demo(bundle, q):
+    """Print the recovered and exact coefficients at one point; True iff all agree to TOL."""
     n = bundle.dim
     recover = {2: recover_n2, 4: recover_n4}[n]
     field = RayField.from_rho_expr(bundle.phi)
@@ -44,9 +49,14 @@ def inversion_demo(bundle, q):
     x = rng.uniform(-0.4, 0.4, n)
     values = recover(field, x, q)
     print(f"  inversion at {np.array2string(x, precision=3)}:")
+    ok = True
     for r, v in enumerate(values):
         expect = bundle.coefficient(r).eval_points(x[None, :])[0]
-        print(f"    P_{r}: recovered {v:+.12f}, exact {expect:+.12f}")
+        hit = abs(v - expect) <= TOL * max(1.0, abs(expect))
+        ok = ok and hit
+        print(f"    P_{r}: recovered {v:+.12f}, exact {expect:+.12f}"
+              f"{'' if hit else '  MISSED'}")
+    return ok
 
 
 def main(argv=None):
@@ -60,11 +70,15 @@ def main(argv=None):
     dims = [int(d) for d in args.dims.split(",")]
     basis_table(dims, args.max_degree)
     q = QuadratureSpec()
+    ok = True
     for n in dims:
         bundle = show_bundle(n, args.show_degree)
         if n in (2, 4):
-            inversion_demo(bundle, q)
-    return 0
+            ok = inversion_demo(bundle, q) and ok
+    if not ok:
+        print(f"inversion missed an exact coefficient by more than {TOL:g} max(1, |P|)",
+              file=sys.stderr)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

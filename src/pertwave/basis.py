@@ -16,30 +16,27 @@ integer coefficients with positive leading coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import factorial, gcd
 
 from .errors import DimensionMismatch, UnsupportedDim
-from .ring import Polynomial, box_monomial, grlex_key
+from .ring import Polynomial, box_monomial
 
 MAX_DEGREE = 12
 
 
 def monomials(dim, degree):
-    """All exponent tuples of the given total degree, descending graded-lex."""
-    out = []
+    """All exponent tuples of the given total degree, descending graded-lex.
 
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
+    Stars and bars: the dim - 1 bar positions among degree + dim - 1 slots fix
+    the exponents (the gaps between bars), and ascending bar positions give
+    ascending exponents, so the reversed combinations come out descending.
+    """
     if degree < 0:
         return []
-    rec((), degree, dim)
-    out.sort(key=grlex_key, reverse=True)
-    return out
+    slots = degree + dim - 1
+    return [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+            for bars in reversed(list(combinations(range(slots), dim - 1)))]
 
 
 def _seed(n, exps):

@@ -2,12 +2,12 @@
 
 H = x . grad is the Euler operator, and (H+k+1)^-1 f at x is the ray integral
 int_0^1 v^k f(vx) dv.  recover_n2 / recover_n4 invert phi = sum_r P_r rho^r
-pointwise for n = 2, 4, with rho = 1/(1 + x.x).  Both only sample phi along
-the ray from the origin to x: the operators of the construction are
-polynomial in H, so each P_r is phi plus ray integrals of phi times a
-polynomial in rho and rho^-1, all taken by one rho-weighted ray integral.
-Every ray integral first checks that its whole ray keeps the singular-set
-margin 1 + x.x (ring.margin) at or above DEFAULT_DELTA, else DomainError.
+pointwise for n = 2, 4, with rho = 1/(1 + x.x), sampling phi only along the
+ray from the origin to x: the construction is polynomial in H, so each P_r
+below the top is phi(x) [r = 0] plus one ray integral of phi times a kernel
+in v, rho and s = x.x, and P_{n/2} follows by back-substitution.  Each
+recovery or h_shift_inverse first checks that the whole ray keeps the margin
+1 + x.x (ring.margin) at or above DEFAULT_DELTA, else DomainError.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ class RayField:
 
     ``evaluate`` maps an (m, dim) array of points to an (m,) array and must be
     re-entrant.  A target x is admissible when its whole ray {sx : s in [0, 1]}
-    keeps 1 + (sx).(sx) >= DEFAULT_DELTA; h_shift_inverse rejects any other x
-    with DomainError before sampling.  ``expr`` optionally records the exact
-    ring element behind the samples; nothing in this module reads it, so
-    recovery is the same with or without it.
+    keeps 1 + (sx).(sx) >= DEFAULT_DELTA; h_shift_inverse and the recoveries
+    reject any other x with DomainError before sampling.  ``expr`` optionally
+    records the exact ring element behind the samples; nothing in this module
+    reads it, so recovery is the same with or without it.
     """
 
     dim: int
@@ -49,49 +49,57 @@ class RayField:
 
 
 def _check_ray(x):
-    """The whole ray segment {sx : s in [0,1]} must stay in the domain, x finite."""
+    """1 + x.x, once the whole ray segment {sx : s in [0,1]} is in the domain and x finite."""
     # 1 + s^2 (x.x) is monotone in s: its minimum is at s = 0 or s = 1
-    worst = min(margin(np.reshape(x, (1, -1)))[0], 1.0)
-    if not (worst >= DEFAULT_DELTA and np.isfinite(x).all()):
+    rho_inv = margin(np.reshape(x, (1, -1)))[0]
+    if not (min(rho_inv, 1.0) >= DEFAULT_DELTA and np.isfinite(x).all()):
         raise DomainError(
             f"ray to {tuple(map(float, x))} leaves the domain margin delta={DEFAULT_DELTA}")
+    return rho_inv
 
 
-def h_shift_inverse(f, k, x, q=QuadratureSpec()):
-    """(H + k + 1)^-1 f at x, as the adaptive ray integral int_0^1 t^k f(tx) dt."""
-    if k < 0:
-        raise ValueError(f"shift k must be non-negative, got {k}")
-    _check_ray(x)
-    base = np.asarray(x, dtype=float)
-
-    def integrand(tvals):
-        pts = tvals[:, None] * base[None, :]
-        return tvals ** k * f.evaluate(pts)
+def _ray_integral(f, x, s, kernel, q):
+    """int_0^1 kernel(v, rho, s) f(vx) dv on a checked ray, rho its value at vx and s = x.x."""
+    def integrand(v):
+        pts = v[:, None] * x[None, :]
+        return kernel(v, 1.0 / margin(pts), s) * f.evaluate(pts)
 
     return adaptive_gauss(integrand, 0.0, 1.0, q)
 
 
-def _rho_ray_integral(phi, x, k, weight, q):
-    """(H+k+1)^-1 [weight(rho) phi] at x, with rho = 1/(1 + x.x) at each ray point."""
-    def evaluate(points):
-        return weight(1.0 / margin(points)) * phi.evaluate(points)
+def h_shift_inverse(f, k, x, q=QuadratureSpec()):
+    """(H + k + 1)^-1 f at x, as the adaptive ray integral int_0^1 v^k f(vx) dv."""
+    if k < 0:
+        raise ValueError(f"shift k must be non-negative, got {k}")
+    s = _check_ray(x) - 1.0
+    return _ray_integral(f, np.asarray(x, dtype=float), s, lambda v, rho, s: v ** k, q)
 
-    return h_shift_inverse(RayField(dim=phi.dim, evaluate=evaluate), k, x, q)
+
+def _recover(phi, x, q, kernels):
+    """(P_0, ..., P_{n/2}) at x for n = 2 len(kernels), from phi = sum_r P_r rho^r.
+
+    P_r = [r = 0] phi(x) + int_0^1 kernels[r](v, rho, s) phi(vx) dv for r < n/2, and
+    P_{n/2} = rho^-1 (... (rho^-1 (phi - P_0) - P_1) ... - P_{n/2-1}) at x.
+    """
+    n = 2 * len(kernels)
+    if phi.dim != n:
+        raise DomainError(f"recover_n{n} needs a dim-{n} field, got dim {phi.dim}")
+    base = np.asarray(x, dtype=float)
+    rho_inv = _check_ray(base)
+    top = float(phi.evaluate(base[None, :])[0])
+    coeffs = [_ray_integral(phi, base, rho_inv - 1.0, kernel, q) for kernel in kernels]
+    coeffs[0] += top
+    for p in coeffs:
+        top = (top - p) * rho_inv
+    return (*coeffs, top)
 
 
 def recover_n2(phi, x, q=QuadratureSpec()):
     """Pointwise (P0, P1) from a solution field for n = 2.
 
-    P0 = phi + (H+1)^-1(-2 rho phi); P1 = rho^-1 (H+1)^-1(2 rho phi), with
-    rho^-1 applied as multiplication by 1 + x.x outside the integral.
+    P0 = phi + (H+1)^-1(-2 rho phi), so its kernel is -2 rho; P1 = rho^-1 (phi - P0).
     """
-    if phi.dim != 2:
-        raise DomainError(f"recover_n2 needs a dim-2 field, got dim {phi.dim}")
-    base = np.asarray(x, dtype=float)
-    shifted = _rho_ray_integral(phi, base, 0, lambda rho: 2.0 * rho, q)
-    p0 = float(phi.evaluate(base[None, :])[0]) - shifted
-    p1 = margin(base[None, :])[0] * shifted
-    return p0, p1
+    return _recover(phi, x, q, (lambda v, rho, s: -2.0 * rho,))
 
 
 def recover_n4(phi, x, q=QuadratureSpec()):
@@ -112,21 +120,12 @@ def recover_n4(phi, x, q=QuadratureSpec()):
     These follow from rho (H+c) g = (H+c+2)(rho g) - 2 rho^2 g,
     rho^-1 (H+c) g = (H+c-2)(rho^-1 g) + 2 g and (H+2)^-1 (s g) = s (H+4)^-1 g,
     with products of resolvents split by partial fractions, e.g.
-    (H+2)^-1 (H+3)^-1 = (H+2)^-1 - (H+3)^-1.
+    (H+2)^-1 (H+3)^-1 = (H+2)^-1 - (H+3)^-1.  With each (H+k+1)^-1 the weight
+    v^k, and s v^2 = rho^-1 - 1 on the ray (so 2 s C cancels B's -2 rho^-1 - 4),
+    P0 = phi + int_0^1 K0 phi dv and P1 = int_0^1 K1 phi dv with kernels
+        K0 = -6 v rho (1 - 2 rho) - 12 v^2 rho^2
+        K1 = 6 (3 + s) v rho (1 - 2 rho) + 24 v^2 rho^2
     """
-    if phi.dim != 4:
-        raise DomainError(f"recover_n4 needs a dim-4 field, got dim {phi.dim}")
-    base = np.asarray(x, dtype=float)
-    rho_inv = margin(base[None, :])[0]
-    s = rho_inv - 1.0  # x.x at the target point
-    a = _rho_ray_integral(phi, base, 1, lambda rho: 12.0 * rho * rho - 6.0 * rho, q)
-    j = _rho_ray_integral(phi, base, 2, lambda rho: rho * rho, q)
-    b = _rho_ray_integral(phi, base, 1, lambda rho: ((12.0 + 6.0 * s) * rho
-                                                     - (24.0 + 12.0 * s) * rho * rho
-                                                     - 2.0 / rho - 4.0), q)
-    c = _rho_ray_integral(phi, base, 3, lambda rho: 1.0 + 3.0 * rho + 6.0 * rho * rho, q)
-    phi_val = float(phi.evaluate(base[None, :])[0])
-    p0 = phi_val + a - 12.0 * j
-    p1 = b + 24.0 * j + 2.0 * s * c
-    p2 = rho_inv * rho_inv * (phi_val - p0) - rho_inv * p1
-    return p0, p1, p2
+    return _recover(phi, x, q, (
+        lambda v, rho, s: -6.0 * v * rho * (1.0 - 2.0 * rho) - 12.0 * v * v * rho * rho,
+        lambda v, rho, s: 6.0 * (3.0 + s) * v * rho * (1.0 - 2.0 * rho) + 24.0 * v * v * rho * rho))

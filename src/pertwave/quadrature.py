@@ -9,6 +9,9 @@ import numpy as np
 
 from .errors import ToleranceNotMet
 
+# leggauss builds an order x order matrix, so the node count is capped
+MAX_ORDER = 1024
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -17,10 +20,10 @@ class QuadratureSpec:
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.order < 2:
-            raise ValueError(f"order must be >= 2, got {self.order}")
-        if not self.abs_tol > 0:  # written so that NaN fails it too
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
+        if not 2 <= self.order <= MAX_ORDER:
+            raise ValueError(f"order must be in [2, {MAX_ORDER}], got {self.order}")
+        if not 0 < self.abs_tol < np.inf:  # written so that NaN fails it too
+            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol}")
 
 
 @lru_cache(maxsize=32)

@@ -49,18 +49,27 @@ def poly_to_doc(poly):
     return expr_to_doc(RhoExpr.from_polynomial(poly))
 
 
+def _integer(value, name, least):
+    """A JSON integer (not a bool or a float) that is >= least, else FormatError."""
+    if type(value) is not int or value < least:
+        raise FormatError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def doc_to_expr(doc):
     try:
         if doc["format_version"] != FORMAT_VERSION:
             raise FormatError(f"unsupported format_version {doc['format_version']}")
-        dim = int(doc["dim"])
+        dim = _integer(doc["dim"], "dim", 1)
         raw = []
         for layer in doc["layers"]:
             terms = {}
             for term in layer["terms"]:
-                exps = tuple(int(e) for e in term["exponents"])
+                exps = tuple(_integer(e, "exponent", 0) for e in term["exponents"])
+                if len(exps) != dim:
+                    raise FormatError(f"exponents {list(exps)} do not have dim = {dim} entries")
                 terms[exps] = terms.get(exps, Fraction(0)) + _parse_coeff(term["coeff"])
-            raw.append((int(layer["rho_power"]), Polynomial(dim, terms)))
+            raw.append((_integer(layer["rho_power"], "rho_power", 0), Polynomial(dim, terms)))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed document: {exc}") from exc
     return normalize(raw, dim)

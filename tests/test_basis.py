@@ -148,6 +148,36 @@ def test_basis_characterisation(n, k):
     assert free == [e for e in monomials(n, k) if e[0] <= 1]
 
 
+def recursive_monomials(dim, degree):
+    """The recursive enumeration monomials replaced, sorted descending graded-lex."""
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            out.append(prefix + (remaining,))
+            return
+        for e in range(remaining, -1, -1):
+            rec(prefix + (e,), remaining - e, slots - 1)
+
+    if degree < 0:
+        return []
+    rec((), degree, dim)
+    out.sort(key=grlex_key, reverse=True)
+    return out
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_monomials_match_recursive_order(dim):
+    for degree in range(-1, 7):
+        assert monomials(dim, degree) == recursive_monomials(dim, degree)
+
+
+def test_large_dimension_basis():
+    """One coordinate per slot used to cost one recursion level: dim 1200 overflowed."""
+    assert len(wave_basis(1200, 0).elements) == 1
+    assert len(wave_basis(1200, 1).elements) == 1200
+
+
 def test_is_wave_polynomial_examples():
     assert is_wave_polynomial(Polynomial(2, {(1, 1): 1, (1, 0): 1}))
     assert not is_wave_polynomial(Polynomial(2, {(2, 0): 1}))

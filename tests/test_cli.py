@@ -12,6 +12,7 @@ from pertwave.cauchy import Field2D, Grid2D
 from pertwave.cli import (EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_TOLERANCE,
                           EXIT_USAGE, main, parse_grid)
 from pertwave.errors import FormatError
+from pertwave.quadrature import MAX_ORDER
 from pertwave.ring import Polynomial, RhoExpr
 from pertwave.serialize import (doc_to_poly, expr_to_doc, poly_to_doc,
                                 read_doc, read_doc_lines, read_field_csv,
@@ -279,6 +280,23 @@ def test_argparse_error_contract(capsys, argv):
 GRID = "--grid=-0.5,0.5,5:0,0.2,3"
 
 
+def one_term_doc(dim=2, rho_power=0, exponents=(1, 0)):
+    """The document of t rho^rho_power, well formed at the defaults."""
+    return {"format_version": 1, "dim": dim, "layers": [
+        {"rho_power": rho_power, "terms": [{"coeff": "1/1", "exponents": list(exponents)}]}]}
+
+
+# one defect each; test_error_contract writes them as {tmp}/<name>.json
+MALFORMED = {
+    "negative-rho": one_term_doc(rho_power=-1),
+    "float-rho": one_term_doc(rho_power=1.9),
+    "short-exponents": one_term_doc(exponents=(1,)),
+    "float-exponent": one_term_doc(exponents=(1.7, 0)),
+    "bool-exponent": one_term_doc(exponents=(True, 0)),
+    "dim-zero": one_term_doc(dim=0, exponents=()),
+}
+
+
 @pytest.mark.parametrize("argv, code, kind", [
     (["basis", "--dim", "4", "--degree", "-1", "--out", "{tmp}/b.jsonl"], EXIT_USAGE, "usage"),
     (["verify", "--dim", "2", "--phi", "{tmp}/missing.json"], EXIT_USAGE, "usage"),
@@ -306,14 +324,24 @@ GRID = "--grid=-0.5,0.5,5:0,0.2,3"
      EXIT_DOMAIN, "domain"),
     (["fdref", "--grid=nan,0.5,5:0,0.2,3", "--data", "{tmp}/phi.json", "--out", "{tmp}/o.csv"],
      EXIT_DOMAIN, "domain"),
+    (["evolve", GRID, "--data", "{tmp}/phi.json", "--order", str(MAX_ORDER + 1),
+      "--out", "{tmp}/o.csv"], EXIT_USAGE, "usage"),
+    (["invert", "--dim", "2", "--phi", "{tmp}/phi.json", "--points", "{tmp}/x.csv",
+      "--abs-tol", "inf", "--out", "{tmp}/o.csv"], EXIT_USAGE, "usage"),
+    *[(["verify", "--dim", "0" if name == "dim-zero" else "2", "--phi", f"{{tmp}}/{name}.json"],
+       EXIT_PARSE, "parse") for name in MALFORMED],
 ], ids=["negative-degree", "verify-missing", "build-missing", "evolve-missing",
         "bad-order", "nan-abs-tol", "refine-zero", "refine-negative", "nan-cfl",
         "verify-dim-mismatch", "compare-nan-tol", "compare-other-grid", "evolve-nan-grid",
-        "evolve-nan-a", "fdref-nan-grid"])
+        "evolve-nan-a", "fdref-nan-grid", "order-above-cap", "inf-abs-tol",
+        *MALFORMED])
 def test_error_contract(tmp_path, capsys, argv, code, kind):
     """Every failure exits with its documented code and one error line."""
     phi = build_phi(Polynomial(2, {(1, 1): Fraction(1)}), 2).phi
     write_doc(str(tmp_path / "phi.json"), expr_to_doc(phi))
+    for name, doc in MALFORMED.items():
+        write_doc(str(tmp_path / f"{name}.json"), doc)
+    (tmp_path / "x.csv").write_text("t,x1\n0.1,0.2\n")
     values = np.arange(15, dtype=float).reshape(5, 3)
     for name, x0 in (("f.csv", 0.0), ("shifted.csv", 0.1)):  # one shape, two grids
         grid = Grid2D(x0, x0 + 1.0, 5, 0.0, 0.2, 3)

@@ -4,11 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pertwave import invert
 from pertwave.basis import wave_basis
 from pertwave.errors import DomainError, ToleranceNotMet
 from pertwave.invert import RayField, h_shift_inverse, recover_n2, recover_n4
-from pertwave.quadrature import QuadratureSpec, adaptive_gauss
-from pertwave.ring import Polynomial, RhoExpr
+from pertwave.quadrature import MAX_ORDER, QuadratureSpec, adaptive_gauss
+from pertwave.ring import Polynomial, RhoExpr, margin
 from pertwave.solutions import build_phi
 
 Q = QuadratureSpec()
@@ -97,9 +98,11 @@ class TestQuadrature:
                                     abs=1e-9)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(order=1)
-        for abs_tol in (0.0, -1e-12, float("nan")):
+        for order in (1, MAX_ORDER + 1):
+            with pytest.raises(ValueError):
+                QuadratureSpec(order=order)
+        assert QuadratureSpec(order=MAX_ORDER).order == MAX_ORDER
+        for abs_tol in (0.0, -1e-12, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 QuadratureSpec(abs_tol=abs_tol)
 
@@ -257,3 +260,84 @@ def test_non_finite_point_rejected(n, recover, bad, axis):
     x[axis] = bad
     with pytest.raises(DomainError, match="leaves the domain margin"):
         recover(RayField(dim=n, evaluate=evaluate), x, Q)
+
+
+# -- the recovery core against the term-by-term formulas ------------------------------
+
+
+def rho_weighted(phi, weight):
+    """The field weight(rho) phi, rho = 1/(1 + x.x) at each sample point."""
+    return RayField(dim=phi.dim,
+                    evaluate=lambda points: weight(1.0 / margin(points)) * phi.evaluate(points))
+
+
+def reference_n2(phi, x):
+    """P0 = phi - I and P1 = (1 + x.x) I, with I = (H+1)^-1 (2 rho phi)."""
+    i = h_shift_inverse(rho_weighted(phi, lambda rho: 2.0 * rho), 0, x, Q)
+    value = phi.evaluate(x[None, :])[0]
+    return value - i, margin(x[None, :])[0] * i
+
+
+def reference_n4(phi, x):
+    """P0 = phi + A - 12 J, P1 = B + 24 J + 2 s C and P2 by back-substitution,
+    one h_shift_inverse per term (the formulas of the recover_n4 docstring)."""
+    rho_inv = margin(x[None, :])[0]
+    s = rho_inv - 1.0
+    a = h_shift_inverse(rho_weighted(phi, lambda rho: 12.0 * rho * rho - 6.0 * rho), 1, x, Q)
+    j = h_shift_inverse(rho_weighted(phi, lambda rho: rho * rho), 2, x, Q)
+    b = h_shift_inverse(rho_weighted(phi, lambda rho: (12.0 + 6.0 * s) * rho
+                                     - (24.0 + 12.0 * s) * rho * rho - 2.0 / rho - 4.0), 1, x, Q)
+    c = h_shift_inverse(rho_weighted(phi, lambda rho: 1.0 + 3.0 * rho + 6.0 * rho * rho),
+                        3, x, Q)
+    value = phi.evaluate(x[None, :])[0]
+    p0 = value + a - 12.0 * j
+    p1 = b + 24.0 * j + 2.0 * s * c
+    return p0, p1, rho_inv * rho_inv * (value - p0) - rho_inv * p1
+
+
+RECOVERIES = {2: (recover_n2, reference_n2), 4: (recover_n4, reference_n4)}
+
+
+def assert_matches_reference(n, phi, points):
+    recover, reference = RECOVERIES[n]
+    f = RayField.from_rho_expr(phi)
+    for x in points:
+        for got, want in zip(recover(f, x, Q), reference(f, x), strict=True):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_core_matches_reference_on_criterion_6_points():
+    """The fields and points of the inversion round-trip acceptance criterion."""
+    rng = np.random.default_rng(41)
+    for n in (2, 4):
+        seed = Polynomial.monomial(n, (1, 1) + (0,) * (n - 2))
+        assert_matches_reference(n, build_phi(seed, n).phi, safe_points(rng, n, 20))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("k", range(4))
+def test_core_matches_reference_on_basis_seeds(n, k):
+    rng = np.random.default_rng(100 * n + k)
+    for seed in wave_basis(n, k).elements:
+        assert_matches_reference(n, build_phi(seed, n).phi, safe_points(rng, n, 2))
+
+
+@pytest.mark.parametrize("n, calls", [(2, 1), (4, 2)])
+def test_one_ray_integral_per_lower_coefficient(monkeypatch, n, calls):
+    """P_r for r < n/2 takes one adaptive_gauss call each, P_{n/2} none; one ray check."""
+    counts = {"adaptive_gauss": 0, "_check_ray": 0}
+
+    def counted(name):
+        original = getattr(invert, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(invert, name, counted(name))
+    recover = RECOVERIES[n][0]
+    phi = build_phi(Polynomial.monomial(n, (1, 1) + (0,) * (n - 2)), n).phi
+    recover(RayField.from_rho_expr(phi), np.full(n, 0.2), Q)
+    assert counts == {"adaptive_gauss": calls, "_check_ray": 1}

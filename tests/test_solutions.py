@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import nonsingular_points
-from pertwave.basis import wave_basis
+from pertwave import solutions
+from pertwave.basis import is_wave_polynomial, wave_basis
 from pertwave.errors import (DivergentIntegral, DomainError,
                              NotAWavePolynomial, UnsupportedDim)
 from pertwave.ring import Polynomial, RhoExpr
@@ -88,6 +89,20 @@ def test_phi_numeric_residual():
 def test_rejects_non_wave_seed():
     with pytest.raises(NotAWavePolynomial):
         build_phi(P(2, {(2, 0): 1}), 2)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_each_coefficient_checked_once(monkeypatch, n):
+    """box is taken once of the seed and once of each recursion output."""
+    checked = []
+
+    def counting(p):
+        checked.append(p)
+        return is_wave_polynomial(p)
+
+    monkeypatch.setattr(solutions, "is_wave_polynomial", counting)
+    bundle = build_phi(Polynomial.monomial(n, (1, 1) + (0,) * (n - 2)), n)
+    assert checked == list(bundle.coefficients)
 
 
 def test_rejects_odd_dim():
