@@ -3,8 +3,8 @@
 
 For each even dimension, prints the wave-polynomial basis dimensions up to a
 degree cap, spells out one full coefficient chain P_{n/2} ... P_0, confirms
-the residual is structurally zero, and (for n = 2 and 4) recovers the
-coefficients back from pointwise samples of phi.  Exits 1 when a recovered
+the residual is structurally zero, and (for each n in invert.KERNELS) recovers
+the coefficients back from pointwise samples of phi.  Exits 1 when a recovered
 coefficient misses the exact one by more than 1e-8 max(1, |P|).
 """
 
@@ -13,8 +13,8 @@ import sys
 
 import numpy as np
 
-from pertwave import (QuadratureSpec, RayField, build_phi, recover_n2,
-                      recover_n4, residual, wave_basis)
+from pertwave import QuadratureSpec, RayField, build_phi, recover, residual, wave_basis
+from pertwave.invert import KERNELS
 
 
 def basis_table(dims, max_degree):
@@ -43,11 +43,10 @@ TOL = 1e-8
 def inversion_demo(bundle, q):
     """Print the recovered and exact coefficients at one point; True iff all agree to TOL."""
     n = bundle.dim
-    recover = {2: recover_n2, 4: recover_n4}[n]
     field = RayField.from_rho_expr(bundle.phi)
     rng = np.random.default_rng(1)
     x = rng.uniform(-0.4, 0.4, n)
-    values = recover(field, x, q)
+    values = recover(field, x[None, :], q)[0]
     print(f"  inversion at {np.array2string(x, precision=3)}:")
     ok = True
     for r, v in enumerate(values):
@@ -73,7 +72,7 @@ def main(argv=None):
     ok = True
     for n in dims:
         bundle = show_bundle(n, args.show_degree)
-        if n in (2, 4):
+        if n in KERNELS:
             ok = inversion_demo(bundle, q) and ok
     if not ok:
         print(f"inversion missed an exact coefficient by more than {TOL:g} max(1, |P|)",

@@ -16,7 +16,7 @@ import numpy as np
 from . import errors
 from .basis import wave_basis
 from .cauchy import Grid2D, InitialData, evolve_grid, fd_reference
-from .invert import RayField, recover_n2, recover_n4
+from .invert import KERNELS, RayField, recover
 from .quadrature import QuadratureSpec
 from .serialize import (atomic_write_text, bundle_to_doc, doc_to_expr,
                         doc_to_poly, format_float, poly_to_doc, read_doc,
@@ -29,6 +29,8 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_DOMAIN = 4
 EXIT_TOLERANCE = 5
+
+INVERT_BLOCK = 256  # points per recover call in `invert`: bounds its quadrature arrays
 
 
 def parse_grid(text):
@@ -95,16 +97,13 @@ def cmd_invert(args):
     points = read_points_csv(args.points, args.dim)
     q = _quad_spec(args)
     field = RayField.from_rho_expr(phi)
-    recover = recover_n2 if args.dim == 2 else recover_n4
-    ncoeff = args.dim // 2 + 1
     coord_names = ["t"] + [f"x{i}" for i in range(1, args.dim)]
-    header = ",".join(coord_names + [f"P{r}" for r in range(ncoeff)] + ["est_error"])
-    lines = [header]
-    for point in points:
-        values = recover(field, point, q)
-        cells = [format_float(c) for c in point] + [format_float(v) for v in values]
-        cells.append(format_float(q.abs_tol))
-        lines.append(",".join(cells))
+    lines = [",".join(coord_names + [f"P{r}" for r in range(args.dim // 2 + 1)] + ["est_error"])]
+    est_error = format_float(q.abs_tol)
+    for start in range(0, len(points), INVERT_BLOCK):
+        block = points[start:start + INVERT_BLOCK]
+        rows = np.hstack([block, recover(field, block, q)])
+        lines += [",".join([*map(format_float, row), est_error]) for row in rows]
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"{len(points)} points inverted to {args.out}")
     return EXIT_OK
@@ -185,7 +184,7 @@ def build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("invert", help="recover bundle coefficients pointwise from phi")
-    p.add_argument("--dim", type=int, required=True, choices=(2, 4))
+    p.add_argument("--dim", type=int, required=True, choices=sorted(KERNELS))
     p.add_argument("--phi", required=True)
     p.add_argument("--points", required=True)
     p.add_argument("--out", required=True)

@@ -1,13 +1,11 @@
 """Inverse homogeneity operators (H+m)^-1 as ray integrals; coefficient recovery.
 
 H = x . grad is the Euler operator, and (H+k+1)^-1 f at x is the ray integral
-int_0^1 v^k f(vx) dv.  recover_n2 / recover_n4 invert phi = sum_r P_r rho^r
-pointwise for n = 2, 4, with rho = 1/(1 + x.x), sampling phi only along the
-ray from the origin to x: the construction is polynomial in H, so each P_r
-below the top is phi(x) [r = 0] plus one ray integral of phi times a kernel
-in v, rho and s = x.x, and P_{n/2} follows by back-substitution.  Each
-recovery or h_shift_inverse first checks that the whole ray keeps the margin
-1 + x.x (ring.margin) at or above DEFAULT_DELTA, else DomainError.
+int_0^1 v^k f(vx) dv.  recover(phi, points, q) inverts phi = sum_r P_r rho^r,
+rho = 1/(1 + x.x), at each row x of an (m, n) points array whose rays keep
+1 + x.x (ring.margin) >= DEFAULT_DELTA, with one batched adaptive_gauss call
+per kernel of KERNELS[n]; recover_n2, recover_n4 and h_shift_inverse are
+one-point cases.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DimensionMismatch, DomainError
 from .quadrature import QuadratureSpec, adaptive_gauss
 from .ring import RhoExpr, margin
 
@@ -25,6 +23,24 @@ from .ring import RhoExpr, margin
 # 1 + x.x >= DEFAULT_DELTA, so rho <= 1/DEFAULT_DELTA = 4 along it and the
 # rho-weighted integrands of the recovery formulas stay bounded.
 DEFAULT_DELTA = 0.25
+
+# The kernels K_r(v, rho, s) of P_r, r < n/2, for each n that has them; rho is
+# its value at vx inside the ray integral and s = x.x at the target point.
+# n = 2: P0 = phi + (H+1)^-1 (-2 rho phi).  n = 4: P0 = phi + A - 12 J and
+# P1 = B + 24 J + 2 s C, with
+#     A = (H+2)^-1 [(12 rho^2 - 6 rho) phi]      J = (H+3)^-1 [rho^2 phi]
+#     B = (H+2)^-1 [((12 + 6s) rho - (24 + 12s) rho^2 - 2 rho^-1 - 4) phi]
+#     C = (H+4)^-1 [(1 + 3 rho + 6 rho^2) phi]
+# These follow from rho (H+c) g = (H+c+2)(rho g) - 2 rho^2 g,
+# rho^-1 (H+c) g = (H+c-2)(rho^-1 g) + 2 g and (H+2)^-1 (s g) = s (H+4)^-1 g,
+# with products of resolvents split by partial fractions, e.g.
+# (H+2)^-1 (H+3)^-1 = (H+2)^-1 - (H+3)^-1.  Each (H+k+1)^-1 is the weight v^k,
+# and s v^2 = rho^-1 - 1 on the ray (so 2 s C cancels B's -2 rho^-1 - 4).
+KERNELS = {
+    2: (lambda v, rho, s: -2.0 * rho,),
+    4: (lambda v, rho, s: -6.0 * v * rho * (1.0 - 2.0 * rho) - 12.0 * v * v * rho * rho,
+        lambda v, rho, s: 6.0 * (3.0 + s) * v * rho * (1.0 - 2.0 * rho) + 24.0 * v * v * rho * rho),
+}
 
 
 @dataclass(frozen=True)
@@ -48,84 +64,73 @@ class RayField:
         return cls(dim=expr.dim, evaluate=expr.eval_points, expr=expr)
 
 
-def _check_ray(x):
-    """1 + x.x, once the whole ray segment {sx : s in [0,1]} is in the domain and x finite."""
-    # 1 + s^2 (x.x) is monotone in s: its minimum is at s = 0 or s = 1
-    rho_inv = margin(np.reshape(x, (1, -1)))[0]
-    if not (min(rho_inv, 1.0) >= DEFAULT_DELTA and np.isfinite(x).all()):
-        raise DomainError(
-            f"ray to {tuple(map(float, x))} leaves the domain margin delta={DEFAULT_DELTA}")
-    return rho_inv
+def _check_rays(f, points):
+    """(points, 1 + x.x per row), once points is (m, f.dim) and every ray is admissible."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != f.dim:
+        raise DimensionMismatch(f"points of shape {points.shape}, expected (m, {f.dim})")
+    rho_inv = margin(points)
+    # 1 + s^2 x.x is monotone in s, so its minimum on a ray is 1 or rho_inv (finite iff x.x is)
+    ok = (rho_inv >= DEFAULT_DELTA) & (rho_inv < np.inf)
+    if not ok.all():
+        x = tuple(map(float, points[ok.argmin()]))
+        raise DomainError(f"ray to {x} leaves the domain margin delta={DEFAULT_DELTA}")
+    return points, rho_inv
 
 
-def _ray_integral(f, x, s, kernel, q):
-    """int_0^1 kernel(v, rho, s) f(vx) dv on a checked ray, rho its value at vx and s = x.x."""
+def _ray_integrals(f, points, s, kernel, q):
+    """int_0^1 kernel(v, rho, s) f(vx) dv per checked row x of points, rho its value at vx."""
     def integrand(v):
-        pts = v[:, None] * x[None, :]
-        return kernel(v, 1.0 / margin(pts), s) * f.evaluate(pts)
+        # the rows vx, built with contiguous coordinate columns (faster to evaluate)
+        pts = (points.T[:, :, None] * v).reshape(points.shape[1], -1).T
+        return kernel(v, 1.0 / margin(pts).reshape(v.shape), s) * f.evaluate(pts).reshape(v.shape)
 
-    return adaptive_gauss(integrand, 0.0, 1.0, q)
+    lo = np.zeros(len(points))
+    return adaptive_gauss(integrand, lo, lo + 1.0, q)
 
 
 def h_shift_inverse(f, k, x, q=QuadratureSpec()):
     """(H + k + 1)^-1 f at x, as the adaptive ray integral int_0^1 v^k f(vx) dv."""
     if k < 0:
         raise ValueError(f"shift k must be non-negative, got {k}")
-    s = _check_ray(x) - 1.0
-    return _ray_integral(f, np.asarray(x, dtype=float), s, lambda v, rho, s: v ** k, q)
+    points, _ = _check_rays(f, np.asarray(x, dtype=float)[None])
+    return float(_ray_integrals(f, points, None, lambda v, rho, s: v ** k, q)[0])
 
 
-def _recover(phi, x, q, kernels):
-    """(P_0, ..., P_{n/2}) at x for n = 2 len(kernels), from phi = sum_r P_r rho^r.
+def _ray_data(phi, points, q, n):
+    """(phi(x), 1 + x.x, [int_0^1 K(v, rho, s) phi(vx) dv for K in KERNELS[n]]) at the rows x."""
+    if phi.dim != n or n not in KERNELS:
+        raise DomainError(f"no KERNELS[{n}] for a dim-{phi.dim} field; KERNELS has {list(KERNELS)}")
+    points, rho_inv = _check_rays(phi, points)
+    s = rho_inv[:, None] - 1.0
+    return phi.evaluate(points), rho_inv, [_ray_integrals(phi, points, s, K, q) for K in KERNELS[n]]
 
-    P_r = [r = 0] phi(x) + int_0^1 kernels[r](v, rho, s) phi(vx) dv for r < n/2, and
-    P_{n/2} = rho^-1 (... (rho^-1 (phi - P_0) - P_1) ... - P_{n/2-1}) at x.
-    """
-    n = 2 * len(kernels)
-    if phi.dim != n:
-        raise DomainError(f"recover_n{n} needs a dim-{n} field, got dim {phi.dim}")
-    base = np.asarray(x, dtype=float)
-    rho_inv = _check_ray(base)
-    top = float(phi.evaluate(base[None, :])[0])
-    coeffs = [_ray_integral(phi, base, rho_inv - 1.0, kernel, q) for kernel in kernels]
-    coeffs[0] += top
+
+def _back_substitute(top, rho_inv, integrals):
+    """[P_0, ..., P_{n/2}] on arrays or numbers: P_r = [r = 0] phi + integrals[r] for r < n/2,
+    and P_{n/2} = rho^-1 (... (rho^-1 (phi - P_0) - P_1) ... - P_{n/2-1})."""
+    coeffs = [integrals[0] + top, *integrals[1:]]
     for p in coeffs:
         top = (top - p) * rho_inv
-    return (*coeffs, top)
+    return coeffs + [top]
+
+
+def recover(phi, points, q=QuadratureSpec()):
+    """The (m, n/2 + 1) array of P_0, ..., P_{n/2} at the rows of the (m, n = phi.dim) points."""
+    return np.column_stack(_back_substitute(*_ray_data(phi, points, q, phi.dim)))
+
+
+def _one_point(phi, x, q, n):
+    """recover at the one point x as a tuple of floats, back-substituting on (faster) numbers."""
+    top, rho_inv, integrals = _ray_data(phi, np.asarray(x, dtype=float)[None], q, n)
+    return tuple(map(float, _back_substitute(top[0], rho_inv[0], [p[0] for p in integrals])))
 
 
 def recover_n2(phi, x, q=QuadratureSpec()):
-    """Pointwise (P0, P1) from a solution field for n = 2.
-
-    P0 = phi + (H+1)^-1(-2 rho phi), so its kernel is -2 rho; P1 = rho^-1 (phi - P0).
-    """
-    return _recover(phi, x, q, (lambda v, rho, s: -2.0 * rho,))
+    """Pointwise (P0, P1) from a solution field for n = 2."""
+    return _one_point(phi, x, q, 2)
 
 
 def recover_n4(phi, x, q=QuadratureSpec()):
-    """Pointwise (P0, P1, P2) from a solution field for n = 4.
-
-    With s = x.x at the target point, and rho = 1/(1 + v^2 s) inside the ray
-    integrals (the value of rho at vx):
-
-        P0 = phi + A - 12 J
-        P1 = B + 24 J + 2 s C
-        P2 = rho^-2 (phi - P0) - rho^-1 P1   (phi = P0 + P1 rho + P2 rho^2)
-
-        A = (H+2)^-1 [(12 rho^2 - 6 rho) phi]
-        J = (H+3)^-1 [rho^2 phi]
-        B = (H+2)^-1 [((12 + 6s) rho - (24 + 12s) rho^2 - 2 rho^-1 - 4) phi]
-        C = (H+4)^-1 [(1 + 3 rho + 6 rho^2) phi]
-
-    These follow from rho (H+c) g = (H+c+2)(rho g) - 2 rho^2 g,
-    rho^-1 (H+c) g = (H+c-2)(rho^-1 g) + 2 g and (H+2)^-1 (s g) = s (H+4)^-1 g,
-    with products of resolvents split by partial fractions, e.g.
-    (H+2)^-1 (H+3)^-1 = (H+2)^-1 - (H+3)^-1.  With each (H+k+1)^-1 the weight
-    v^k, and s v^2 = rho^-1 - 1 on the ray (so 2 s C cancels B's -2 rho^-1 - 4),
-    P0 = phi + int_0^1 K0 phi dv and P1 = int_0^1 K1 phi dv with kernels
-        K0 = -6 v rho (1 - 2 rho) - 12 v^2 rho^2
-        K1 = 6 (3 + s) v rho (1 - 2 rho) + 24 v^2 rho^2
-    """
-    return _recover(phi, x, q, (
-        lambda v, rho, s: -6.0 * v * rho * (1.0 - 2.0 * rho) - 12.0 * v * v * rho * rho,
-        lambda v, rho, s: 6.0 * (3.0 + s) * v * rho * (1.0 - 2.0 * rho) + 24.0 * v * v * rho * rho))
+    """Pointwise (P0, P1, P2) from a solution field for n = 4."""
+    return _one_point(phi, x, q, 4)

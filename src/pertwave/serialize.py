@@ -58,7 +58,7 @@ def _integer(value, name, least):
 
 def doc_to_expr(doc):
     try:
-        if doc["format_version"] != FORMAT_VERSION:
+        if _integer(doc["format_version"], "format_version", 1) != FORMAT_VERSION:
             raise FormatError(f"unsupported format_version {doc['format_version']}")
         dim = _integer(doc["dim"], "dim", 1)
         raw = []

@@ -10,13 +10,14 @@ import pertwave
 from pertwave.basis import wave_basis
 from pertwave.cauchy import Field2D, Grid2D
 from pertwave.cli import (EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_TOLERANCE,
-                          EXIT_USAGE, main, parse_grid)
+                          EXIT_USAGE, INVERT_BLOCK, main, parse_grid)
 from pertwave.errors import FormatError
-from pertwave.quadrature import MAX_ORDER
+from pertwave.invert import RayField, recover_n2
+from pertwave.quadrature import MAX_ORDER, QuadratureSpec
 from pertwave.ring import Polynomial, RhoExpr
-from pertwave.serialize import (doc_to_poly, expr_to_doc, poly_to_doc,
-                                read_doc, read_doc_lines, read_field_csv,
-                                write_doc, write_field_csv)
+from pertwave.serialize import (doc_to_poly, expr_to_doc, format_float,
+                                poly_to_doc, read_doc, read_doc_lines,
+                                read_field_csv, write_doc, write_field_csv)
 from pertwave.solutions import build_phi
 
 
@@ -34,18 +35,24 @@ def test_import_does_not_load_scipy():
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
-# build, then evolve on the phi it wrote, all in one interpreter; exits nonzero
-# if any scipy module got loaded (the same script runs in the CI workflow)
+# build, then evolve and invert (more than one block of points) on the phi it
+# wrote, all in one interpreter; exits nonzero if any scipy module got loaded
+# (the same script runs in the CI workflow)
 EXACT_EVOLVE = """
 import json, sys
 from pathlib import Path
-from pertwave.cli import main
+from pertwave.cli import INVERT_BLOCK, main
 assert main(["basis", "--dim", "2", "--degree", "3", "--out", "basis.jsonl"]) == 0
 Path("seed.json").write_text(Path("basis.jsonl").read_text().splitlines()[0])
 assert main(["build", "--dim", "2", "--seed", "seed.json", "--out", "bundle.json"]) == 0
 Path("phi.json").write_text(json.dumps(json.loads(Path("bundle.json").read_text())["phi"]))
 assert main(["evolve", "--a=0.1", "--grid=-0.5,0.5,11:0.1,0.4,4", "--data", "phi.json",
              "--out", "field.csv"]) == 0
+count = INVERT_BLOCK + 1
+Path("pts.csv").write_text("t,x1\\n" + "".join(f"{i / count - 0.5},0.25\\n" for i in range(count)))
+assert main(["invert", "--dim", "2", "--phi", "phi.json", "--points", "pts.csv",
+             "--out", "coeffs.csv"]) == 0
+assert len(Path("coeffs.csv").read_text().splitlines()) == count + 1
 loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 sys.exit(f"scipy modules loaded: {loaded}" if loaded else 0)
 """
@@ -161,6 +168,26 @@ class TestInvert:
         row = [float(v) for v in lines[1].split(",")]
         expect = bundle.coefficient(0).eval_points(np.array([[0.1, 0.2]]))[0]
         assert row[2] == pytest.approx(expect, abs=1e-9)
+
+    def test_blocks_match_per_point_rows(self, tmp_path):
+        """BLOCK + 3 points: byte for byte the rows of one recover_n2 call per point."""
+        phi = build_phi(Polynomial(2, {(3, 0): Fraction(1), (1, 2): Fraction(3)}), 2).phi
+        phi_path = str(tmp_path / "phi.json")
+        write_doc(phi_path, expr_to_doc(phi))
+        rng = np.random.default_rng(12)
+        points = np.column_stack([rng.uniform(-0.5, 0.5, INVERT_BLOCK + 3),
+                                  rng.uniform(-1.0, 1.0, INVERT_BLOCK + 3)])
+        pts_path = tmp_path / "pts.csv"
+        pts_path.write_text("t,x1\n" + "".join(f"{t!r},{x!r}\n" for t, x in points.tolist()))
+        out = tmp_path / "inv.csv"
+        assert main(["invert", "--dim", "2", "--phi", phi_path, "--points", str(pts_path),
+                     "--out", str(out), "--abs-tol", "1e-11"]) == EXIT_OK
+        field = RayField.from_rho_expr(phi)
+        expected = ["t,x1,P0,P1,est_error"]
+        for x in points:
+            values = recover_n2(field, x, QuadratureSpec(abs_tol=1e-11))
+            expected.append(",".join(map(format_float, [*x, *values, 1e-11])))
+        assert out.read_text() == "\n".join(expected) + "\n"
 
     def test_dim_mismatch(self, tmp_path, capsys):
         phi_path = str(tmp_path / "phi.json")
@@ -294,6 +321,8 @@ MALFORMED = {
     "float-exponent": one_term_doc(exponents=(1.7, 0)),
     "bool-exponent": one_term_doc(exponents=(True, 0)),
     "dim-zero": one_term_doc(dim=0, exponents=()),
+    "version-true": {**one_term_doc(), "format_version": True},
+    "version-float": {**one_term_doc(), "format_version": 1.0},
 }
 
 

@@ -6,8 +6,9 @@ import pytest
 
 from pertwave import invert
 from pertwave.basis import wave_basis
-from pertwave.errors import DomainError, ToleranceNotMet
-from pertwave.invert import RayField, h_shift_inverse, recover_n2, recover_n4
+from pertwave.cli import INVERT_BLOCK
+from pertwave.errors import DimensionMismatch, DomainError, ToleranceNotMet
+from pertwave.invert import KERNELS, RayField, h_shift_inverse, recover, recover_n2, recover_n4
 from pertwave.quadrature import MAX_ORDER, QuadratureSpec, adaptive_gauss
 from pertwave.ring import Polynomial, RhoExpr, margin
 from pertwave.solutions import build_phi
@@ -324,8 +325,9 @@ def test_core_matches_reference_on_basis_seeds(n, k):
 
 @pytest.mark.parametrize("n, calls", [(2, 1), (4, 2)])
 def test_one_ray_integral_per_lower_coefficient(monkeypatch, n, calls):
-    """P_r for r < n/2 takes one adaptive_gauss call each, P_{n/2} none; one ray check."""
-    counts = {"adaptive_gauss": 0, "_check_ray": 0}
+    """P_r for r < n/2 takes one adaptive_gauss call each, P_{n/2} none; one ray check.
+    recover on 5 points makes the same calls: one batch per kernel."""
+    counts = {"adaptive_gauss": 0, "_check_rays": 0}
 
     def counted(name):
         original = getattr(invert, name)
@@ -337,7 +339,65 @@ def test_one_ray_integral_per_lower_coefficient(monkeypatch, n, calls):
 
     for name in counts:
         monkeypatch.setattr(invert, name, counted(name))
-    recover = RECOVERIES[n][0]
     phi = build_phi(Polynomial.monomial(n, (1, 1) + (0,) * (n - 2)), n).phi
-    recover(RayField.from_rho_expr(phi), np.full(n, 0.2), Q)
-    assert counts == {"adaptive_gauss": calls, "_check_ray": 1}
+    field = RayField.from_rho_expr(phi)
+    RECOVERIES[n][0](field, np.full(n, 0.2), Q)
+    assert counts == {"adaptive_gauss": calls, "_check_rays": 1}
+    counts.update(dict.fromkeys(counts, 0))
+    assert recover(field, safe_points(np.random.default_rng(n), n, 5), Q).shape == (5, n // 2 + 1)
+    assert counts == {"adaptive_gauss": calls, "_check_rays": 1}
+
+
+@pytest.mark.parametrize("n", sorted(KERNELS))
+def test_batch_rows_equal_one_point_results(n):
+    """A batch longer than one CLI block gives, row by row, exactly the one-point
+    results, which are tuples of Python floats within 1e-12 max(1, |P|) of the
+    term-by-term reference."""
+    assert sorted(KERNELS) == sorted(RECOVERIES)
+    one_point, reference = RECOVERIES[n]
+    seed = max(wave_basis(n, 3).elements, key=lambda p: len(p.terms))
+    f = RayField.from_rho_expr(build_phi(seed, n).phi)
+    points = safe_points(np.random.default_rng(50 + n), n, INVERT_BLOCK + 3)
+    rows = recover(f, points, Q)
+    assert rows.shape == (len(points), n // 2 + 1)
+    for x, row in zip(points, rows):
+        values = one_point(f, x, Q)
+        assert type(values) is tuple and all(type(v) is float for v in values)
+        assert tuple(row) == values
+        for got, want in zip(row, reference(f, x), strict=True):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_batch_names_first_bad_row():
+    """The ray check runs over the whole batch before phi is sampled, and names
+    the first inadmissible row in input order."""
+    def evaluate(points):
+        raise AssertionError("sampled before the ray check")
+
+    points = np.full((6, 2), 0.1)
+    points[2] = 0.2, math.nan
+    points[4] = 0.99, 0.0
+    with pytest.raises(DomainError, match=r"ray to \(0\.2, nan\) leaves the domain margin"):
+        recover(RayField(dim=2, evaluate=evaluate), points, Q)
+
+
+def test_dim_without_kernels():
+    f = RayField.from_rho_expr(RhoExpr.rho(6))
+    with pytest.raises(DomainError, match=r"KERNELS has \[2, 4\]"):
+        recover(f, np.zeros((1, 6)), Q)
+
+
+@pytest.mark.parametrize("dim, call", [
+    (2, lambda f, x: recover(f, x[None, :], Q)),
+    (2, lambda f, x: recover(f, x, Q)),
+    (2, lambda f, x: recover_n2(f, x, Q)),
+    (4, lambda f, x: recover_n4(f, x, Q)),
+    (2, lambda f, x: h_shift_inverse(f, 0, x, Q)),
+], ids=["recover", "recover-flat", "recover_n2", "recover_n4", "h_shift_inverse"])
+def test_point_shape_checked_before_sampling(dim, call):
+    """A point with one coordinate too many on a black-box field is a DimensionMismatch."""
+    def evaluate(points):
+        raise AssertionError("sampled a point of the wrong shape")
+
+    with pytest.raises(DimensionMismatch):
+        call(RayField(dim=dim, evaluate=evaluate), np.full(dim + 1, 0.1))
