@@ -9,6 +9,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -153,7 +154,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def build_parser():
+    """The pertwave parser, built on first use and shared by every later main call."""
     parser = _Parser(
         prog="pertwave",
         description="Exact and numerical solutions of the perturbed massless "
@@ -170,18 +173,15 @@ def build_parser():
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("build", help="build an exact solution bundle from a seed document")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--seed", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", help="print the PDE residual of a phi document")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--phi", required=True)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("invert", help="recover bundle coefficients pointwise from phi")
     p.add_argument("--dim", type=int, required=True, choices=sorted(KERNELS))
@@ -189,7 +189,6 @@ def build_parser():
     p.add_argument("--points", required=True)
     p.add_argument("--out", required=True)
     add_quad(p)
-    p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("evolve", help="evaluate the closed-form Cauchy solution on a grid")
     p.add_argument("--a", type=float, default=0.0, help="initial time slice")
@@ -198,7 +197,6 @@ def build_parser():
                    help="phi document (.json) or tabulated samples CSV (w,u0,v0)")
     p.add_argument("--out", required=True)
     add_quad(p)
-    p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("fdref", help="finite-difference reference solution on a grid")
     p.add_argument("--a", type=float, default=0.0)
@@ -208,23 +206,20 @@ def build_parser():
     p.add_argument("--refine", type=int, default=1,
                    help="internal spatial refinement factor")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fdref)
 
     p = sub.add_parser("compare", help="norm of the difference of two field CSVs")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--norm", choices=("linf", "l2"), default="linf")
     p.add_argument("--tol", type=float, default=float("inf"))
-    p.set_defaults(func=cmd_compare)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except errors.FormatError as exc:
         print(f"error: parse: {exc}", file=sys.stderr)
         return EXIT_PARSE

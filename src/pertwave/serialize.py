@@ -152,12 +152,10 @@ def format_float(v):
 
 def field_to_csv(field):
     """Field CSV: header x,t,value; rows ordered with t as the outer index."""
-    g = field.grid
-    xs, ts = g.xs(), g.ts()
+    xs = [format_float(x) for x in field.grid.xs()]
     lines = ["x,t,value"]
-    for j in range(g.nt):
-        for i in range(g.nx):
-            lines.append(",".join(format_float(v) for v in (xs[i], ts[j], field.values[i, j])))
+    for t, column in zip(map(format_float, field.grid.ts()), field.values.T):
+        lines += [f"{x},{t},{format_float(v)}" for x, v in zip(xs, column)]
     return "\n".join(lines) + "\n"
 
 
@@ -165,33 +163,43 @@ def write_field_csv(path, field):
     atomic_write_text(path, field_to_csv(field))
 
 
+def _read_csv(path, kind, header=None):
+    """The data rows (m >= 1) of a CSV as an (m, k) float array; a cell that is not a
+    float is a FormatError.  Line one is the header; it must equal `header` if given."""
+    try:
+        with open(path) as handle:
+            names = tuple(name.strip() for name in handle.readline().split(","))
+            lines = [line for line in handle if line.partition("#")[0].strip()]
+        if header is not None and names != header:
+            raise FormatError(f"{path}: expected header {','.join(header)}, got {','.join(names)}")
+        if not lines:
+            raise FormatError(f"{path}: {kind} CSV has no data rows")
+        rows = np.loadtxt(lines, delimiter=",", ndmin=2)
+    except (ValueError, OSError) as exc:
+        raise FormatError(f"{path}: cannot parse {kind} CSV: {exc}") from exc
+    if header is not None and rows.shape[1] != len(header):
+        raise FormatError(f"{path}: expected {len(header)} columns, found {rows.shape[1]}")
+    return rows
+
+
 def read_field_csv(path):
     from .cauchy import Field2D, Grid2D
-    try:
-        data = np.genfromtxt(path, delimiter=",", names=True, dtype=float)
-    except (ValueError, OSError) as exc:
-        raise FormatError(f"{path}: cannot parse field CSV: {exc}") from exc
-    if data.dtype.names != ("x", "t", "value"):
-        raise FormatError(f"{path}: expected header x,t,value, got {data.dtype.names}")
-    xs, xi = np.unique(data["x"], return_inverse=True)
-    ts, ti = np.unique(data["t"], return_inverse=True)
+    x, t, value = _read_csv(path, "field", ("x", "t", "value")).T
+    xs, xi = np.unique(x, return_inverse=True)
+    ts, ti = np.unique(t, return_inverse=True)
     cells = xi * ts.size + ti
-    if xs.size * ts.size != data.size or np.unique(cells).size != data.size:
+    if xs.size * ts.size != value.size or np.unique(cells).size != value.size:
         raise FormatError(f"{path}: field CSV must hold each cell of a grid exactly once")
     grid = Grid2D(x_min=float(xs[0]), x_max=float(xs[-1]), nx=xs.size,
                   t_min=float(ts[0]), t_max=float(ts[-1]), nt=ts.size)
     values = np.empty((xs.size, ts.size))
-    values.flat[cells] = data["value"]
+    values.flat[cells] = value
     return Field2D(grid=grid, values=values)
 
 
 def read_points_csv(path, dim):
     """Points CSV with one coordinate column per axis (t first), header row."""
-    try:
-        data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float)
-    except (ValueError, OSError) as exc:
-        raise FormatError(f"{path}: cannot parse points CSV: {exc}") from exc
-    data = np.atleast_2d(data)
+    data = _read_csv(path, "points")
     if data.shape[1] != dim:
         raise FormatError(
             f"{path}: expected {dim} coordinate columns, found {data.shape[1]}")
@@ -202,11 +210,6 @@ def read_points_csv(path, dim):
 
 def read_samples_csv(path):
     """Tabulated initial data CSV with header w,u0,v0."""
-    try:
-        data = np.genfromtxt(path, delimiter=",", names=True, dtype=float)
-    except (ValueError, OSError) as exc:
-        raise FormatError(f"{path}: cannot parse samples CSV: {exc}") from exc
-    if data.dtype.names != ("w", "u0", "v0"):
-        raise FormatError(f"{path}: expected header w,u0,v0, got {data.dtype.names}")
-    order = np.argsort(data["w"])
-    return data["w"][order], data["u0"][order], data["v0"][order]
+    w, u0, v0 = _read_csv(path, "samples", ("w", "u0", "v0")).T
+    order = np.argsort(w)
+    return w[order], u0[order], v0[order]

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 import pertwave
+from pertwave import cli
 from pertwave.basis import wave_basis
 from pertwave.cauchy import Field2D, Grid2D
 from pertwave.cli import (EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_TOLERANCE,
-                          EXIT_USAGE, INVERT_BLOCK, main, parse_grid)
+                          EXIT_USAGE, INVERT_BLOCK, build_parser, main,
+                          parse_grid)
 from pertwave.errors import FormatError
 from pertwave.invert import RayField, recover_n2
 from pertwave.quadrature import MAX_ORDER, QuadratureSpec
@@ -163,7 +165,7 @@ class TestInvert:
         code = main(["invert", "--dim", "2", "--phi", phi_path,
                      "--points", pts_path, "--out", out])
         assert code == EXIT_OK
-        lines = open(out).read().strip().splitlines()
+        lines = Path(out).read_text().strip().splitlines()
         assert lines[0] == "t,x1,P0,P1,est_error"
         row = [float(v) for v in lines[1].split(",")]
         expect = bundle.coefficient(0).eval_points(np.array([[0.1, 0.2]]))[0]
@@ -304,7 +306,58 @@ def test_argparse_error_contract(capsys, argv):
     assert len(err) == 1 and err[0].startswith("error: usage:")
 
 
+class TestCachedParser:
+    """main builds its parser once per process and parses every argv afresh."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("option", [["--norm", "l2"], ["--order", "32"], ["--a", "0.1"]],
+                             ids=["compare-norm", "evolve-order", "evolve-a"])
+    def test_options_do_not_leak(self, tmp_path, capsys, option):
+        """The command without the option gives the default's output after a call with it."""
+        out = tmp_path / "o.csv"
+        if option[0] == "--norm":
+            grid = Grid2D(0.0, 1.0, 3, 0.0, 1.0, 3)
+            values = {"a.csv": np.zeros((3, 3)), "b.csv": np.diag([1.0, 2.0, 3.0])}
+            for name, v in values.items():
+                write_field_csv(str(tmp_path / name), Field2D(grid=grid, values=v))
+            argv = ["compare", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv")]
+        else:
+            w = np.linspace(-3.0, 3.0, 61)
+            (tmp_path / "s.csv").write_text("w,u0,v0\n" + "".join(
+                f"{format_float(x)},{format_float(np.exp(-x * x))},{format_float(x)}\n" for x in w))
+            argv = ["evolve", "--grid=-0.5,0.5,5:0.1,0.3,3", "--data", str(tmp_path / "s.csv"),
+                    "--out", str(out)]
+
+        def run(extra):
+            assert main(argv + extra) == EXIT_OK
+            return capsys.readouterr().out, out.read_bytes() if out.exists() else b""
+
+        default = run([])
+        assert run(option) != default
+        assert run([]) == default
+
+    def test_dispatch_reads_the_module_at_call_time(self, tmp_path, monkeypatch):
+        """A cmd_* function replaced after the parser was built is the one that runs."""
+        phi = str(tmp_path / "phi.json")
+        write_doc(phi, expr_to_doc(build_phi(Polynomial(2, {(1, 1): Fraction(1)}), 2).phi))
+        assert main(["verify", "--dim", "2", "--phi", phi]) == EXIT_OK
+        seen = []
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.phi) or 42)
+        assert main(["verify", "--dim", "2", "--phi", phi]) == 42
+        assert seen == [phi]
+
+
 GRID = "--grid=-0.5,0.5,5:0,0.2,3"
+
+# CSV files test_error_contract writes as {tmp}/<name>: no data rows, or an empty cell
+BAD_CSV = {
+    "points-header-only.csv": "t,x1\n",
+    "field-header-only.csv": "x,t,value\n",
+    "samples-header-only.csv": "w,u0,v0\n",
+    "field-empty-cell.csv": "x,t,value\n0,0,1\n1,0,\n0,1,3\n1,1,4\n",
+}
 
 
 def one_term_doc(dim=2, rho_power=0, exponents=(1, 0)):
@@ -357,13 +410,22 @@ MALFORMED = {
       "--out", "{tmp}/o.csv"], EXIT_USAGE, "usage"),
     (["invert", "--dim", "2", "--phi", "{tmp}/phi.json", "--points", "{tmp}/x.csv",
       "--abs-tol", "inf", "--out", "{tmp}/o.csv"], EXIT_USAGE, "usage"),
+    (["invert", "--dim", "2", "--phi", "{tmp}/phi.json", "--points",
+      "{tmp}/points-header-only.csv", "--out", "{tmp}/o.csv"], EXIT_PARSE, "parse"),
+    (["compare", "--a", "{tmp}/field-header-only.csv", "--b", "{tmp}/f.csv"], EXIT_PARSE, "parse"),
+    (["evolve", GRID, "--data", "{tmp}/samples-header-only.csv", "--out", "{tmp}/o.csv"],
+     EXIT_PARSE, "parse"),
+    (["compare", "--a", "{tmp}/field-empty-cell.csv", "--b", "{tmp}/field-empty-cell.csv"],
+     EXIT_PARSE, "parse"),
     *[(["verify", "--dim", "0" if name == "dim-zero" else "2", "--phi", f"{{tmp}}/{name}.json"],
        EXIT_PARSE, "parse") for name in MALFORMED],
 ], ids=["negative-degree", "verify-missing", "build-missing", "evolve-missing",
         "bad-order", "nan-abs-tol", "refine-zero", "refine-negative", "nan-cfl",
         "verify-dim-mismatch", "compare-nan-tol", "compare-other-grid", "evolve-nan-grid",
         "evolve-nan-a", "fdref-nan-grid", "order-above-cap", "inf-abs-tol",
-        *MALFORMED])
+        "invert-header-only", "compare-header-only", "evolve-header-only",
+        "compare-empty-cell", *MALFORMED])
+@pytest.mark.filterwarnings("error")  # a warning would print more lines on stderr
 def test_error_contract(tmp_path, capsys, argv, code, kind):
     """Every failure exits with its documented code and one error line."""
     phi = build_phi(Polynomial(2, {(1, 1): Fraction(1)}), 2).phi
@@ -371,6 +433,8 @@ def test_error_contract(tmp_path, capsys, argv, code, kind):
     for name, doc in MALFORMED.items():
         write_doc(str(tmp_path / f"{name}.json"), doc)
     (tmp_path / "x.csv").write_text("t,x1\n0.1,0.2\n")
+    for name, text in BAD_CSV.items():
+        (tmp_path / name).write_text(text)
     values = np.arange(15, dtype=float).reshape(5, 3)
     for name, x0 in (("f.csv", 0.0), ("shifted.csv", 0.1)):  # one shape, two grids
         grid = Grid2D(x0, x0 + 1.0, 5, 0.0, 0.2, 3)

@@ -1,9 +1,11 @@
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import hypothesis.strategies as st
+from hypothesis import HealthCheck, assume, given, settings
 
 from conftest import rho_exprs
 from pertwave.cauchy import Field2D, Grid2D
@@ -11,7 +13,8 @@ from pertwave.errors import FormatError
 from pertwave.ring import Polynomial, RhoExpr
 from pertwave.serialize import (FORMAT_VERSION, atomic_write_text,
                                 bundle_to_doc, doc_to_expr, doc_to_poly,
-                                dumps, expr_to_doc, field_to_csv, poly_to_doc,
+                                dumps, expr_to_doc, field_to_csv, format_float,
+                                poly_to_doc,
                                 read_doc, read_doc_lines, read_field_csv,
                                 read_points_csv, read_samples_csv, write_doc,
                                 write_doc_lines, write_field_csv)
@@ -100,7 +103,7 @@ class TestFiles:
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         path = str(tmp_path / "out.txt")
         atomic_write_text(path, "hello\n")
-        assert open(path).read() == "hello\n"
+        assert Path(path).read_text() == "hello\n"
         assert os.listdir(tmp_path) == ["out.txt"]
 
 
@@ -187,3 +190,128 @@ class TestPointAndSampleCsv:
             f.write("w,u,v\n0,1,2\n")
         with pytest.raises(FormatError):
             read_samples_csv(path)
+
+
+# -- the CSV code before the single loadtxt reader, kept as references --------------
+
+
+def reference_field_to_csv(field):
+    """The per-cell writer: formats x and t again for every cell."""
+    g = field.grid
+    xs, ts = g.xs(), g.ts()
+    lines = ["x,t,value"]
+    for j in range(g.nt):
+        for i in range(g.nx):
+            lines.append(",".join(format_float(v) for v in (xs[i], ts[j], field.values[i, j])))
+    return "\n".join(lines) + "\n"
+
+
+def reference_read_field(path):
+    """(grid, values) as the genfromtxt field reader built them."""
+    data = np.genfromtxt(path, delimiter=",", names=True, dtype=float)
+    xs, xi = np.unique(data["x"], return_inverse=True)
+    ts, ti = np.unique(data["t"], return_inverse=True)
+    grid = Grid2D(float(xs[0]), float(xs[-1]), xs.size, float(ts[0]), float(ts[-1]), ts.size)
+    values = np.empty((xs.size, ts.size))
+    values.flat[xi * ts.size + ti] = data["value"]
+    return grid, values
+
+
+def reference_read_points(path):
+    return np.atleast_2d(np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float))
+
+
+def reference_read_samples(path):
+    data = np.genfromtxt(path, delimiter=",", names=True, dtype=float)
+    order = np.argsort(data["w"])
+    return data["w"][order], data["u0"][order], data["v0"][order]
+
+
+SPECIAL = [1e-300, -0.0, 0.1 + 0.2, 1e300]
+numbers = st.sampled_from(SPECIAL) | st.floats(allow_nan=False, allow_infinity=False)
+bounds = st.lists(st.sampled_from(SPECIAL) | st.floats(-1e300, 1e300),
+                  min_size=2, max_size=2, unique=True).map(sorted)
+
+
+@st.composite
+def fields(draw):
+    nx, nt = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    (x0, x1), (t0, t1) = draw(bounds), draw(bounds)
+    values = draw(st.lists(numbers, min_size=nx * nt, max_size=nx * nt))
+    return Field2D(Grid2D(x0, x1, nx, t0, t1, nt), np.array(values).reshape(nx, nt))
+
+
+def table(draw, width, min_rows):
+    """Rows of `width` numbers, as format_float writes them."""
+    rows = draw(st.lists(st.lists(numbers, min_size=width, max_size=width),
+                         min_size=min_rows, max_size=8))
+    return "".join(",".join(map(format_float, row)) + "\n" for row in rows)
+
+
+files = settings(max_examples=60, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestCsvAgainstReferences:
+    """The one loadtxt reader and the writer against the code they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(fields())
+    def test_field_bytes(self, field):
+        assert field_to_csv(field) == reference_field_to_csv(field)
+
+    @files
+    @given(fields())
+    def test_field_reader(self, tmp_path, field):
+        g = field.grid
+        assume(np.unique(g.xs()).size == g.nx and np.unique(g.ts()).size == g.nt)
+        path = str(tmp_path / "field.csv")
+        write_field_csv(path, field)
+        grid, values = reference_read_field(path)
+        back = read_field_csv(path)
+        assert back.grid == grid
+        assert back.values.tobytes() == values.tobytes()
+
+    @files
+    @given(st.integers(2, 4), st.data())
+    def test_points_reader(self, tmp_path, dim, data):
+        path = tmp_path / "pts.csv"
+        path.write_text("t,x1\n" + table(data.draw, dim, 1))
+        expect = reference_read_points(str(path))
+        assert read_points_csv(str(path), dim).tobytes() == expect.tobytes()
+
+    @files
+    @given(st.data())
+    def test_samples_reader(self, tmp_path, data):
+        path = tmp_path / "samples.csv"  # two rows at least: the reference fails on one
+        path.write_text("w,u0,v0\n" + table(data.draw, 3, 2))
+        for got, expect in zip(read_samples_csv(str(path)), reference_read_samples(str(path))):
+            assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("header, read", [
+        ("t,x1", lambda path: read_points_csv(path, 2)),
+        ("x,t,value", read_field_csv),
+        ("w,u0,v0", read_samples_csv),
+    ], ids=["points", "field", "samples"])
+    def test_header_only_is_a_format_error(self, tmp_path, header, read):
+        """No data rows: one FormatError, no numpy warning (the readers it replaced warned)."""
+        path = tmp_path / "empty.csv"
+        path.write_text(header + "\n\n")
+        with pytest.raises(FormatError, match="no data rows"):
+            read(str(path))
+
+    def test_empty_cell_is_a_format_error(self, tmp_path):
+        """Intended change: genfromtxt read an empty cell as nan, which the CLI reported as
+        non-finite field values (exit 4); it is now a FormatError (exit 3)."""
+        path = tmp_path / "field.csv"
+        path.write_text("x,t,value\n0,0,1\n1,0,\n0,1,3\n1,1,4\n")
+        assert np.isnan(reference_read_field(str(path))[1][1, 0])
+        with pytest.raises(FormatError, match="cannot parse field CSV"):
+            read_field_csv(str(path))
+
+    def test_row_wider_than_header(self, tmp_path):
+        path = tmp_path / "field.csv"
+        path.write_text("x,t,value\n0,0,1,5\n1,0,2,5\n0,1,3,5\n1,1,4,5\n")
+        with pytest.raises(FormatError, match="expected 3 columns, found 4"):
+            read_field_csv(str(path))
