@@ -165,10 +165,12 @@ def write_field_csv(path, field):
 
 def _read_csv(path, kind, header=None):
     """The data rows (m >= 1) of a CSV as an (m, k) float array; a cell that is not a
-    float is a FormatError.  Line one is the header; it must equal `header` if given."""
+    float is a FormatError.  The header is the first non-blank line, less one leading
+    "#" (as np.savetxt writes it); it must equal `header` if given."""
     try:
         with open(path) as handle:
-            names = tuple(name.strip() for name in handle.readline().split(","))
+            stripped = (line.strip().removeprefix("#") for line in handle)
+            names = tuple(name.strip() for name in next(filter(None, stripped), "").split(","))
             lines = [line for line in handle if line.partition("#")[0].strip()]
         if header is not None and names != header:
             raise FormatError(f"{path}: expected header {','.join(header)}, got {','.join(names)}")

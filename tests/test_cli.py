@@ -22,6 +22,9 @@ from pertwave.serialize import (doc_to_poly, expr_to_doc, format_float,
                                 read_field_csv, write_doc, write_field_csv)
 from pertwave.solutions import build_phi
 
+# a warning on the CLI path prints more than the one "error:" line on stderr
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 def write_seed(tmp_path, poly, name="seed.json"):
     path = str(tmp_path / name)
@@ -425,7 +428,6 @@ MALFORMED = {
         "evolve-nan-a", "fdref-nan-grid", "order-above-cap", "inf-abs-tol",
         "invert-header-only", "compare-header-only", "evolve-header-only",
         "compare-empty-cell", *MALFORMED])
-@pytest.mark.filterwarnings("error")  # a warning would print more lines on stderr
 def test_error_contract(tmp_path, capsys, argv, code, kind):
     """Every failure exits with its documented code and one error line."""
     phi = build_phi(Polynomial(2, {(1, 1): Fraction(1)}), 2).phi

@@ -20,6 +20,9 @@ from pertwave.serialize import (FORMAT_VERSION, atomic_write_text,
                                 write_doc_lines, write_field_csv)
 from pertwave.solutions import build_phi
 
+# the CSV readers back the CLI, where a warning prints more than one "error:" line
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 class TestExprDocs:
     @settings(max_examples=60, deadline=None)
@@ -288,7 +291,6 @@ class TestCsvAgainstReferences:
         for got, expect in zip(read_samples_csv(str(path)), reference_read_samples(str(path))):
             assert got.tobytes() == expect.tobytes()
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("header, read", [
         ("t,x1", lambda path: read_points_csv(path, 2)),
         ("x,t,value", read_field_csv),
@@ -300,6 +302,21 @@ class TestCsvAgainstReferences:
         path.write_text(header + "\n\n")
         with pytest.raises(FormatError, match="no data rows"):
             read(str(path))
+
+    def test_commented_header_after_blank_lines(self, tmp_path):
+        """As genfromtxt(names=True) did: blank lines before the header are skipped and
+        one leading "#" is dropped from it, so np.savetxt's default header reads."""
+        samples = np.array([[1.0, 2.0, 3.0], [-1.0, 4.0, 5.0]])
+        path = tmp_path / "samples.csv"
+        np.savetxt(path, samples, delimiter=",", header="w,u0,v0")
+        assert path.read_text().startswith("# w,u0,v0\n")
+        for got, expect in zip(read_samples_csv(str(path)), reference_read_samples(str(path))):
+            assert got.tobytes() == expect.tobytes()
+        path = tmp_path / "field.csv"
+        path.write_text("\n  \n#x,t,value\n0,0,1\n1,0,2\n0,1,3\n1,1,4\n")
+        grid, values = reference_read_field(str(path))
+        back = read_field_csv(str(path))
+        assert back.grid == grid and back.values.tobytes() == values.tobytes()
 
     def test_empty_cell_is_a_format_error(self, tmp_path):
         """Intended change: genfromtxt read an empty cell as nan, which the CLI reported as
