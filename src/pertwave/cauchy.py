@@ -6,8 +6,9 @@ evolve_grid evaluates the closed-form kernel solution of
 
 from initial position data u0 and velocity data v0 given at t = a.  Its two
 kernel integrals share the data interval, oriented as in the closed form
-from w = x + (t-a) to w = x - (t-a), so they are one integrand, and each
-time row is one adaptive_gauss batch; evolve_point is the one-node batch.
+from w = x + (t-a) to w = x - (t-a), so they are one integrand.  A grid is
+checked and its boundary terms taken once; then each time row is one
+adaptive_gauss batch; evolve_point is the one-node grid.
 Data from an exact phi are restricted to t = a once, exactly: each of u0
 and v0 is one rational function of w, evaluated by Horner in place.
 fd_reference is a leapfrog oracle; it shares no code path with the kernel.
@@ -190,49 +191,57 @@ class Field2D:
 def _check_data_intervals(a, w_lo, w_hi):
     """Guard the kernel denominator 1 - a^2 + w^2 on each data interval on t = a.
 
-    KernelPole if an interval holds a zero of it, else SingularRegion unless
-    it stays >= EPS_SING, checked at each interval's point nearest w = 0.
+    Row by row: KernelPole if an interval holds a zero of it, else SingularRegion
+    unless it stays >= EPS_SING, checked at each interval's point nearest w = 0.
     """
     if 1.0 - a * a >= EPS_SING:
         return  # 1 - a^2 + w^2 >= 1 - a^2 >= EPS_SING everywhere
-    lo, hi = np.minimum(w_lo, w_hi), np.maximum(w_lo, w_hi)
-    if abs(a) >= 1.0:
-        pole = math.sqrt(a * a - 1.0)
+    pole = math.sqrt(a * a - 1.0) if abs(a) >= 1.0 else math.nan  # NaN is in no interval
+    for lo, hi in zip(np.minimum(w_lo, w_hi), np.maximum(w_lo, w_hi)):
         for w_star in (pole, -pole):  # nodes on t = a integrate over nothing
             if np.any((lo <= w_star) & (w_star <= hi) & (lo < hi)):
                 raise KernelPole(
                     f"kernel denominator 1 - a^2 + w^2 vanishes at w = {w_star}")
-    _check_margin(np.clip(0.0, lo, hi), a,
-                  "data slice t = {t} has 1 - t^2 + w^2 = {m} < {eps} at w = {x}")
+        _check_margin(np.clip(0.0, lo, hi), a,
+                      "data slice t = {t} has 1 - t^2 + w^2 = {m} < {eps} at w = {x}")
 
 
 def _evolve_nodes(d, x, t, q):
-    """Closed-form phi at the nodes (x[k], t[k]): the boundary term minus one
-    adaptive_gauss batch of 2 K1 u0 + K2 v0 / 2, with a row per node."""
+    """Closed-form phi at the nodes (x[i, k], t[i, k]) of (rows x nodes) arrays: the node
+    margins, boundary terms and data intervals once, in that order; then each row with a
+    node off t = a is one adaptive_gauss batch of 2 K1 u0 + K2 v0 / 2, a row per node."""
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     _check_margin(x, t, "point (x={x}, t={t}) has 1 + x^2 - t^2 = {m} < {eps}")
-    delta = t - d.a
-    ends = d.u0(np.concatenate([x - delta, x + delta]))
-    out = 0.5 * (ends[:x.size] + ends[x.size:])
-    if not delta.any():  # all nodes on the data slice t = a
-        return out
+    a, delta = d.a, t - d.a
+    ends = d.u0(np.concatenate([(x - delta).ravel(), (x + delta).ravel()]))
+    out = 0.5 * (ends[:x.size] + ends[x.size:]).reshape(x.shape)
     w_lo, w_hi = x + delta, x - delta
-    _check_data_intervals(d.a, w_lo, w_hi)
-    a, xk, tk, scale = d.a, x[:, None], t[:, None], (1.0 + x * x - t * t)[:, None]
+    _check_data_intervals(a, w_lo, w_hi)
+    opa, oma = 1.0 + a * a, 1.0 - a * a
 
-    def kernel(w):  # w^2 once, and k2 built in its buffer: fewer row-sized temporaries
-        w2 = w * w
-        den = 1.0 - a * a + w2
-        k1 = tk * (1.0 + a * a + w2) + a * (xk * xk - 2.0 * w * xk - tk * tk - 1.0)
-        k1 *= d.u0(w.ravel()).reshape(w.shape) / (0.5 * scale * den * den)
-        k2 = np.subtract(1.0 + a * a, w2, out=w2)
-        k2 *= 1.0 - xk * xk + tk * tk
-        k2 -= 4.0 * a * tk
-        k2 += 4.0 * w * xk
-        k2 *= d.v0(w.ravel()).reshape(w.shape) / (2.0 * scale * den)
-        return np.add(k1, k2, out=k1)
+    def row_kernel(xk, tk):  # a row's node constants once, as (nodes, 1) columns
+        xk2, tk2 = xk * xk, tk * tk
+        scale = 1.0 + xk2 - tk2
+        half_scale, two_scale, k2_factor = 0.5 * scale, 2.0 * scale, 1.0 - xk2 + tk2
+        four_at = 4.0 * a * tk
 
-    return out - adaptive_gauss(kernel, w_lo, w_hi, q)
+        def kernel(w):  # w^2 once, and k2 built in its buffer: fewer row-sized temporaries
+            w2 = w * w
+            den = oma + w2
+            k1 = tk * (opa + w2) + a * (xk2 - 2.0 * w * xk - tk2 - 1.0)
+            k1 *= d.u0(w.ravel()).reshape(w.shape) / (half_scale * den * den)
+            k2 = np.subtract(opa, w2, out=w2)
+            k2 *= k2_factor
+            k2 -= four_at
+            k2 += 4.0 * w * xk
+            k2 *= d.v0(w.ravel()).reshape(w.shape) / (two_scale * den)
+            return np.add(k1, k2, out=k1)
+
+        return kernel
+
+    for i in np.flatnonzero(delta.any(axis=1)):  # a row all on t = a integrates over nothing
+        out[i] -= adaptive_gauss(row_kernel(x[i, :, None], t[i, :, None]), w_lo[i], w_hi[i], q)
+    return out
 
 
 def evolve_point(d, x, t, q=QuadratureSpec()):
@@ -241,15 +250,14 @@ def evolve_point(d, x, t, q=QuadratureSpec()):
     Depends only on data in [x - (t-a), x + (t-a)]; the quadrature never
     samples outside that interval.
     """
-    return float(_evolve_nodes(d, [float(x)], [float(t)], q)[0])
+    return float(_evolve_nodes(d, [[float(x)]], [[float(t)]], q)[0, 0])
 
 
 def evolve_grid(d, g, q=QuadratureSpec()):
-    """Field2D of closed-form values over the grid, one batch per time row."""
+    """Field2D over the grid: checks and boundary terms once, then one batch per time row."""
     g.check_singularity()
-    xs = g.xs()
-    values = np.column_stack([_evolve_nodes(d, xs, t, q) for t in g.ts()])
-    return Field2D(grid=g, values=values)
+    values = _evolve_nodes(d, g.xs(), g.ts()[:, None], q)  # (nt, nx): a time row per row
+    return Field2D(grid=g, values=np.ascontiguousarray(values.T))
 
 
 def _potential(xs, t):
@@ -338,7 +346,7 @@ def initial_condition_check(d, q=QuadratureSpec(), xs=None, dt_step=1e-4):
         xs = np.linspace(-1.0, 1.0, 21)
     xs = np.asarray(xs, dtype=float)
     xx, tt = np.broadcast_arrays(xs, d.a + np.arange(5)[:, None] * dt_step)
-    samples = _evolve_nodes(d, xx.ravel(), tt.ravel(), q).reshape(xx.shape)
+    samples = _evolve_nodes(d, xx.ravel()[None], tt.ravel()[None], q).reshape(xx.shape)
     weights = (-25.0, 48.0, -36.0, 16.0, -3.0)
     vel = sum(w * s for w, s in zip(weights, samples)) / (12.0 * dt_step)
     pos_err = float(np.max(np.abs(samples[0] - d.u0(xs)), initial=0.0))

@@ -164,9 +164,9 @@ def write_field_csv(path, field):
 
 
 def _read_csv(path, kind, header=None):
-    """The data rows (m >= 1) of a CSV as an (m, k) float array; a cell that is not a
-    float is a FormatError.  The header is the first non-blank line, less one leading
-    "#" (as np.savetxt writes it); it must equal `header` if given."""
+    """The data rows (m >= 1) of a CSV as an (m, k) float array; a non-float cell is a
+    FormatError, an unopenable file an OSError.  The header is the first non-blank line,
+    less one leading "#" (as np.savetxt writes it); it must equal `header` if given."""
     try:
         with open(path) as handle:
             stripped = (line.strip().removeprefix("#") for line in handle)
@@ -177,7 +177,7 @@ def _read_csv(path, kind, header=None):
         if not lines:
             raise FormatError(f"{path}: {kind} CSV has no data rows")
         rows = np.loadtxt(lines, delimiter=",", ndmin=2)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         raise FormatError(f"{path}: cannot parse {kind} CSV: {exc}") from exc
     if header is not None and rows.shape[1] != len(header):
         raise FormatError(f"{path}: expected {len(header)} columns, found {rows.shape[1]}")
@@ -211,7 +211,9 @@ def read_points_csv(path, dim):
 
 
 def read_samples_csv(path):
-    """Tabulated initial data CSV with header w,u0,v0."""
-    w, u0, v0 = _read_csv(path, "samples", ("w", "u0", "v0")).T
-    order = np.argsort(w)
-    return w[order], u0[order], v0[order]
+    """Tabulated initial data CSV with header w,u0,v0: finite, each w once."""
+    data = _read_csv(path, "samples", ("w", "u0", "v0"))
+    w, u0, v0 = data[np.argsort(data[:, 0])].T
+    if not np.all(np.isfinite(data)) or np.any(w[1:] == w[:-1]):
+        raise FormatError(f"{path}: samples must be finite, with no w repeated")
+    return w, u0, v0

@@ -13,10 +13,14 @@ from pertwave.cauchy import (Field2D, Grid2D, InitialData, evolve_grid,
                              evolve_point, fd_reference,
                              initial_condition_check, pde_residual_fd)
 from pertwave.errors import (CFLViolation, DomainError, GridTooSmall,
-                             KernelPole, SingularPoint, SingularRegion)
+                             KernelPole, SingularPoint, SingularRegion,
+                             ToleranceNotMet)
 from pertwave.quadrature import QuadratureSpec, adaptive_gauss
 from pertwave.ring import Polynomial, RhoExpr
 from pertwave.solutions import build_phi
+
+# a warning (say a divide on a row on t = a) fails the test
+pytestmark = pytest.mark.filterwarnings("error")
 
 Q = QuadratureSpec()
 
@@ -29,6 +33,12 @@ def exact_x_rho():
 def exact_tx():
     """The solution t x (1/2 + rho), built from the seed t x."""
     return build_phi(Polynomial(2, {(1, 1): Fraction(1)}), 2).phi
+
+
+def degree_three_phi():
+    """The degree-3 datum of tests/golden/evolve_n2_deg3.json."""
+    return (build_phi(Polynomial(2, {(3, 0): 1, (1, 2): 3}), 2).phi
+            + build_phi(Polynomial(2, {(2, 1): 3, (0, 3): 1}), 2).phi.scale(Fraction(2, 3)))
 
 
 def phi_eval(expr, x, t):
@@ -57,6 +67,41 @@ def scalar_reference(d, x, t, q):
     i1 = adaptive_gauss(k1, x + delta, x - delta, q)
     i2 = adaptive_gauss(k2, x + delta, x - delta, q)
     return boundary - 2.0 * i1 - 0.5 * i2
+
+
+def row_by_row_reference(d, x, t, q):
+    """Reference closed form at the nodes (x[k], t[k]) of one row, with every
+    check, the boundary terms and the quadrature taken for this row alone."""
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    cauchy._check_margin(x, t, "point (x={x}, t={t}) has 1 + x^2 - t^2 = {m} < {eps}")
+    delta = t - d.a
+    ends = d.u0(np.concatenate([x - delta, x + delta]))
+    out = 0.5 * (ends[:x.size] + ends[x.size:])
+    if not delta.any():  # all nodes on the data slice t = a
+        return out
+    w_lo, w_hi = x + delta, x - delta
+    cauchy._check_data_intervals(d.a, w_lo[None], w_hi[None])
+    a, xk, tk, scale = d.a, x[:, None], t[:, None], (1.0 + x * x - t * t)[:, None]
+
+    def kernel(w):
+        w2 = w * w
+        den = 1.0 - a * a + w2
+        k1 = tk * (1.0 + a * a + w2) + a * (xk * xk - 2.0 * w * xk - tk * tk - 1.0)
+        k1 *= d.u0(w.ravel()).reshape(w.shape) / (0.5 * scale * den * den)
+        k2 = np.subtract(1.0 + a * a, w2, out=w2)
+        k2 *= 1.0 - xk * xk + tk * tk
+        k2 -= 4.0 * a * tk
+        k2 += 4.0 * w * xk
+        k2 *= d.v0(w.ravel()).reshape(w.shape) / (2.0 * scale * den)
+        return np.add(k1, k2, out=k1)
+
+    return out - adaptive_gauss(kernel, w_lo, w_hi, q)
+
+
+def reference_grid(d, g, q):
+    """evolve_grid one time row at a time through row_by_row_reference."""
+    g.check_singularity()
+    return np.column_stack([row_by_row_reference(d, g.xs(), t, q) for t in g.ts()])
 
 
 class TestEvolvePoint:
@@ -114,7 +159,6 @@ class TestEvolvePoint:
         with pytest.raises(SingularRegion):
             evolve_point(d, 0.0, outside, Q)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200, -1e200])
     @pytest.mark.parametrize("axis", ["x", "t"])
     def test_non_finite_node_rejected(self, bad, axis):
@@ -125,7 +169,9 @@ class TestEvolvePoint:
 
         d = InitialData(a=0.0, u0=never, v0=never)
         x, t = (bad, 0.3) if axis == "x" else (0.2, bad)
-        with pytest.raises(SingularRegion, match=re.escape(f"point (x={x}, t={t}) has margin")):
+        # squaring 1e200 overflows; a filterwarnings mark here would lose to the module's
+        with (np.errstate(over="ignore"),
+              pytest.raises(SingularRegion, match=re.escape(f"point (x={x}, t={t}) has margin"))):
             evolve_point(d, x, t, Q)
 
     def test_kernel_pole_rejected(self):
@@ -297,9 +343,7 @@ class TestEvolveGrid:
         """A degree-3 datum on t = 0.1 holds the values pinned in tests/golden to
         2e-15 max(1, |phi|), so kernel and data changes cannot drift unnoticed."""
         doc = json.loads((Path(__file__).parent / "golden" / "evolve_n2_deg3.json").read_text())
-        phi = (build_phi(Polynomial(2, {(3, 0): 1, (1, 2): 3}), 2).phi
-               + build_phi(Polynomial(2, {(2, 1): 3, (0, 3): 1}), 2).phi.scale(Fraction(2, 3)))
-        d = InitialData.from_rho_expr(phi, a=doc["a"])
+        d = InitialData.from_rho_expr(degree_three_phi(), a=doc["a"])
         f = evolve_grid(d, Grid2D(**doc["grid"]), Q)
         pinned = np.array(doc["values"])
         assert np.all(np.abs(f.values - pinned) <= 2e-15 * np.maximum(1.0, np.abs(pinned)))
@@ -332,6 +376,99 @@ class TestEvolveGrid:
         d = InitialData.from_samples(w, np.sin(w), np.cos(w))
         with pytest.raises(DomainError, match=re.escape("outside tabulated range [-1.0, 1.0]")):
             evolve_grid(d, Grid2D(-0.9, 0.9, 7, 0.0, 0.3, 3), Q)
+
+
+def bump(c, w0):
+    return InitialData(a=0.0, u0=lambda w: np.exp(-c * (w - w0) ** 2),
+                       v0=lambda w: np.zeros_like(w))
+
+
+class TestOneCallPerGrid:
+    """The whole grid in one _evolve_nodes call gives, bit for bit, the values of
+    one call per time row, and checks every row before the first quadrature."""
+
+    @pytest.mark.parametrize("case", [
+        "criterion-7", "criterion-8-bumps", "criterion-8-ring", "golden-degree-3",
+        "backwards", "straddles-a", "samples"])
+    def test_grid_matches_row_by_row_reference(self, case):
+        x_rho = InitialData.from_rho_expr(exact_x_rho())
+        golden = json.loads((Path(__file__).parent / "golden" / "evolve_n2_deg3.json").read_text())
+        deg3 = InitialData.from_rho_expr(degree_three_phi(), a=golden["a"])
+        w = np.linspace(-2.0, 2.0, 81)
+        samples = InitialData.from_samples(w, np.sin(w) * np.exp(-w * w), np.cos(3.0 * w), a=0.1)
+        jobs = {
+            "criterion-7": [(x_rho, Grid2D(-1.0, 1.0, 101, 0.0, 0.5, 51))],
+            "criterion-8-bumps": [(bump(c, w0), Grid2D(-1.0, 1.0, 41, 0.0, 0.5, 21))
+                                  for c, w0 in ((8.0, 0.0), (10.0, 0.2), (6.0, -0.25))],
+            "criterion-8-ring": [(x_rho, Grid2D(-1.0, 1.0, nx, 0.0, 0.5, nt))
+                                 for nx, nt in ((41, 21), (81, 41), (161, 81))],
+            "golden-degree-3": [(deg3, Grid2D(**golden["grid"]))],
+            "backwards": [(deg3, Grid2D(-0.8, 0.8, 21, -0.4, 0.05, 10))],
+            "straddles-a": [(InitialData.from_rho_expr(degree_three_phi()),
+                             Grid2D(-0.8, 0.8, 21, -0.2, 0.2, 5))],
+            "samples": [(samples, Grid2D(-0.7, 0.7, 21, 0.1, 0.6, 11))],
+        }[case]
+        for d, g in jobs:
+            if case == "straddles-a":
+                assert list(g.ts()).count(d.a) == 1
+            assert np.array_equal(evolve_grid(d, g, Q).values, reference_grid(d, g, Q))
+
+    def test_points_match_row_by_row_reference(self):
+        d = InitialData.from_rho_expr(degree_three_phi(), a=0.1)
+        g = Grid2D(-0.7, 0.6, 6, -0.2, 0.45, 5)
+        for x in g.xs():
+            for t in g.ts():
+                assert evolve_point(d, x, t, Q) == row_by_row_reference(d, [x], [t], Q)[0]
+
+    def test_initial_condition_samples_match_reference(self, monkeypatch):
+        d = InitialData.from_rho_expr(degree_three_phi(), a=0.1)
+        seen = []
+
+        def spy(d, x, t, q):
+            seen.append((x, t, evolve_nodes(d, x, t, q)))
+            return seen[-1][2]
+
+        evolve_nodes = cauchy._evolve_nodes
+        monkeypatch.setattr(cauchy, "_evolve_nodes", spy)
+        initial_condition_check(d, Q)
+        [(x, t, values)] = seen
+        assert x.shape == (1, 105)
+        assert np.array_equal(values[0], row_by_row_reference(d, x[0], t[0], Q))
+
+    # (data, grid, error): the last row alone fails its check, earlier rows integrate
+    LAST_ROW_FAILS = {
+        # rows t = -1.5, -1.45, -1.4; only t = -1.4 has an interval holding w = 1.118...
+        "kernel-pole": (-1.5, Grid2D(1.2, 1.6, 5, -1.5, -1.4, 3), KernelPole),
+        # rows t = a ... -0.5; only t = -0.5 reaches w = 0.0005, where 1 - a^2 + w^2 < 1e-3
+        "data-margin": (-0.9995, Grid2D(0.5, 1.0, 11, -0.9995, -0.5, 6), SingularRegion),
+    }
+
+    @pytest.mark.parametrize("case", sorted(LAST_ROW_FAILS))
+    def test_every_row_is_checked_before_quadrature(self, monkeypatch, case):
+        a, g, error = self.LAST_ROW_FAILS[case]
+        d = InitialData(a=a, u0=np.cos, v0=np.sin)
+        with pytest.raises(error) as expected:
+            reference_grid(d, g, Q)  # integrates the earlier rows, then fails
+        calls = []
+        monkeypatch.setattr(cauchy, "adaptive_gauss", lambda *args: calls.append(args))
+        with pytest.raises(error) as got:
+            evolve_grid(d, g, Q)
+        assert str(got.value) == str(expected.value)
+        assert calls == []
+
+    def test_a_later_check_wins_over_an_earlier_budget(self):
+        """An early row that would exhaust the quadrature budget no longer
+        hides a later row's failed check."""
+        a, g, _ = self.LAST_ROW_FAILS["kernel-pole"]
+        d = InitialData(a=a, u0=np.cos, v0=np.sin)
+        q = QuadratureSpec(order=2, max_subdivisions=0)
+        first_rows = Grid2D(g.x_min, g.x_max, g.nx, g.t_min, g.ts()[1], 2)
+        with pytest.raises(ToleranceNotMet):
+            evolve_grid(d, first_rows, q)
+        with pytest.raises(ToleranceNotMet):
+            reference_grid(d, g, q)
+        with pytest.raises(KernelPole):
+            evolve_grid(d, g, q)
 
 
 class TestFdReference:

@@ -360,6 +360,8 @@ BAD_CSV = {
     "field-header-only.csv": "x,t,value\n",
     "samples-header-only.csv": "w,u0,v0\n",
     "field-empty-cell.csv": "x,t,value\n0,0,1\n1,0,\n0,1,3\n1,1,4\n",
+    "samples-repeated-w.csv": "w,u0,v0\n-1,0,0\n-0.5,0,0\n0,1,0\n-0.5,1,0\n0.5,0,0\n1,0,0\n",
+    "samples-nan-u0.csv": "w,u0,v0\n-1,0,0\n-0.5,nan,0\n0,1,0\n0.5,0,0\n1,0,0\n",
 }
 
 
@@ -420,6 +422,15 @@ MALFORMED = {
      EXIT_PARSE, "parse"),
     (["compare", "--a", "{tmp}/field-empty-cell.csv", "--b", "{tmp}/field-empty-cell.csv"],
      EXIT_PARSE, "parse"),
+    (["compare", "--a", "{tmp}/missing.csv", "--b", "{tmp}/f.csv"], EXIT_USAGE, "usage"),
+    (["invert", "--dim", "2", "--phi", "{tmp}/phi.json", "--points", "{tmp}/missing.csv",
+      "--out", "{tmp}/o.csv"], EXIT_USAGE, "usage"),
+    (["evolve", GRID, "--data", "{tmp}/missing.csv", "--out", "{tmp}/o.csv"],
+     EXIT_USAGE, "usage"),
+    (["evolve", GRID, "--data", "{tmp}/samples-repeated-w.csv", "--out", "{tmp}/o.csv"],
+     EXIT_PARSE, "parse"),
+    (["evolve", GRID, "--data", "{tmp}/samples-nan-u0.csv", "--out", "{tmp}/o.csv"],
+     EXIT_PARSE, "parse"),
     *[(["verify", "--dim", "0" if name == "dim-zero" else "2", "--phi", f"{{tmp}}/{name}.json"],
        EXIT_PARSE, "parse") for name in MALFORMED],
 ], ids=["negative-degree", "verify-missing", "build-missing", "evolve-missing",
@@ -427,7 +438,8 @@ MALFORMED = {
         "verify-dim-mismatch", "compare-nan-tol", "compare-other-grid", "evolve-nan-grid",
         "evolve-nan-a", "fdref-nan-grid", "order-above-cap", "inf-abs-tol",
         "invert-header-only", "compare-header-only", "evolve-header-only",
-        "compare-empty-cell", *MALFORMED])
+        "compare-empty-cell", "compare-missing", "invert-points-missing",
+        "evolve-samples-missing", "samples-repeated-w", "samples-nan-u0", *MALFORMED])
 def test_error_contract(tmp_path, capsys, argv, code, kind):
     """Every failure exits with its documented code and one error line."""
     phi = build_phi(Polynomial(2, {(1, 1): Fraction(1)}), 2).phi

@@ -288,7 +288,12 @@ class TestCsvAgainstReferences:
     def test_samples_reader(self, tmp_path, data):
         path = tmp_path / "samples.csv"  # two rows at least: the reference fails on one
         path.write_text("w,u0,v0\n" + table(data.draw, 3, 2))
-        for got, expect in zip(read_samples_csv(str(path)), reference_read_samples(str(path))):
+        reference = reference_read_samples(str(path))
+        if np.unique(reference[0]).size < reference[0].size:  # no spline through a repeated w
+            with pytest.raises(FormatError, match="no w repeated"):
+                read_samples_csv(str(path))
+            return
+        for got, expect in zip(read_samples_csv(str(path)), reference):
             assert got.tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("header, read", [
