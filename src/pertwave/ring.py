@@ -11,19 +11,22 @@ The D'Alembertian and the Euler operator H act on each rho-layer in closed
 form (RhoExpr.box, RhoExpr.euler_h), from d_mu rho = -2 x_mu rho^2,
 H rho = -2 rho + 2 rho^2 and x.x = 1/rho - 1: one normalize call per operator.
 
-A stored coefficient is an int when it is integral and a fractions.Fraction
-otherwise (Fraction(k, 1) == k with equal hashes, so this changes no
-equality); integer inputs therefore stay in int arithmetic.  normalize
-divides each rho-layer by 1 + x.x one t-slice at a time: from the top
-t-degree down, the slice t^k A_k(x) sends -A_k to the quotient and
-(1 + sum xi^2) A_k to the slice t^(k-2).  Floating point enters only at
-evaluation: eval_points (Polynomial is its rho^0 case) builds each coordinate
-and rho power once per call for all terms and layers, and exact n = 2 Cauchy
-data are one rational function of w on t = a, evaluated by Horner (cauchy).
+A Polynomial coefficient is an int when integral, else a Fraction.  A RhoExpr
+is int layers over one positive den coprime to all their coefficients (a
+unique pair: content and primitive part, Knuth TAOCP 4.6.1), so operators run
+on ints, and its rational ``layers`` are built when read.  normalize clears
+rational input once and divides each rho-layer by 1 + x.x one t-slice at a
+time: from the top t-degree down, the slice t^k A_k(x) sends -A_k to the
+quotient and (1 + sum xi^2) A_k to the slice t^(k-2).  Floating point enters
+only at evaluation: eval_points (Polynomial is its rho^0 case) builds each
+coordinate and rho power once per call for all terms and layers, and exact
+n = 2 Cauchy data are one rational function of w on t = a, evaluated by
+Horner (cauchy).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add
 
@@ -71,10 +74,11 @@ def margin(points):
     Every singular-set guard measures distance from 1 + x.x = 0 with this
     one formula; each guard keeps its own threshold and error class.
     """
-    sq = np.asarray(points, dtype=float).T ** 2
-    # whole columns added left to right: the order of a row-wise reduction
-    # over the spatial axes, without numpy's slow short-axis reduce
-    return 1.0 - sq[0] + sum(sq[1:], 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: every guard refuses it
+        sq = np.asarray(points, dtype=float).T ** 2
+        # whole columns added left to right: the order of a row-wise reduction
+        # over the spatial axes, without numpy's slow short-axis reduce
+        return 1.0 - sq[0] + sum(sq[1:], 0.0)
 
 
 def _evaluate(dim, layers, points, rho=False):
@@ -355,35 +359,41 @@ def _reduce_layer(poly):
 
 
 class RhoExpr:
-    """Canonical element of Q[t, x, rho] / (rho*(1+x.x) - 1).
+    """Canonical element of Q[t, x, rho] / (rho*(1+x.x) - 1), stored as num / den.
 
-    ``layers`` maps the rho power s to a Polynomial coefficient; every layer
-    with s >= 1 is kept at t-degree <= 1 and zero layers are dropped.
+    ``num`` maps the rho power s to a Polynomial with int coefficients; every
+    layer with s >= 1 is kept at t-degree <= 1 and zero layers are dropped.
+    ``den`` is a positive int coprime to all of num's coefficients.
     """
 
-    __slots__ = ("dim", "layers")
+    __slots__ = ("dim", "den", "num", "_layers")
 
-    def __init__(self, dim, layers, _normalized=False):
-        if _normalized:
-            self.dim = dim
-            self.layers = layers
-            return
-        built = normalize([(s, p) for s, p in layers.items()], dim)
-        self.dim = built.dim
-        self.layers = built.layers
+    def __init__(self, dim, layers, _den=None):
+        if _den is None:  # any rational layers; given _den, int layers in normal form over it
+            built = normalize(list(layers.items()), dim)
+            layers, _den = built.num, built.den
+        self.dim, self.den, self.num, self._layers = dim, _den, layers, None
+
+    @property
+    def layers(self):
+        """{s: Polynomial} with rational coefficients, built on first read (num if den is 1)."""
+        if self._layers is None:
+            self._layers = self.num if self.den == 1 else {
+                s: p.scale(Fraction(1, self.den)) for s, p in self.num.items()}
+        return self._layers
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, dim):
-        return cls(dim, {}, _normalized=True)
+        return cls(dim, {}, 1)
 
     @classmethod
     def constant(cls, dim, value):
         value = _coeff(value)
         if not value:
             return cls.zero(dim)
-        return cls(dim, {0: Polynomial.constant(dim, value)}, _normalized=True)
+        return cls(dim, {0: Polynomial.constant(dim, value.numerator)}, value.denominator)
 
     @classmethod
     def from_polynomial(cls, poly, rho_power=0):
@@ -395,20 +405,20 @@ class RhoExpr:
             raise ValueError("rho powers must be non-negative")
         if power == 0:
             return cls.constant(dim, 1)
-        return cls(dim, {power: Polynomial.constant(dim, 1)}, _normalized=True)
+        return cls(dim, {power: Polynomial.constant(dim, 1)}, 1)
 
     # -- structure --------------------------------------------------------
 
     def is_zero(self):
-        return not self.layers
+        return not self.num
 
     def __eq__(self, other):
         if not isinstance(other, RhoExpr):
             return NotImplemented
-        return self.dim == other.dim and self.layers == other.layers
+        return self.dim == other.dim and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.dim, frozenset((s, p) for s, p in self.layers.items())))
+        return hash((self.dim, self.den, frozenset(self.num.items())))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -420,20 +430,12 @@ class RhoExpr:
         if not isinstance(other, RhoExpr):
             return NotImplemented
         self._check_dim(other)
-        # sums of normal forms stay normal: t-degrees cannot grow
-        layers = dict(self.layers)
-        for s, p in other.layers.items():
-            acc = layers.get(s)
-            acc = p if acc is None else acc + p
-            if acc.is_zero():
-                layers.pop(s, None)
-            else:
-                layers[s] = acc
-        return RhoExpr(self.dim, layers, _normalized=True)
+        den = math.lcm(self.den, other.den)
+        return normalize([(s, p.scale(den // x.den)) for x in (self, other)
+                          for s, p in x.num.items()], self.dim, den)
 
     def __neg__(self):
-        return RhoExpr(self.dim, {s: -p for s, p in self.layers.items()},
-                       _normalized=True)
+        return RhoExpr(self.dim, {s: -p for s, p in self.num.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -442,10 +444,10 @@ class RhoExpr:
         if isinstance(other, RhoExpr):
             self._check_dim(other)
             raw = []
-            for s1, p1 in self.layers.items():
-                for s2, p2 in other.layers.items():
+            for s1, p1 in self.num.items():
+                for s2, p2 in other.num.items():
                     raw.append((s1 + s2, p1 * p2))
-            return normalize(raw, self.dim)
+            return normalize(raw, self.dim, self.den * other.den)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if isinstance(other, Polynomial):
@@ -458,8 +460,8 @@ class RhoExpr:
         scalar = _coeff(scalar)
         if not scalar:
             return RhoExpr.zero(self.dim)
-        return RhoExpr(self.dim, {s: p.scale(scalar) for s, p in self.layers.items()},
-                       _normalized=True)
+        return normalize([(s, p.scale(scalar.numerator)) for s, p in self.num.items()],
+                         self.dim, self.den * scalar.denominator)
 
     # -- calculus ---------------------------------------------------------
 
@@ -469,27 +471,31 @@ class RhoExpr:
             raise DimensionMismatch(f"axis {axis} out of range for dim {self.dim}")
         coord = Polynomial.coordinate(self.dim, axis)
         raw = []
-        for s, p in self.layers.items():
+        for s, p in self.num.items():
             dp = p.diff(axis)
             if not dp.is_zero():
                 raw.append((s, dp))
             if s:
                 raw.append((s + 1, (coord * p).scale(2 * s if axis == 0 else -2 * s)))
-        return normalize(raw, self.dim)
+        return normalize(raw, self.dim, self.den)
 
-    def box(self):
-        """D'Alembertian in normal form, with a = 4s(s+1) on each layer:
+    def _box_raw(self):
+        """den * box(self) as unreduced (rho power, int Polynomial) pairs, with a = 4s(s+1):
 
         box(P rho^s) = rho^s box P + rho^(s+1) [-4s HP + (a - 2sn) P] - a rho^(s+2) P.
         """
         raw = []
-        for s, p in self.layers.items():
+        for s, p in self.num.items():
             raw.append((s, p.box()))
             if s:
                 a = 4 * s * (s + 1)
                 raw += [(s + 1, p._h_affine(-4 * s, a - 2 * s * self.dim)),
                         (s + 2, p.scale(-a))]
-        return normalize(raw, self.dim)
+        return raw
+
+    def box(self):
+        """D'Alembertian in normal form (_box_raw, then one normalize)."""
+        return normalize(self._box_raw(), self.dim, self.den)
 
     def euler_h(self):
         """Euler operator H = t*dt + sum_i xi*dxi (no metric signs) in normal form:
@@ -497,9 +503,9 @@ class RhoExpr:
         H(P rho^s) = rho^s (HP - 2s P) + 2s rho^(s+1) P on each layer.
         """
         raw = []
-        for s, p in self.layers.items():
+        for s, p in self.num.items():
             raw += [(s, p._h_affine(1, -2 * s)), (s + 1, p.scale(2 * s))]
-        return normalize(raw, self.dim)
+        return normalize(raw, self.dim, self.den)
 
     # -- evaluation -------------------------------------------------------
 
@@ -540,12 +546,14 @@ class RhoExpr:
         return f"RhoExpr({self.dim}, {self})"
 
 
-def normalize(raw, dim):
-    """Canonical RhoExpr from a list of (rho_power, Polynomial) pairs.
+def normalize(raw, dim, den=1):
+    """Canonical RhoExpr of (sum of the pairs) / den from a list of (rho_power, Polynomial) pairs.
 
-    Pairs with the same rho power are summed.  Then, from the top layer
-    down, every layer s >= 1 is divided by 1 + x.x (with t^2 as head); the
-    quotient merges into layer s-1 and the t-reduced remainder stays.
+    Pairs with the same rho power are summed, and rational coefficients are
+    cleared once by the lcm of their denominators.  Then, from the top layer
+    down, every layer s >= 1 is divided by 1 + x.x (with t^2 as head) in
+    ints; the quotient merges into layer s-1 and the t-reduced remainder
+    stays.  Last, the gcd of den and the coefficients is divided out.
     """
     layers = {}
     for s, poly in raw:
@@ -559,6 +567,12 @@ def normalize(raw, dim):
         else:
             for e, c in poly.terms.items():
                 acc[e] = acc.get(e, 0) + c
+    d = math.lcm(*(c.denominator for terms in layers.values() for c in terms.values()
+                   if type(c) is not int))
+    if d != 1:
+        den *= d
+        layers = {s: {e: c * d if type(c) is int else c.numerator * (d // c.denominator)
+                      for e, c in terms.items()} for s, terms in layers.items()}
     for s in range(max(layers, default=0), 0, -1):
         terms = layers.get(s)
         if terms and max(e[0] for e in terms) >= 2:
@@ -567,9 +581,11 @@ def normalize(raw, dim):
             below = layers.setdefault(s - 1, {})
             for e, c in quot.terms.items():
                 below[e] = below.get(e, 0) + c
-    out = {}
-    for s, terms in layers.items():
-        terms = _nonzero(terms)
-        if terms:
-            out[s] = Polynomial(dim, terms, _trusted=True)
-    return RhoExpr(dim, out, _normalized=True)
+    layers = {s: terms for s, terms in
+              ((s, {e: c for e, c in terms.items() if c}) for s, terms in layers.items()) if terms}
+    g = math.gcd(den, *(c for terms in layers.values() for c in terms.values()))
+    if g != 1:
+        den //= g
+        layers = {s: {e: c // g for e, c in terms.items()} for s, terms in layers.items()}
+    return RhoExpr(dim, {s: Polynomial(dim, terms, _trusted=True) for s, terms in layers.items()},
+                   den)

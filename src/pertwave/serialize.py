@@ -20,6 +20,10 @@ from .ring import Polynomial, RhoExpr, normalize
 
 FORMAT_VERSION = 1
 
+# Largest rho power or exponent a document may hold: evaluation builds every
+# power of a coordinate (and of rho) up to the top one it meets.
+MAX_EXPONENT = 1024
+
 
 def _coeff_str(c):
     return f"{c.numerator}/{c.denominator}"
@@ -49,10 +53,10 @@ def poly_to_doc(poly):
     return expr_to_doc(RhoExpr.from_polynomial(poly))
 
 
-def _integer(value, name, least):
-    """A JSON integer (not a bool or a float) that is >= least, else FormatError."""
-    if type(value) is not int or value < least:
-        raise FormatError(f"{name} must be an integer >= {least}, got {value!r}")
+def _integer(value, name, least, most=float("inf")):
+    """A JSON integer (not a bool or a float) in [least, most], else FormatError."""
+    if type(value) is not int or not least <= value <= most:
+        raise FormatError(f"{name} must be an integer in [{least}, {most}], got {value!r}")
     return value
 
 
@@ -65,11 +69,12 @@ def doc_to_expr(doc):
         for layer in doc["layers"]:
             terms = {}
             for term in layer["terms"]:
-                exps = tuple(_integer(e, "exponent", 0) for e in term["exponents"])
+                exps = tuple(_integer(e, "exponent", 0, MAX_EXPONENT) for e in term["exponents"])
                 if len(exps) != dim:
                     raise FormatError(f"exponents {list(exps)} do not have dim = {dim} entries")
                 terms[exps] = terms.get(exps, Fraction(0)) + _parse_coeff(term["coeff"])
-            raw.append((_integer(layer["rho_power"], "rho_power", 0), Polynomial(dim, terms)))
+            rho_power = _integer(layer["rho_power"], "rho_power", 0, MAX_EXPONENT)
+            raw.append((rho_power, Polynomial(dim, terms)))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed document: {exc}") from exc
     return normalize(raw, dim)

@@ -50,22 +50,11 @@ class SolutionBundle:
         return self.coefficients[self.dim // 2 - r]
 
 
-def _cleared(polys):
-    """(D, [D*p for p in polys]) with D the lcm of their coefficient denominators.
-
-    Each D*p has int coefficients, computed without building a Fraction.
-    """
-    d = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    return d, [Polynomial(p.dim, {e: c.numerator * (d // c.denominator)
-                                  for e, c in p.terms.items()}, _trusted=True)
-               for p in polys]
-
-
 def build_phi(seed, n, check=True):
     """Build the exact solution bundle from the seed P_{n/2}.
 
-    phi is normalized as D*phi in integer arithmetic, D the lcm of the
-    denominators of the P_r, and scaled by 1/D once.
+    phi is one normalize of the pairs (r, P_r): their denominators are
+    cleared once, into phi's denominator, and the reduction runs on ints.
     """
     if n % 2 or n < 2:
         raise UnsupportedDim(f"explicit solutions exist for even n >= 2, got {n}")
@@ -76,8 +65,7 @@ def build_phi(seed, n, check=True):
     coeffs = [seed]
     for r in range(n // 2 - 1, -1, -1):
         coeffs.append(recursion_step(coeffs[-1], n, r))
-    d, cleared = _cleared(coeffs)
-    phi = normalize(list(zip(range(n // 2, -1, -1), cleared)), n).scale(Fraction(1, d))
+    phi = normalize(list(zip(range(n // 2, -1, -1), coeffs)), n)
     bundle = SolutionBundle(dim=n, seed=seed, coefficients=tuple(coeffs), phi=phi)
     if check:
         for p in coeffs[1:]:
@@ -91,14 +79,12 @@ def build_phi(seed, n, check=True):
 def residual(phi, n):
     """Normal form of box(phi) + n(n+2) rho^2 phi; zero iff phi solves the PDE.
 
-    Both terms are linear in phi, so they are taken of D*phi, with D the lcm
-    of phi's coefficient denominators, in integer arithmetic, and the sum is
-    scaled by 1/D once.
+    Both terms are taken on phi's int layers, as unreduced pairs (the raw
+    pairs of box, and each layer times n(n+2) two rho powers up), and
+    reduced by one normalize over phi's denominator.
     """
-    d, cleared = _cleared(phi.layers.values())
-    psi = RhoExpr(phi.dim, dict(zip(phi.layers, cleared)), _normalized=True)
-    rho2_psi = normalize([(s + 2, p) for s, p in psi.layers.items()], phi.dim)
-    return (psi.box() + rho2_psi.scale(n * (n + 2))).scale(Fraction(1, d))
+    shifted = [(s + 2, p.scale(n * (n + 2))) for s, p in phi.num.items()]
+    return normalize(phi._box_raw() + shifted, phi.dim, phi.den)
 
 
 def psi0_residual(n):

@@ -17,7 +17,7 @@ from pertwave.errors import FormatError
 from pertwave.invert import RayField, recover_n2
 from pertwave.quadrature import MAX_ORDER, QuadratureSpec
 from pertwave.ring import Polynomial, RhoExpr
-from pertwave.serialize import (doc_to_poly, expr_to_doc, format_float,
+from pertwave.serialize import (MAX_EXPONENT, doc_to_poly, expr_to_doc, format_float,
                                 poly_to_doc, read_doc, read_doc_lines,
                                 read_field_csv, write_doc, write_field_csv)
 from pertwave.solutions import build_phi
@@ -381,6 +381,8 @@ MALFORMED = {
     "dim-zero": one_term_doc(dim=0, exponents=()),
     "version-true": {**one_term_doc(), "format_version": True},
     "version-float": {**one_term_doc(), "format_version": 1.0},
+    "huge-rho": one_term_doc(rho_power=MAX_EXPONENT + 1),
+    "huge-exponent": one_term_doc(exponents=(0, MAX_EXPONENT + 1)),
 }
 
 
@@ -431,6 +433,10 @@ MALFORMED = {
      EXIT_PARSE, "parse"),
     (["evolve", GRID, "--data", "{tmp}/samples-nan-u0.csv", "--out", "{tmp}/o.csv"],
      EXIT_PARSE, "parse"),
+    (["evolve", "--grid=1e200,2e200,5:0,0.2,3", "--data", "{tmp}/phi.json",
+      "--out", "{tmp}/o.csv"], EXIT_DOMAIN, "domain"),
+    (["evolve", "--grid=1e200,2e200,5:1e200,2e200,3", "--data", "{tmp}/phi.json",
+      "--out", "{tmp}/o.csv"], EXIT_DOMAIN, "domain"),
     *[(["verify", "--dim", "0" if name == "dim-zero" else "2", "--phi", f"{{tmp}}/{name}.json"],
        EXIT_PARSE, "parse") for name in MALFORMED],
 ], ids=["negative-degree", "verify-missing", "build-missing", "evolve-missing",
@@ -439,7 +445,8 @@ MALFORMED = {
         "evolve-nan-a", "fdref-nan-grid", "order-above-cap", "inf-abs-tol",
         "invert-header-only", "compare-header-only", "evolve-header-only",
         "compare-empty-cell", "compare-missing", "invert-points-missing",
-        "evolve-samples-missing", "samples-repeated-w", "samples-nan-u0", *MALFORMED])
+        "evolve-samples-missing", "samples-repeated-w", "samples-nan-u0", "evolve-overflow-grid",
+        "evolve-overflow-both", *MALFORMED])
 def test_error_contract(tmp_path, capsys, argv, code, kind):
     """Every failure exits with its documented code and one error line."""
     phi = build_phi(Polynomial(2, {(1, 1): Fraction(1)}), 2).phi

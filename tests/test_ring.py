@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -137,8 +138,7 @@ class TestCanonicalCoefficients:
                 for s in (seed, seed.scale(Fraction(3, 7))):
                     bundle = build_phi(s, n, check=False)
                     assert_canonical(bundle.seed, bundle.phi, *bundle.coefficients)
-                    truncated = RhoExpr(n, {r: p for r, p in bundle.phi.layers.items() if r},
-                                        _normalized=True)
+                    truncated = RhoExpr(n, {r: p for r, p in bundle.phi.layers.items() if r})
                     assert_canonical(residual(truncated, n))
 
     @settings(max_examples=60, deadline=None)
@@ -158,6 +158,139 @@ class TestCanonicalCoefficients:
         doc["layers"][0]["terms"][1]["coeff"] = "1/1"
         assert_canonical(doc_to_expr(doc))
         assert doc_to_expr(doc).layers[0].terms[(1, 0)] == 3
+
+
+def rational_normalize(raw, dim):
+    """Reference normal form on Fractions, as {rho power: Polynomial}: the pairs summed,
+    then from the top layer down each layer s >= 1 divided by 1 + x.x (work_list_reduce),
+    the quotient merged into layer s-1."""
+    layers = {}
+    for s, poly in raw:
+        acc = layers.setdefault(s, {})
+        for e, c in poly.terms.items():
+            acc[e] = acc.get(e, 0) + Fraction(c)
+    for s in range(max(layers, default=0), 0, -1):
+        terms = layers.get(s)
+        if terms and max(e[0] for e in terms) >= 2:
+            quot, rem = work_list_reduce(Polynomial(dim, terms))
+            layers[s] = dict(rem.terms)
+            below = layers.setdefault(s - 1, {})
+            for e, c in quot.terms.items():
+                below[e] = below.get(e, 0) + c
+    polys = {s: Polynomial(dim, terms) for s, terms in layers.items()}
+    return {s: p for s, p in polys.items() if not p.is_zero()}
+
+
+def rational_box_raw(x):
+    """box(x) as unreduced pairs of x's rational layers (closed form of RhoExpr.box)."""
+    raw = []
+    for s, p in x.layers.items():
+        raw.append((s, p.box()))
+        if s:
+            a = 4 * s * (s + 1)
+            raw += [(s + 1, p.euler_h().scale(-4 * s) + p.scale(a - 2 * s * x.dim)),
+                    (s + 2, p.scale(-a))]
+    return raw
+
+
+def rational_reference(x, y, q):
+    """{operation: reference layers} for the operators of RhoExpr, on rational layers."""
+    dim, xl, yl = x.dim, list(x.layers.items()), list(y.layers.items())
+    ops = {
+        "add": xl + yl,
+        "neg": [(s, -p) for s, p in xl],
+        "sub": xl + [(s, -p) for s, p in yl],
+        "mul": [(s1 + s2, p1 * p2) for s1, p1 in xl for s2, p2 in yl],
+        "scale": [(s, p.scale(q)) for s, p in xl],
+        "box": rational_box_raw(x),
+        "euler_h": [pair for s, p in xl
+                    for pair in ((s, p.euler_h() - p.scale(2 * s)), (s + 1, p.scale(2 * s)))],
+        "residual": rational_box_raw(x) + [(s + 2, p.scale(dim * (dim + 2))) for s, p in xl],
+    }
+    for axis in range(dim):
+        coord = Polynomial.coordinate(dim, axis)
+        ops[f"diff{axis}"] = [pair for s, p in xl for pair in (
+            (s, p.diff(axis)), (s + 1, (coord * p).scale(2 * s if axis == 0 else -2 * s)))]
+    return {name: rational_normalize(raw, dim) for name, raw in ops.items()}
+
+
+def operations(x, y, q):
+    dim = x.dim
+    ops = {"add": x + y, "neg": -x, "sub": x - y, "mul": x * y, "scale": x.scale(q),
+           "box": x.box(), "euler_h": x.euler_h(), "residual": residual(x, dim)}
+    ops.update({f"diff{axis}": x.diff(axis) for axis in range(dim)})
+    return ops
+
+
+def assert_representation(x):
+    """den >= 1 and int layers with no factor common to den and every coefficient."""
+    coeffs = [c for p in x.num.values() for c in p.terms.values()]
+    assert type(x.den) is int and x.den >= 1
+    assert all(type(c) is int for c in coeffs)
+    assert math.gcd(x.den, *coeffs) == 1
+    assert all(not p.is_zero() for p in x.num.values())
+
+
+@st.composite
+def raw_pairs(draw):
+    """(dim, [(rho power <= 3, polynomial)]) in dims 1-4, t-degree up to 5, unreduced."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    exps = st.tuples(st.integers(0, 5), *[st.integers(0, 2)] * (dim - 1))
+    coeffs = st.one_of(st.integers(-6, 6), st.fractions(-4, 4, max_denominator=6))
+    polys = st.dictionaries(exps, coeffs, max_size=4).map(lambda terms: Polynomial(dim, terms))
+    return dim, draw(st.lists(st.tuples(st.integers(0, 3), polys), max_size=4))
+
+
+class TestIntegerLayers:
+    """A RhoExpr is int layers over one denominator; its operators agree with the
+    same operations on the rational layers."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=4).flatmap(
+        lambda dim: st.tuples(rho_exprs(dim), rho_exprs(dim))),
+        st.fractions(-5, 5, max_denominator=7).filter(bool))
+    def test_operators_match_rational_reference(self, pair, q):
+        x, y = pair
+        assert_representation(x)
+        reference = rational_reference(x, y, q)
+        for name, got in operations(x, y, q).items():
+            assert_representation(got)
+            assert got.layers == reference[name], name
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw_pairs())
+    def test_normalize_matches_rational_reference(self, case):
+        dim, raw = case
+        got = normalize(raw, dim)
+        assert_representation(got)
+        assert got.layers == rational_normalize(raw, dim)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=4).flatmap(
+        lambda dim: st.tuples(rho_exprs(dim), rho_exprs(dim))),
+        st.fractions(-5, 5, max_denominator=7).filter(bool))
+    def test_equality_is_equality_of_layers(self, pair, q):
+        x, y = pair
+        assert (x == y) == (x.layers == y.layers)
+        same = x.scale(q).scale(1 / q)
+        assert same == x and same.layers == x.layers and hash(same) == hash(x)
+        rebuilt = RhoExpr(x.dim, x.layers)
+        assert rebuilt == x and hash(rebuilt) == hash(x)
+        assert x + y - y == x and hash(x + y - y) == hash(x)
+
+    def test_layers_view(self):
+        """With den 1 the view is the int layers; otherwise it is built once, on first read."""
+        t = Polynomial.coordinate(2, 0)
+        ints = RhoExpr.from_polynomial(t, 1).scale(3)
+        assert ints.den == 1 and ints.layers is ints.num
+        half = ints.scale(Fraction(1, 6))
+        assert half.den == 2 and half.num == ints.scale(Fraction(1, 3)).num
+        assert half.layers == {1: Polynomial(2, {(1, 0): Fraction(1, 2)})}
+        assert half.layers is half.layers
+        assert RhoExpr.constant(2, Fraction(-3, 4)).den == 4
+        assert ints.scale(Fraction(1, 6)) - half == RhoExpr.zero(2) == RhoExpr.zero(2).scale(5)
+        assert (half - half).den == 1
+        assert half != ints.scale(Fraction(1, 3)) and hash(half) != hash(ints.scale(Fraction(1, 3)))
 
 
 class TestArithmetic:
@@ -333,6 +466,12 @@ class TestEval:
     def test_margin(self):
         points = np.array([[2.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.5, 0.0, 1.0]])
         assert margin(points).tolist() == [-1.0, 1.0, 1.75]
+
+    def test_margin_overflow_is_silent(self):
+        """Squares that overflow give an infinite or NaN margin and no RuntimeWarning
+        (the test configuration turns one into an error)."""
+        m = margin(np.array([[0.2, 1e200], [1e200, 0.0], [1e200, 1e200], [np.inf, np.inf]]))
+        assert m[0] == np.inf and m[1] == -np.inf and np.isnan(m[2:]).all()
 
     @pytest.mark.parametrize("dim", range(1, 9))
     def test_margin_bitwise_row_reduction(self, dim):

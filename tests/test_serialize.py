@@ -11,7 +11,7 @@ from conftest import rho_exprs
 from pertwave.cauchy import Field2D, Grid2D
 from pertwave.errors import FormatError
 from pertwave.ring import Polynomial, RhoExpr
-from pertwave.serialize import (FORMAT_VERSION, atomic_write_text,
+from pertwave.serialize import (FORMAT_VERSION, MAX_EXPONENT, atomic_write_text,
                                 bundle_to_doc, doc_to_expr, doc_to_poly,
                                 dumps, expr_to_doc, field_to_csv, format_float,
                                 poly_to_doc,
@@ -65,6 +65,19 @@ class TestExprDocs:
         doc["layers"][0]["terms"][0]["coeff"] = "1/0"
         with pytest.raises(FormatError):
             doc_to_expr(doc)
+
+    def test_exponent_bound(self):
+        """A rho power or exponent of MAX_EXPONENT reads and evaluates; one more is refused."""
+        top = RhoExpr.from_polynomial(Polynomial(2, {(1, MAX_EXPONENT): 1}), MAX_EXPONENT)
+        doc = expr_to_doc(top)
+        assert doc_to_expr(doc) == top
+        assert top.eval_points(np.array([[0.0, 0.5]])).shape == (1,)
+        for layer, key in ((doc["layers"][0], "rho_power"),
+                           (doc["layers"][0]["terms"][0]["exponents"], 1)):
+            layer[key] += 1
+            with pytest.raises(FormatError, match=f"in \\[0, {MAX_EXPONENT}\\]"):
+                doc_to_expr(doc)
+            layer[key] -= 1
 
     def test_bundle_doc(self):
         bundle = build_phi(Polynomial(2, {(1, 1): Fraction(1)}), 2)

@@ -1,4 +1,6 @@
+import hashlib
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from pertwave.basis import is_wave_polynomial, wave_basis
 from pertwave.errors import (DivergentIntegral, DomainError,
                              NotAWavePolynomial, UnsupportedDim)
 from pertwave.ring import Polynomial, RhoExpr
+from pertwave.serialize import bundle_to_doc, dumps, expr_to_doc
 from pertwave.solutions import (beta_coefficients, build_phi,
                                 check_n2_background, psi0_residual,
                                 recursion_step, residual)
@@ -195,3 +198,28 @@ class TestBetaCoefficients:
             beta_coefficients(2, 1)
         with pytest.raises(UnsupportedDim):
             beta_coefficients(3, 2)
+
+
+def sweep_digest(max_degree):
+    """sha256 over every wave_basis(n, k) seed, n in {2, 4, 6, 8}, k <= max_degree: the
+    document and str() of phi, of its residual and of the residual of phi less its rho^0
+    layer, then the document of the bundle."""
+    digest = hashlib.sha256()
+    for n in (2, 4, 6, 8):
+        for k in range(max_degree + 1):
+            for seed in wave_basis(n, k).elements:
+                bundle = build_phi(seed, n, check=False)
+                phi = bundle.phi
+                truncated = RhoExpr(n, {s: p for s, p in phi.layers.items() if s})
+                for x in (phi, residual(phi, n), residual(truncated, n)):
+                    digest.update(dumps(expr_to_doc(x)).encode())
+                    digest.update(str(x).encode() + b"\n")
+                digest.update(dumps(bundle_to_doc(bundle)).encode())
+    return digest.hexdigest()
+
+
+def test_golden_sweep_digest():
+    """Normal forms, their text and the documents of the criterion-1 sweep (k <= 4;
+    k <= 6 takes about 20 s) hash to the digest pinned in tests/golden."""
+    golden = (Path(__file__).parent / "golden" / "sweep_digest.txt").read_text().split()[0]
+    assert sweep_digest(4) == golden
