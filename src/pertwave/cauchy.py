@@ -43,7 +43,8 @@ def _check_margin(x, t, message):
     margin (a non-finite or overflowing x or t) gets a message of its own.
     """
     points = np.stack(np.broadcast_arrays(t, x), axis=-1, dtype=float).reshape(-1, 2)
-    m = margin(points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = margin(points)
     bad = np.flatnonzero(~((m >= EPS_SING) & (m < math.inf)))  # written so that NaN fails too
     if bad.size:
         k = bad[0]

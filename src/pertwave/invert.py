@@ -69,7 +69,8 @@ def _check_rays(f, points):
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != f.dim:
         raise DimensionMismatch(f"points of shape {points.shape}, expected (m, {f.dim})")
-    rho_inv = margin(points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho_inv = margin(points)
     # 1 + s^2 x.x is monotone in s, so its minimum on a ray is 1 or rho_inv (finite iff x.x is)
     ok = (rho_inv >= DEFAULT_DELTA) & (rho_inv < np.inf)
     if not ok.all():

@@ -71,14 +71,13 @@ def box_monomial(exps):
 def margin(points):
     """1 + x.x = 1 - t^2 + sum(xi^2) (that is, 1/rho) at each row of an (m, dim) array.
 
-    Every singular-set guard measures distance from 1 + x.x = 0 with this
-    one formula; each guard keeps its own threshold and error class.
+    Every singular-set guard takes 1 + x.x from here under np.errstate (an overflowing
+    square fails it as inf or NaN), with its own threshold and error class.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: every guard refuses it
-        sq = np.asarray(points, dtype=float).T ** 2
-        # whole columns added left to right: the order of a row-wise reduction
-        # over the spatial axes, without numpy's slow short-axis reduce
-        return 1.0 - sq[0] + sum(sq[1:], 0.0)
+    sq = np.asarray(points, dtype=float).T ** 2
+    # whole columns added left to right: the order of a row-wise reduction
+    # over the spatial axes, without numpy's slow short-axis reduce
+    return 1.0 - sq[0] + sum(sq[1:], 0.0)
 
 
 def _evaluate(dim, layers, points, rho=False):
@@ -567,9 +566,9 @@ def normalize(raw, dim, den=1):
         else:
             for e, c in poly.terms.items():
                 acc[e] = acc.get(e, 0) + c
-    d = math.lcm(*(c.denominator for terms in layers.values() for c in terms.values()
-                   if type(c) is not int))
-    if d != 1:
+    dens = [c.denominator for t in layers.values() for c in t.values() if type(c) is not int]
+    if dens:
+        d = math.lcm(*dens)
         den *= d
         layers = {s: {e: c * d if type(c) is int else c.numerator * (d // c.denominator)
                       for e, c in terms.items()} for s, terms in layers.items()}

@@ -53,10 +53,11 @@ def poly_to_doc(poly):
     return expr_to_doc(RhoExpr.from_polynomial(poly))
 
 
-def _integer(value, name, least, most=float("inf")):
-    """A JSON integer (not a bool or a float) in [least, most], else FormatError."""
-    if type(value) is not int or not least <= value <= most:
-        raise FormatError(f"{name} must be an integer in [{least}, {most}], got {value!r}")
+def _integer(value, name, least, most=None):
+    """A JSON integer (not a bool or a float) >= least, and <= most if given, else FormatError."""
+    if type(value) is not int or value < least or most is not None and value > most:
+        bound = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise FormatError(f"{name} must be an integer {bound}, got {value!r}")
     return value
 
 

@@ -17,7 +17,7 @@ from pertwave.errors import FormatError
 from pertwave.invert import RayField, recover_n2
 from pertwave.quadrature import MAX_ORDER, QuadratureSpec
 from pertwave.ring import Polynomial, RhoExpr
-from pertwave.serialize import (MAX_EXPONENT, doc_to_poly, expr_to_doc, format_float,
+from pertwave.serialize import (MAX_EXPONENT, doc_to_expr, doc_to_poly, expr_to_doc, format_float,
                                 poly_to_doc, read_doc, read_doc_lines,
                                 read_field_csv, write_doc, write_field_csv)
 from pertwave.solutions import build_phi
@@ -384,6 +384,16 @@ MALFORMED = {
     "huge-rho": one_term_doc(rho_power=MAX_EXPONENT + 1),
     "huge-exponent": one_term_doc(exponents=(0, MAX_EXPONENT + 1)),
 }
+
+
+def test_split_layers_read(tmp_path, capsys):
+    """Two layers at one rho power whose halves sum to integers read as their sum."""
+    half = {"rho_power": 1, "terms": [{"coeff": "1/2", "exponents": [1, 0]}]}
+    path = str(tmp_path / "phi.json")
+    write_doc(path, {"format_version": 1, "dim": 2, "layers": [half, half]})
+    assert main(["verify", "--dim", "2", "--phi", path]) == EXIT_OK
+    assert doc_to_expr(read_doc(path)) == build_phi(Polynomial.coordinate(2, 0), 2).phi
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv, code, kind", [

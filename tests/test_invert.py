@@ -250,10 +250,11 @@ def test_domain_margin_boundary(n, recover):
 
 
 @pytest.mark.parametrize("n, recover", [(2, recover_n2), (4, recover_n4)])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200, -1e200])
 @pytest.mark.parametrize("axis", [0, 1])
 def test_non_finite_point_rejected(n, recover, bad, axis):
-    """NaN or an infinite coordinate fails the ray guard before phi is sampled."""
+    """NaN, an infinite coordinate or one whose square overflows fails the ray guard
+    before phi is sampled, with no RuntimeWarning."""
     def evaluate(points):
         raise AssertionError("sampled a non-finite ray")
 

@@ -278,6 +278,13 @@ class TestIntegerLayers:
         assert rebuilt == x and hash(rebuilt) == hash(x)
         assert x + y - y == x and hash(x + y - y) == hash(x)
 
+    def test_fractions_summing_to_integers(self):
+        """Fractions whose sums are all integral (1/2 + 1/2 at one exponent) clear to ints."""
+        half = Polynomial(2, {(1, 0): Fraction(1, 2)})
+        got = normalize([(0, half), (0, half), (1, half), (1, -half)], 2)
+        assert_representation(got)
+        assert got == RhoExpr.from_polynomial(Polynomial.coordinate(2, 0)) and got.den == 1
+
     def test_layers_view(self):
         """With den 1 the view is the int layers; otherwise it is built once, on first read."""
         t = Polynomial.coordinate(2, 0)
@@ -467,10 +474,11 @@ class TestEval:
         points = np.array([[2.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.5, 0.0, 1.0]])
         assert margin(points).tolist() == [-1.0, 1.0, 1.75]
 
-    def test_margin_overflow_is_silent(self):
-        """Squares that overflow give an infinite or NaN margin and no RuntimeWarning
-        (the test configuration turns one into an error)."""
-        m = margin(np.array([[0.2, 1e200], [1e200, 0.0], [1e200, 1e200], [np.inf, np.inf]]))
+    def test_margin_overflow(self):
+        """Squares that overflow give an infinite or NaN margin, which every guard refuses;
+        the guards compute it under np.errstate, so no RuntimeWarning escapes them."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = margin(np.array([[0.2, 1e200], [1e200, 0.0], [1e200, 1e200], [np.inf, np.inf]]))
         assert m[0] == np.inf and m[1] == -np.inf and np.isnan(m[2:]).all()
 
     @pytest.mark.parametrize("dim", range(1, 9))
