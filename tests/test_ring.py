@@ -4,7 +4,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import nonsingular_points, polynomials, rho_exprs
 from pertwave.basis import wave_basis
@@ -231,6 +231,9 @@ def assert_representation(x):
     assert all(not p.is_zero() for p in x.num.values())
 
 
+HALF_T = Polynomial(2, {(1, 0): Fraction(1, 2)})
+
+
 @st.composite
 def raw_pairs(draw):
     """(dim, [(rho power <= 3, polynomial)]) in dims 1-4, t-degree up to 5, unreduced."""
@@ -259,6 +262,7 @@ class TestIntegerLayers:
 
     @settings(max_examples=60, deadline=None)
     @given(raw_pairs())
+    @example((2, [(0, HALF_T), (0, HALF_T), (1, HALF_T), (1, -HALF_T)]))  # sums are integers
     def test_normalize_matches_rational_reference(self, case):
         dim, raw = case
         got = normalize(raw, dim)
@@ -277,13 +281,6 @@ class TestIntegerLayers:
         rebuilt = RhoExpr(x.dim, x.layers)
         assert rebuilt == x and hash(rebuilt) == hash(x)
         assert x + y - y == x and hash(x + y - y) == hash(x)
-
-    def test_fractions_summing_to_integers(self):
-        """Fractions whose sums are all integral (1/2 + 1/2 at one exponent) clear to ints."""
-        half = Polynomial(2, {(1, 0): Fraction(1, 2)})
-        got = normalize([(0, half), (0, half), (1, half), (1, -half)], 2)
-        assert_representation(got)
-        assert got == RhoExpr.from_polynomial(Polynomial.coordinate(2, 0)) and got.den == 1
 
     def test_layers_view(self):
         """With den 1 the view is the int layers; otherwise it is built once, on first read."""
