@@ -11,6 +11,7 @@ checked and its boundary terms taken once; then each time row is one
 adaptive_gauss batch; evolve_point is the one-node grid.
 Data from an exact phi are restricted to t = a once, exactly: each of u0
 and v0 is one rational function of w, evaluated by Horner in place.
+Tabulated data are a natural cubic spline, one cubic per interval.
 fd_reference is a leapfrog oracle; it shares no code path with the kernel.
 """
 
@@ -75,8 +76,8 @@ class InitialData:
         """
         if expr.dim != 2:
             raise DomainError(f"Cauchy data needs dim 2, got {expr.dim}")
-        if not math.isfinite(a):
-            raise DomainError(f"data slice t = a must be finite, got {a}")
+        if not math.isfinite(a * a):  # a float a^2 overflows to inf, with no warning
+            raise DomainError(f"data slice t = a must be finite, with a finite a^2, got {a}")
         ta, zero = Fraction(a), Polynomial.zero(1)  # Fraction(a) is exact for every float
         m = Polynomial(1, {(0,): 1 - ta * ta, (2,): 1})
         m0 = margin([(a, 0.0)])[0]  # ring.margin at (a, w) is m0 + w^2, rounded as below
@@ -106,37 +107,51 @@ class InitialData:
 
             return data
 
-        return cls(a=float(a), u0=on_slice(expr), v0=on_slice(expr.diff(0)), expr=expr)
+        try:  # rounding an exact coefficient to float overflows for a huge a
+            return cls(a=float(a), u0=on_slice(expr), v0=on_slice(expr.diff(0)), expr=expr)
+        except OverflowError:
+            raise DomainError(f"data on the slice t = {a} overflow a float") from None
 
     @classmethod
     def from_samples(cls, w, u, v, a=0.0):
-        """Natural cubic-spline interpolation of tabulated data.
+        """Natural cubic-spline interpolation of tabulated data (de Boor, ch. IV).
 
-        Evaluation outside the tabulated range raises DomainError so that
-        quadrature abscissae can never silently extrapolate.  scipy is
-        imported here, not with the module, so that importing pertwave does
-        not pay for scipy.interpolate.
+        DomainError outside the table, so quadrature abscissae never extrapolate.
         """
-        from scipy.interpolate import CubicSpline
+        w, y = np.array(w, dtype=float, ndmin=1), np.array([u, v], dtype=float)  # own copies
+        h = np.diff(w)
+        if not (w.size >= 4 and (h > 0).all() and np.isfinite(w).all() and np.isfinite(y).all()):
+            raise DomainError("need at least 4 finite samples, with w strictly increasing")
+        # one Thomas pass for the knot second derivatives M of u and v, zero at both ends:
+        # h[i-1] M[i-1] + 2 (h[i-1] + h[i]) M[i] + h[i] M[i+1] = 6 (slope[i] - slope[i-1])
+        slope = np.diff(y) / h
+        diag, rhs, m = 2.0 * (h[:-1] + h[1:]), 6.0 * np.diff(slope), np.zeros_like(y)
+        for i in range(1, diag.size):  # eliminate the sub-diagonal h[i] ...
+            rhs[:, i] -= h[i] / diag[i - 1] * rhs[:, i - 1]
+            diag[i] -= h[i] / diag[i - 1] * h[i]
+        for i in range(diag.size, 0, -1):  # ... then M[i] from M[i + 1]
+            m[:, i] = (rhs[:, i - 1] - h[i] * m[:, i + 1]) / diag[i - 1]
+        cubics = np.stack([np.diff(m) / (6.0 * h), 0.5 * m[:, :-1],
+                           slope - h * (2.0 * m[:, :-1] + m[:, 1:]) / 6.0, y[:, :-1]], axis=1)
 
-        w = np.asarray(w, dtype=float)
-        if w.size < 4:
-            raise DomainError("need at least 4 samples for cubic interpolation")
-        u_spline = CubicSpline(w, np.asarray(u, dtype=float), bc_type="natural")
-        v_spline = CubicSpline(w, np.asarray(v, dtype=float), bc_type="natural")
-        lo, hi = float(w[0]), float(w[-1])
-
-        def guard(spline):
-            def f(q):
+        def spline(c):  # c[:, i] is interval i's cubic in q - w[i], highest power first
+            def data(q):
                 q = np.atleast_1d(np.asarray(q, dtype=float))
-                if not ((q >= lo) & (q <= hi)).all():  # NaN is outside too
+                if not ((q >= w[0]) & (q <= w[-1])).all():  # NaN is outside too
                     raise DomainError(
-                        f"initial data requested outside tabulated range [{lo}, {hi}]")
-                return spline(q)
+                        f"initial data requested outside tabulated range [{w[0]}, {w[-1]}]")
+                # np.interp looks up from the last interval found (2x searchsorted on sorted q);
+                # its floor may be i + 1 within rounding of w[i + 1], where the cubics agree
+                i = np.minimum(np.interp(q, w, np.arange(w.size)).astype(int), w.size - 2)
+                d, out = q - w[i], c[0, i]
+                for ck in c[1:]:  # Horner in place
+                    out *= d
+                    out += ck[i]
+                return out
 
-            return f
+            return data
 
-        return cls(a=float(a), u0=guard(u_spline), v0=guard(v_spline))
+        return cls(a=float(a), u0=spline(cubics[0]), v0=spline(cubics[1]))
 
 
 @dataclass(frozen=True)

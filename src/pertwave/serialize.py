@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .cauchy import Field2D, Grid2D
 from .errors import FormatError
 from .ring import Polynomial, RhoExpr, normalize
 
@@ -191,7 +192,6 @@ def _read_csv(path, kind, header=None):
 
 
 def read_field_csv(path):
-    from .cauchy import Field2D, Grid2D
     x, t, value = _read_csv(path, "field", ("x", "t", "value")).T
     xs, xi = np.unique(x, return_inverse=True)
     ts, ti = np.unique(t, return_inverse=True)

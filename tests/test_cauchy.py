@@ -4,8 +4,10 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from pertwave import cauchy
 from pertwave.basis import wave_basis
@@ -210,6 +212,102 @@ class TestInitialData:
         d = InitialData.from_samples(w, np.sin(w), np.cos(w))
         with pytest.raises(DomainError, match="outside tabulated range"):
             d.u0(np.array([0.1, bad]))
+
+    @pytest.mark.parametrize("column, index, bad", [
+        ("w", 3, -4.5), ("w", 3, -3.0), ("w", 2, math.nan), ("w", 4, math.inf),
+        ("u", 5, math.nan), ("v", 0, -math.inf)],
+        ids=["w-decreasing", "w-repeated", "w-nan", "w-inf", "u-nan", "v-inf"])
+    def test_bad_table_rejected(self, column, index, bad):
+        """A table no natural spline can pass through is a DomainError."""
+        w = np.arange(-5.0, 6.0)  # w[2] = -3: w[3] = -3 repeats it, w[3] = -4.5 steps back
+        table = {"w": w, "u": np.sin(w), "v": np.cos(w)}
+        table[column][index] = bad
+        with pytest.raises(DomainError, match="finite samples, with w strictly increasing"):
+            InitialData.from_samples(table["w"], table["u"], table["v"])
+
+
+def exact_samples(expr_fn):
+    """w -> (u0(w), v0(w)) for the exact data of expr_fn() on t = 0."""
+    def values(w):
+        d = InitialData.from_rho_expr(expr_fn())
+        return d.u0(w), d.v0(w)
+
+    return values
+
+
+# the from_samples tables of this module and of tests/test_cli.py: w, and w -> (u, v)
+SPLINE_TABLES = {
+    "x-rho-201": (np.linspace(-2.0, 2.0, 201), exact_samples(exact_x_rho)),
+    "sin-cos-11": (np.linspace(-1.0, 1.0, 11), lambda w: (np.sin(w), np.cos(w))),
+    "row-batch-81": (np.linspace(-2.0, 2.0, 81),
+                     lambda w: (np.sin(w) * np.exp(-w * w), np.cos(3.0 * w))),
+    "bump-801": (np.linspace(-4.0, 4.0, 801), lambda w: (np.exp(-8.0 * w * w), 0.0 * w)),
+    "bump-401": (np.linspace(-2.0, 2.0, 401), lambda w: (np.exp(-8.0 * w * w), 0.0 * w)),
+    "tx-301": (np.linspace(-3.0, 3.0, 301), exact_samples(exact_tx)),
+}
+
+
+def assert_matches_scipy(w, u, v, q):
+    """from_samples within 1e-13 max(1, max|y|) of scipy's natural CubicSpline at q,
+    for each of y = u, v: the error a spline through y makes scales with y."""
+    from scipy.interpolate import CubicSpline
+
+    d = InitialData.from_samples(w, u, v)
+    for data, y in ((d.u0, u), (d.v0, v)):
+        expect = CubicSpline(w, y, bc_type="natural")(q)
+        assert np.max(np.abs(data(q) - expect)) <= 1e-13 * max(1.0, np.max(np.abs(y)))
+
+
+def probes(w, rng):
+    """The knots, the interval midpoints and 500 uniform points of a table."""
+    return np.concatenate([w, 0.5 * (w[1:] + w[:-1]), rng.uniform(w[0], w[-1], 500)])
+
+
+class TestNaturalSpline:
+    """from_samples against scipy's CubicSpline(bc_type="natural") as an oracle, and
+    the two properties that define a natural spline."""
+
+    @pytest.mark.parametrize("name", sorted(SPLINE_TABLES))
+    def test_matches_scipy_on_the_test_tables(self, name):
+        w, values = SPLINE_TABLES[name]
+        assert_matches_scipy(w, *values(w), probes(w, np.random.default_rng(5)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=4, max_value=800), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_matches_scipy_on_random_tables(self, size, seed):
+        """Knot spacings within a ratio of 10, values from 1e-3 to 1e6 in size."""
+        rng = np.random.default_rng(seed)
+        gaps = rng.uniform(1.0, 10.0, size - 1) * 10.0 ** rng.uniform(-3.0, 3.0)
+        w = rng.uniform(-100.0, 100.0) + np.concatenate([[0.0], np.cumsum(gaps)])
+        u, v = rng.uniform(-1.0, 1.0, (2, size)) * 10.0 ** rng.uniform(-3.0, 6.0, (2, 1))
+        assert_matches_scipy(w, u, v, probes(w, rng))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=-1000, max_value=1000),
+           st.lists(st.integers(min_value=1, max_value=1000), min_size=3, max_size=60),
+           st.integers(min_value=-12, max_value=8), st.data())
+    def test_interpolates_with_zero_end_curvature(self, start, gaps, scale, data):
+        """Through every knot value, with s'' = 0 at both ends.
+
+        The knots are multiples of 4 * 2^scale, so that the quarter points used below
+        are exact, with spacings within a ratio of 1000: the last knot's value and the
+        end tests lose digits as that ratio grows, for scipy's spline as for this one.
+        On an end interval of width h the spline is a cubic, so with e = +-h/4
+        2 s(w_0) - 5 s(w_0 + e) + 4 s(w_0 + 2e) - s(w_0 + 3e) = e^2 s''(w_0) exactly.
+        """
+        w = 4.0 * 2.0 ** scale * (start + np.concatenate([[0], np.cumsum(gaps)]))
+        values = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+        u, v = (np.array(data.draw(st.lists(values, min_size=w.size, max_size=w.size)))
+                for _ in range(2))
+        d = InitialData.from_samples(w, u, v)
+        for data_fn, y in ((d.u0, u), (d.v0, v)):
+            tol = 1e-11 * max(1.0, np.max(np.abs(y)))
+            got = data_fn(w)
+            assert np.array_equal(got[:-1], y[:-1])  # q - w[i] = 0 leaves y[i] alone
+            assert abs(got[-1] - y[-1]) <= tol
+            for end, inner in ((w[0], w[1]), (w[-1], w[-2])):
+                s = data_fn(end + (inner - end) / 4.0 * np.arange(4))
+                assert abs(2.0 * s[0] - 5.0 * s[1] + 4.0 * s[2] - s[3]) <= tol
 
 
 def slice_reference(expr, a, w):

@@ -40,9 +40,9 @@ def test_import_does_not_load_scipy():
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
-# build, then evolve and invert (more than one block of points) on the phi it
-# wrote, all in one interpreter; exits nonzero if any scipy module got loaded
-# (the same script runs in the CI workflow)
+# every subcommand in one interpreter: build, then verify, evolve and invert (more than
+# one block of points) on the phi it wrote; evolve and fdref on a samples CSV, compared;
+# exits nonzero if any scipy module got loaded (the same script runs in the CI workflow)
 EXACT_EVOLVE = """
 import json, sys
 from pathlib import Path
@@ -58,19 +58,29 @@ Path("pts.csv").write_text("t,x1\\n" + "".join(f"{i / count - 0.5},0.25\\n" for 
 assert main(["invert", "--dim", "2", "--phi", "phi.json", "--points", "pts.csv",
              "--out", "coeffs.csv"]) == 0
 assert len(Path("coeffs.csv").read_text().splitlines()) == count + 1
+assert main(["verify", "--dim", "2", "--phi", "phi.json"]) == 0
+ws = [i / 10 - 2 for i in range(41)]
+Path("samples.csv").write_text("w,u0,v0\\n" + "".join(f"{w},{1 / (1 + w * w)},0\\n" for w in ws))
+for cmd in ("evolve", "fdref"):
+    assert main([cmd, "--grid=-0.5,0.5,11:0,0.3,4", "--data", "samples.csv",
+                 "--out", f"samples-{cmd}.csv"]) == 0
+assert main(["compare", "--a", "samples-evolve.csv", "--b", "samples-fdref.csv",
+             "--tol", "1e-2"]) == 0
 loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 sys.exit(f"scipy modules loaded: {loaded}" if loaded else 0)
 """
 
 
 def test_exact_evolve_does_not_load_scipy(tmp_path):
-    """Exact Cauchy data (a phi document) evolve without scipy in a fresh interpreter."""
+    """Every subcommand, on exact and on tabulated Cauchy data, runs without scipy in a
+    fresh interpreter."""
     src = str(Path(pertwave.__file__).resolve().parent.parent)
     code = f"import sys; sys.path.insert(0, {src!r})\n" + EXACT_EVOLVE
     run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert read_field_csv(str(tmp_path / "field.csv")).values.shape == (11, 4)
+    for name in ("field.csv", "samples-evolve.csv", "samples-fdref.csv"):
+        assert read_field_csv(str(tmp_path / name)).values.shape == (11, 4)
 
 
 def test_parse_grid():
@@ -447,6 +457,10 @@ def test_split_layers_read(tmp_path, capsys):
       "--out", "{tmp}/o.csv"], EXIT_DOMAIN, "domain"),
     (["evolve", "--grid=1e200,2e200,5:1e200,2e200,3", "--data", "{tmp}/phi.json",
       "--out", "{tmp}/o.csv"], EXIT_DOMAIN, "domain"),
+    (["evolve", GRID, "--a", "1e100", "--data", "{tmp}/phi3.json", "--out", "{tmp}/o.csv"],
+     EXIT_DOMAIN, "domain"),
+    (["fdref", GRID, "--a", "1e100", "--data", "{tmp}/phi3.json", "--out", "{tmp}/o.csv"],
+     EXIT_DOMAIN, "domain"),
     *[(["verify", "--dim", "0" if name == "dim-zero" else "2", "--phi", f"{{tmp}}/{name}.json"],
        EXIT_PARSE, "parse") for name in MALFORMED],
 ], ids=["negative-degree", "verify-missing", "build-missing", "evolve-missing",
@@ -456,11 +470,13 @@ def test_split_layers_read(tmp_path, capsys):
         "invert-header-only", "compare-header-only", "evolve-header-only",
         "compare-empty-cell", "compare-missing", "invert-points-missing",
         "evolve-samples-missing", "samples-repeated-w", "samples-nan-u0", "evolve-overflow-grid",
-        "evolve-overflow-both", *MALFORMED])
+        "evolve-overflow-both", "evolve-huge-a", "fdref-huge-a", *MALFORMED])
 def test_error_contract(tmp_path, capsys, argv, code, kind):
     """Every failure exits with its documented code and one error line."""
     phi = build_phi(Polynomial(2, {(1, 1): Fraction(1)}), 2).phi
     write_doc(str(tmp_path / "phi.json"), expr_to_doc(phi))
+    phi3 = build_phi(Polynomial(2, {(3, 0): 1, (1, 2): 3}), 2).phi  # data on t = a of degree 5
+    write_doc(str(tmp_path / "phi3.json"), expr_to_doc(phi3))
     for name, doc in MALFORMED.items():
         write_doc(str(tmp_path / f"{name}.json"), doc)
     (tmp_path / "x.csv").write_text("t,x1\n0.1,0.2\n")
