@@ -352,15 +352,16 @@ def pde_residual_fd(f):
     return Field2D(grid=inner, values=res)
 
 
-def initial_condition_check(d, q=QuadratureSpec(), xs=None, dt_step=1e-4):
+def initial_condition_check(d, q=QuadratureSpec(), xs=None):
     """(max |phi(., a) - u0|, max |d/dt phi(., a) - v0|) over sample positions.
 
     The velocity is taken by a one-sided 4th-order finite difference in t of
-    the closed form, all 5 * len(xs) nodes in one batch.
+    the closed form with step 1e-4, all 5 * len(xs) nodes in one batch.
     """
     if xs is None:
         xs = np.linspace(-1.0, 1.0, 21)
     xs = np.asarray(xs, dtype=float)
+    dt_step = 1e-4
     xx, tt = np.broadcast_arrays(xs, d.a + np.arange(5)[:, None] * dt_step)
     samples = _evolve_nodes(d, xx.ravel()[None], tt.ravel()[None], q).reshape(xx.shape)
     weights = (-25.0, 48.0, -36.0, 16.0, -3.0)

@@ -14,13 +14,12 @@ H rho = -2 rho + 2 rho^2 and x.x = 1/rho - 1: one normalize call per operator.
 A Polynomial coefficient is an int when integral, else a Fraction.  A RhoExpr
 is int layers over one positive den coprime to all their coefficients (a
 unique pair: content and primitive part, Knuth TAOCP 4.6.1), so operators run
-on ints, and its rational ``layers`` are built when read.  normalize clears
-rational input once and divides each rho-layer by 1 + x.x one t-slice at a
-time: from the top t-degree down, the slice t^k A_k(x) sends -A_k to the
-quotient and (1 + sum xi^2) A_k to the slice t^(k-2).  Floating point enters
-only at evaluation: eval_points (Polynomial is its rho^0 case) builds each
-coordinate and rho power once per call for all terms and layers, and exact
-n = 2 Cauchy data are one rational function of w on t = a, evaluated by
+on ints, and its rational ``layers`` are built when read.  normalize is the
+one place that reduces by 1 + x.x: it clears rational input once and divides
+each rho-layer's int terms in place, one t-slice at a time.  Floating point
+enters only at evaluation: eval_points (Polynomial is its rho^0 case) builds
+each coordinate and rho power once per call for all terms and layers, and
+exact n = 2 Cauchy data are one rational function of w on t = a, evaluated by
 Horner (cauchy).
 """
 
@@ -326,37 +325,6 @@ class Polynomial:
         return f"Polynomial({self.dim}, {self})"
 
 
-def _reduce_layer(poly):
-    """Divide by (1 + X) - t^2 with X = sum xi^2, treating t^2 as the head monomial.
-
-    Returns (quotient, remainder) with poly == quotient*(1+x.x) + remainder
-    and remainder of t-degree <= 1, the unique t-reduced representative.
-    Writing poly = sum_k t^k A_k(x), from the top k down to 2 each slice is
-    t^k A_k = -t^(k-2) A_k (1+x.x) + t^(k-2) (1+X) A_k: -A_k goes into the
-    quotient at t^(k-2) and (1+X) A_k merges into A_(k-2).
-    """
-    slices = {}
-    for e, c in poly.terms.items():
-        slices.setdefault(e[0], {})[e[1:]] = c
-    quot = {}
-    for k in range(max(slices, default=0), 1, -1):
-        a = slices.pop(k, None)
-        if not a:
-            continue
-        below = slices.setdefault(k - 2, {})
-        for x, c in a.items():
-            if not c:
-                continue
-            quot[(k - 2,) + x] = -c
-            below[x] = below.get(x, 0) + c
-            for axis in range(len(x)):
-                xe = x[:axis] + (x[axis] + 2,) + x[axis + 1:]
-                below[xe] = below.get(xe, 0) + c
-    rem = {(k,) + x: c for k, a in slices.items() for x, c in a.items()}
-    return (Polynomial(poly.dim, _nonzero(quot), _trusted=True),
-            Polynomial(poly.dim, _nonzero(rem), _trusted=True))
-
-
 class RhoExpr:
     """Canonical element of Q[t, x, rho] / (rho*(1+x.x) - 1), stored as num / den.
 
@@ -549,10 +517,12 @@ def normalize(raw, dim, den=1):
     """Canonical RhoExpr of (sum of the pairs) / den from a list of (rho_power, Polynomial) pairs.
 
     Pairs with the same rho power are summed, and rational coefficients are
-    cleared once by the lcm of their denominators.  Then, from the top layer
-    down, every layer s >= 1 is divided by 1 + x.x (with t^2 as head) in
-    ints; the quotient merges into layer s-1 and the t-reduced remainder
-    stays.  Last, the gcd of den and the coefficients is divided out.
+    cleared once by the lcm of their denominators.  Then comes the one
+    reduction by 1 + x.x, with t^2 as head term (Cox, Little & O'Shea, ch. 2
+    section 3): from the top layer s >= 1 down, and in it from the top t-slice
+    t^k A_k(x) with k >= 2 down, -A_k joins layer s-1 at t^(k-2) and
+    (1 + sum xi^2) A_k joins the slice k-2, leaving each layer at t-degree <= 1.
+    Last, the gcd of den and the coefficients is divided out.
     """
     layers = {}
     for s, poly in raw:
@@ -574,12 +544,20 @@ def normalize(raw, dim, den=1):
                       for e, c in terms.items()} for s, terms in layers.items()}
     for s in range(max(layers, default=0), 0, -1):
         terms = layers.get(s)
-        if terms and max(e[0] for e in terms) >= 2:
-            quot, rem = _reduce_layer(Polynomial(dim, terms, _trusted=True))
-            layers[s] = rem.terms
-            below = layers.setdefault(s - 1, {})
-            for e, c in quot.terms.items():
-                below[e] = below.get(e, 0) + c
+        if not terms or max(e[0] for e in terms) < 2:
+            continue
+        slices, quot = {}, layers.setdefault(s - 1, {})
+        for e, c in terms.items():
+            slices.setdefault(e[0], {})[e[1:]] = c
+        for k in range(max(slices), 1, -1):
+            below = slices.setdefault(k - 2, {})
+            for x, c in slices.pop(k, {}).items():
+                if c:
+                    e = (k - 2,) + x
+                    quot[e] = quot.get(e, 0) - c
+                    for xe in (x, *(x[:i] + (x[i] + 2,) + x[i + 1:] for i in range(len(x)))):
+                        below[xe] = below.get(xe, 0) + c
+        layers[s] = {(k,) + x: c for k, a in slices.items() for x, c in a.items()}
     layers = {s: terms for s, terms in
               ((s, {e: c for e, c in terms.items() if c}) for s, terms in layers.items()) if terms}
     g = math.gcd(den, *(c for terms in layers.values() for c in terms.values()))

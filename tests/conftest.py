@@ -1,7 +1,18 @@
+import contextlib
+import warnings
+
 import hypothesis.strategies as st
 import numpy as np
 
 from pertwave.ring import Polynomial, RhoExpr
+
+# hypothesis imports its failure-patch writer (and libcst, which emits a
+# DeprecationWarning on import) inside pytest_runtest_makereport when a test
+# fails; under a module's filterwarnings("error") mark that warning became an
+# INTERNALERROR that ended the run, so import it here with the warning ignored.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 

@@ -372,6 +372,8 @@ BAD_CSV = {
     "field-empty-cell.csv": "x,t,value\n0,0,1\n1,0,\n0,1,3\n1,1,4\n",
     "samples-repeated-w.csv": "w,u0,v0\n-1,0,0\n-0.5,0,0\n0,1,0\n-0.5,1,0\n0.5,0,0\n1,0,0\n",
     "samples-nan-u0.csv": "w,u0,v0\n-1,0,0\n-0.5,nan,0\n0,1,0\n0.5,0,0\n1,0,0\n",
+    "points-nan.csv": "t,x1\n0.1,0.2\n0.1,nan\n",
+    "points-inf.csv": "t,x1\ninf,0.2\n",
 }
 
 
@@ -393,6 +395,10 @@ MALFORMED = {
     "version-float": {**one_term_doc(), "format_version": 1.0},
     "huge-rho": one_term_doc(rho_power=MAX_EXPONENT + 1),
     "huge-exponent": one_term_doc(exponents=(0, MAX_EXPONENT + 1)),
+    # reading would reduce each by 1 + x.x past serialize.MAX_REDUCTION
+    "reduction-high-t": one_term_doc(rho_power=1, exponents=(640, 0)),
+    "reduction-deep": one_term_doc(rho_power=MAX_EXPONENT, exponents=(92, 0)),
+    "reduction-dim-8": one_term_doc(dim=8, rho_power=1, exponents=(20,) + (0,) * 7),
 }
 
 
@@ -461,6 +467,13 @@ def test_split_layers_read(tmp_path, capsys):
      EXIT_DOMAIN, "domain"),
     (["fdref", GRID, "--a", "1e100", "--data", "{tmp}/phi3.json", "--out", "{tmp}/o.csv"],
      EXIT_DOMAIN, "domain"),
+    (["evolve", GRID, "--data", "{tmp}/phi.json", "--abs-tol", "1e-300", "--out", "{tmp}/o.csv"],
+     EXIT_TOLERANCE, "tolerance"),
+    (["invert", "--dim", "2", "--phi", "{tmp}/phi.json", "--points", "{tmp}/points-nan.csv",
+      "--out", "{tmp}/o.csv"], EXIT_PARSE, "parse"),
+    (["invert", "--dim", "2", "--phi", "{tmp}/phi.json", "--points", "{tmp}/points-inf.csv",
+      "--out", "{tmp}/o.csv"], EXIT_PARSE, "parse"),
+    (["evolve", GRID, "--data", "{tmp}/phi.json", "--out", "{tmp}"], EXIT_USAGE, "usage"),
     *[(["verify", "--dim", "0" if name == "dim-zero" else "2", "--phi", f"{{tmp}}/{name}.json"],
        EXIT_PARSE, "parse") for name in MALFORMED],
 ], ids=["negative-degree", "verify-missing", "build-missing", "evolve-missing",
@@ -470,7 +483,8 @@ def test_split_layers_read(tmp_path, capsys):
         "invert-header-only", "compare-header-only", "evolve-header-only",
         "compare-empty-cell", "compare-missing", "invert-points-missing",
         "evolve-samples-missing", "samples-repeated-w", "samples-nan-u0", "evolve-overflow-grid",
-        "evolve-overflow-both", "evolve-huge-a", "fdref-huge-a", *MALFORMED])
+        "evolve-overflow-both", "evolve-huge-a", "fdref-huge-a", "evolve-tolerance",
+        "invert-nan-point", "invert-inf-point", "evolve-out-is-directory", *MALFORMED])
 def test_error_contract(tmp_path, capsys, argv, code, kind):
     """Every failure exits with its documented code and one error line."""
     phi = build_phi(Polynomial(2, {(1, 1): Fraction(1)}), 2).phi
@@ -489,3 +503,4 @@ def test_error_contract(tmp_path, capsys, argv, code, kind):
     assert main([a.format(tmp=tmp_path) for a in argv]) == code
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {kind}:")
+    assert ".pertwave-" not in err[0] and not list(tmp_path.glob(".pertwave-*"))

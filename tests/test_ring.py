@@ -10,7 +10,7 @@ from conftest import nonsingular_points, polynomials, rho_exprs
 from pertwave.basis import wave_basis
 from pertwave.errors import DimensionMismatch, SingularPoint
 from pertwave.hyp2f1 import radial_numerator
-from pertwave.ring import Polynomial, RhoExpr, _reduce_layer, margin, normalize
+from pertwave.ring import Polynomial, RhoExpr, margin, normalize
 from pertwave.serialize import doc_to_expr, expr_to_doc
 from pertwave.solutions import build_phi, residual
 
@@ -93,11 +93,18 @@ def t_heavy_polynomials(draw):
     return Polynomial(dim, draw(st.dictionaries(exps, coeffs, max_size=6)))
 
 
+def reduce_layer(poly):
+    """(quotient, remainder) of poly by 1 + x.x, read off normalize of poly * rho:
+    the remainder stays in layer 1 and the quotient moves down to layer 0."""
+    layers, zero = normalize([(1, poly)], poly.dim).layers, Polynomial.zero(poly.dim)
+    return layers.get(0, zero), layers.get(1, zero)
+
+
 class TestReduceLayer:
     @settings(max_examples=150, deadline=None)
     @given(t_heavy_polynomials())
     def test_matches_work_list_reference(self, poly):
-        quot, rem = _reduce_layer(poly)
+        quot, rem = reduce_layer(poly)
         assert (quot, rem) == work_list_reduce(poly)
         assert poly == quot * one_plus_xx(poly.dim) + rem
         assert rem.t_degree() <= 1
@@ -106,7 +113,7 @@ class TestReduceLayer:
     def test_slices_merge(self):
         """t^4 reduces through t^2: quotient -(t^2 + 1 + x^2), remainder (1 + x^2)^2."""
         t4 = Polynomial(2, {(4, 0): 1})
-        quot, rem = _reduce_layer(t4)
+        quot, rem = reduce_layer(t4)
         assert quot == Polynomial(2, {(2, 0): -1, (0, 0): -1, (0, 2): -1})
         assert rem == Polynomial(2, {(0, 0): 1, (0, 2): 2, (0, 4): 1})
 

@@ -10,8 +10,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from conftest import rho_exprs
 from pertwave.cauchy import Field2D, Grid2D
 from pertwave.errors import FormatError
-from pertwave.ring import Polynomial, RhoExpr
-from pertwave.serialize import (FORMAT_VERSION, MAX_EXPONENT, atomic_write_text,
+from pertwave.ring import Polynomial, RhoExpr, normalize
+from pertwave.serialize import (FORMAT_VERSION, MAX_EXPONENT, MAX_REDUCTION, atomic_write_text,
                                 bundle_to_doc, doc_to_expr, doc_to_poly,
                                 dumps, expr_to_doc, field_to_csv, format_float,
                                 poly_to_doc,
@@ -79,6 +79,21 @@ class TestExprDocs:
                 doc_to_expr(doc)
             layer[key] -= 1
 
+    def test_reduction_bound(self):
+        """t^998 at rho^1 in dim 1 weighs 1 * C(499 + 1, 1) * min(1, 499) = 500: layers of
+        it that weigh MAX_REDUCTION in all read (they sum to one), one more is refused;
+        a normal form weighs nothing."""
+        layer = {"rho_power": 1, "terms": [{"coeff": "1/1", "exponents": [998]}]}
+        count = MAX_REDUCTION // 500
+        assert count * 500 == MAX_REDUCTION
+        doc = {"format_version": 1, "dim": 1, "layers": [layer] * count}
+        assert doc_to_expr(doc) == normalize([(1, Polynomial(1, {(998,): count}))], 1)
+        doc["layers"].append(layer)
+        with pytest.raises(FormatError, match=f"of size {MAX_REDUCTION + 500} > {MAX_REDUCTION}"):
+            doc_to_expr(doc)
+        big = build_phi(Polynomial(8, {(1,) + (3,) * 7: 1}), 8, check=False).phi
+        assert doc_to_expr(expr_to_doc(big)) == big
+
     def test_bundle_doc(self):
         bundle = build_phi(Polynomial(2, {(1, 1): Fraction(1)}), 2)
         doc = bundle_to_doc(bundle)
@@ -115,6 +130,23 @@ class TestFiles:
         assert [doc_to_poly(d) for d in docs] == polys
         with open(path) as f:
             assert len(f.read().strip().splitlines()) == 2
+
+    def test_read_doc_lines_bad_json(self, tmp_path):
+        path = tmp_path / "basis.jsonl"
+        path.write_text('{"format_version": 1}\n{not json\n')
+        with pytest.raises(FormatError, match="invalid JSON lines"):
+            read_doc_lines(str(path))
+
+    @pytest.mark.parametrize("target", ["out", "missing/out.txt"])
+    def test_atomic_write_failure_names_path(self, tmp_path, target):
+        """A rename onto a directory, or a missing directory, fails with an OSError that
+        names the requested path, and no temp file is left behind."""
+        (tmp_path / "out").mkdir()
+        path = str(tmp_path / target)
+        with pytest.raises(OSError) as info:
+            atomic_write_text(path, "hello\n")
+        assert info.value.filename == path and ".pertwave-" not in str(info.value)
+        assert os.listdir(tmp_path) == ["out"] and os.listdir(tmp_path / "out") == []
 
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         path = str(tmp_path / "out.txt")
