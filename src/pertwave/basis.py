@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import factorial, gcd
 
-from .errors import DimensionMismatch, UnsupportedDim
+from .errors import DomainError
 from .ring import Polynomial, box_monomial
 
 MAX_DEGREE = 12
@@ -83,12 +83,11 @@ def wave_basis(n, k):
     a multiple of that monomial.
     """
     if n < 2:
-        raise DimensionMismatch(f"dimension must be >= 2, got {n}")
+        raise DomainError(f"dimension must be >= 2, got {n}")
     if k < 0:
         raise ValueError(f"degree must be >= 0, got {k}")
     if k > MAX_DEGREE:
-        raise UnsupportedDim(
-            f"degree {k} exceeds the supported cap {MAX_DEGREE}")
+        raise ValueError(f"degree {k} exceeds the supported cap {MAX_DEGREE}")
     elements = tuple(_seed(n, e) for e in monomials(n, k) if e[0] <= 1)
     return WaveBasis(dim=n, degree=k, elements=elements)
 

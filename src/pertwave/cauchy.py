@@ -24,8 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (CFLViolation, DomainError, GridTooSmall, KernelPole,
-                     SingularPoint, SingularRegion)
+from .errors import DomainError
 from .quadrature import QuadratureSpec, adaptive_gauss
 from .ring import _SING_TOL, Polynomial, RhoExpr, margin
 
@@ -37,7 +36,7 @@ EPS_SING = 1e-3
 
 
 def _check_margin(x, t, message):
-    """SingularRegion unless 1 + x^2 - t^2 is finite and >= EPS_SING at every (x, t).
+    """DomainError unless 1 + x^2 - t^2 is finite and >= EPS_SING at every (x, t).
 
     x and t broadcast together; `message` is formatted with the first
     offending x, t, its margin m and eps = EPS_SING.  A NaN or infinite
@@ -50,7 +49,7 @@ def _check_margin(x, t, message):
     if bad.size:
         k = bad[0]
         text = message if np.isfinite(m[k]) else "point (x={x}, t={t}) has margin {m}"
-        raise SingularRegion(text.format(x=points[k, 1], t=points[k, 0], m=m[k], eps=EPS_SING))
+        raise DomainError(text.format(x=points[k, 1], t=points[k, 0], m=m[k], eps=EPS_SING))
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ class InitialData:
                 den = w * w
                 den += m0
                 if (np.abs(den) < _SING_TOL).any():
-                    raise SingularPoint(f"data slice t = {a} meets the singular set 1 + x.x = 0")
+                    raise DomainError(f"data slice t = {a} meets the singular set 1 + x.x = 0")
                 rho = np.divide(1.0, den, out=den)
                 for _ in range(top):
                     out *= rho
@@ -165,7 +164,7 @@ class Grid2D:
 
     def __post_init__(self):
         if self.nx < 2 or self.nt < 2:
-            raise GridTooSmall(f"grid needs nx, nt >= 2, got {self.nx}x{self.nt}")
+            raise DomainError(f"grid needs nx, nt >= 2, got {self.nx}x{self.nt}")
         if not (-math.inf < self.x_min < self.x_max < math.inf
                 and -math.inf < self.t_min < self.t_max < math.inf):  # NaN fails it too
             raise DomainError("grid bounds must be finite and increasing")
@@ -185,7 +184,7 @@ class Grid2D:
         return (self.t_max - self.t_min) / (self.nt - 1)
 
     def check_singularity(self):
-        """SingularRegion unless the whole rectangle keeps 1 + x^2 - t^2 >= EPS_SING."""
+        """DomainError unless the whole rectangle keeps 1 + x^2 - t^2 >= EPS_SING."""
         _check_margin(np.clip(0.0, self.x_min, self.x_max), max(abs(self.t_min), abs(self.t_max)),
                       "grid reaches 1 + x^2 - t^2 = {m} < {eps}")
 
@@ -198,8 +197,7 @@ class Field2D:
     def __post_init__(self):
         expected = (self.grid.nx, self.grid.nt)
         if self.values.shape != expected:
-            raise DomainError(
-                f"values shape {self.values.shape} does not match grid {expected}")
+            raise DomainError(f"values shape {self.values.shape} does not match grid {expected}")
         if not np.all(np.isfinite(self.values)):
             raise DomainError("field contains non-finite values")
 
@@ -207,8 +205,8 @@ class Field2D:
 def _check_data_intervals(a, w_lo, w_hi):
     """Guard the kernel denominator 1 - a^2 + w^2 on each data interval on t = a.
 
-    Row by row: KernelPole if an interval holds a zero of it, else SingularRegion
-    unless it stays >= EPS_SING, checked at each interval's point nearest w = 0.
+    Row by row: DomainError if an interval holds a zero of it, or else unless it
+    stays >= EPS_SING, checked at each interval's point nearest w = 0.
     """
     if 1.0 - a * a >= EPS_SING:
         return  # 1 - a^2 + w^2 >= 1 - a^2 >= EPS_SING everywhere
@@ -216,8 +214,7 @@ def _check_data_intervals(a, w_lo, w_hi):
     for lo, hi in zip(np.minimum(w_lo, w_hi), np.maximum(w_lo, w_hi)):
         for w_star in (pole, -pole):  # nodes on t = a integrate over nothing
             if np.any((lo <= w_star) & (w_star <= hi) & (lo < hi)):
-                raise KernelPole(
-                    f"kernel denominator 1 - a^2 + w^2 vanishes at w = {w_star}")
+                raise DomainError(f"kernel denominator 1 - a^2 + w^2 vanishes at w = {w_star}")
         _check_margin(np.clip(0.0, lo, hi), a,
                       "data slice t = {t} has 1 - t^2 + w^2 = {m} < {eps} at w = {x}")
 
@@ -289,7 +286,7 @@ def fd_reference(d, g, cfl=0.9, refine=1):
     divides the spatial step for convergence studies.
     """
     if not 0.0 < cfl <= 0.95:  # written so that NaN fails it too
-        raise CFLViolation(f"cfl must be in (0, 0.95], got {cfl}")
+        raise ValueError(f"cfl must be in (0, 0.95], got {cfl}")
     if not refine >= 1:
         raise ValueError(f"refine must be >= 1, got {refine}")
     if abs(g.t_min - d.a) > 1e-12:
@@ -341,7 +338,7 @@ def pde_residual_fd(f):
     """
     g = f.grid
     if g.nx < 5 or g.nt < 5:
-        raise GridTooSmall(f"residual stencil needs nx, nt >= 5, got {g.nx}x{g.nt}")
+        raise DomainError(f"residual stencil needs nx, nt >= 5, got {g.nx}x{g.nt}")
     xs, ts = g.xs(), g.ts()
     vals = f.values
     dxx = (vals[2:, 1:-1] - 2.0 * vals[1:-1, 1:-1] + vals[:-2, 1:-1]) / g.dx ** 2

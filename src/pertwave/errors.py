@@ -1,61 +1,23 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules: one class per CLI exit code.
+
+cli.main maps FormatError to exit 3 (parse), DomainError to exit 4 (domain)
+and ToleranceNotMet to exit 5 (tolerance).  A ValueError is a usage error,
+exit 2.  The message of each error names its reason.
+"""
 
 
 class PertwaveError(Exception):
     """Base class for every error raised by this package."""
 
 
-class DimensionMismatch(PertwaveError):
-    pass
-
-
-class SingularPoint(PertwaveError):
-    """Evaluation attempted on the singular set 1 + x.x = 0."""
-
-
-class NotAWavePolynomial(PertwaveError):
-    pass
-
-
-class UnsupportedDim(PertwaveError):
-    pass
-
-
-class DivergentIntegral(PertwaveError):
-    pass
-
-
-class NonTerminatingSeries(PertwaveError):
-    pass
-
-
-class HypergeomPole(PertwaveError):
-    """Lower parameter c hits a pole before the series terminates."""
+class FormatError(PertwaveError):
+    """Malformed input document or CSV."""
 
 
 class DomainError(PertwaveError):
-    pass
+    """Input outside the domain of the solutions: a singular point or region, a kernel
+    pole, a dimension or degree without a solution, a non-terminating series."""
 
 
 class ToleranceNotMet(PertwaveError):
-    pass
-
-
-class SingularRegion(PertwaveError):
-    pass
-
-
-class KernelPole(PertwaveError):
-    """Cauchy-kernel denominator 1 - a^2 + w^2 vanishes inside the integration interval."""
-
-
-class CFLViolation(PertwaveError):
-    pass
-
-
-class GridTooSmall(PertwaveError):
-    pass
-
-
-class FormatError(PertwaveError):
-    """Malformed input document or CSV."""
+    """A numerical result could not meet its requested tolerance."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import HypergeomPole, NonTerminatingSeries, UnsupportedDim
+from .errors import DomainError
 from .ring import Polynomial
 
 
@@ -37,13 +37,12 @@ def hyp2f1_terminating(params):
     """F[a, b, c, z] as an exact dim-1 Polynomial in z.
 
     Requires a or b to be a non-positive integer so the series terminates;
-    raises HypergeomPole if c hits a pole before the truncation order.
+    raises DomainError if c hits a pole before the truncation order.
     """
     a, b, c = Fraction(params.a), Fraction(params.b), Fraction(params.c)
     stops = [int(-v) for v in (a, b) if _nonpos_int(v)]
     if not stops:
-        raise NonTerminatingSeries(
-            f"no upper parameter of F[{a},{b},{c},z] is a non-positive integer")
+        raise DomainError(f"no upper parameter of F[{a},{b},{c},z] is a non-positive integer")
     m = min(stops)
     coeffs = {}
     term = Fraction(1)
@@ -52,8 +51,7 @@ def hyp2f1_terminating(params):
         if j == m:
             break
         if c + j == 0:
-            raise HypergeomPole(
-                f"lower parameter c={c} hits a pole at series index {j + 1}")
+            raise DomainError(f"lower parameter c={c} hits a pole at series index {j + 1}")
         term = term * (a + j) * (b + j) / ((c + j) * (j + 1))
     return Polynomial(1, coeffs)
 
@@ -61,7 +59,7 @@ def hyp2f1_terminating(params):
 def radial_numerator(n, k):
     """N(u) = (-u)^{n/2} F[-n/2, k-1, k+n/2, 1/u] as a dim-1 Polynomial in u."""
     if n % 2 or n < 2:
-        raise UnsupportedDim(f"even n >= 2 required, got {n}")
+        raise DomainError(f"even n >= 2 required, got {n}")
     half = n // 2
     series = hyp2f1_terminating(
         GaussParams(Fraction(-half), Fraction(k - 1), Fraction(k + half)))

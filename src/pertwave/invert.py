@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError
+from .errors import DomainError
 from .quadrature import QuadratureSpec, adaptive_gauss
 from .ring import RhoExpr, margin
 
@@ -68,7 +68,7 @@ def _check_rays(f, points):
     """(points, 1 + x.x per row), once points is (m, f.dim) and every ray is admissible."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != f.dim:
-        raise DimensionMismatch(f"points of shape {points.shape}, expected (m, {f.dim})")
+        raise DomainError(f"points of shape {points.shape}, expected (m, {f.dim})")
     with np.errstate(over="ignore", invalid="ignore"):
         rho_inv = margin(points)
     # 1 + s^2 x.x is monotone in s, so its minimum on a ray is 1 or rho_inv (finite iff x.x is)

@@ -31,7 +31,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularPoint
+from .errors import DomainError
 
 # Evaluation guard: |1 + x.x| below this is treated as the singular set.
 # For O(1) coordinates 1 + x.x has then lost 12 of its ~16 significant digits
@@ -90,12 +90,12 @@ def _evaluate(dim, layers, points, rho=False):
     if points.ndim == 1:
         points = points[None, :]
     if points.shape[1] != dim:
-        raise DimensionMismatch(f"points have {points.shape[1]} coords, expected {dim}")
+        raise DomainError(f"points have {points.shape[1]} coords, expected {dim}")
     powers = [[None, col] for col in points.T]  # powers[axis][k]; axis dim is rho
     if rho:
         denom = margin(points)
         if (np.abs(denom) < _SING_TOL).any():
-            raise SingularPoint("evaluation on the singular set 1 + x.x = 0")
+            raise DomainError("evaluation on the singular set 1 + x.x = 0")
         powers.append([None, 1.0 / denom])
     keys = [e + (s,) for s, p in layers.items() for e in p.terms]
     for row, top in zip(powers, map(max, zip(*keys))):
@@ -126,7 +126,7 @@ class Polynomial:
 
     def __init__(self, dim, terms=None, _trusted=False):
         if dim < 1:
-            raise DimensionMismatch(f"dim must be >= 1, got {dim}")
+            raise DomainError(f"dim must be >= 1, got {dim}")
         self.dim = int(dim)
         if terms is None:
             self.terms = {}
@@ -137,8 +137,7 @@ class Polynomial:
             for exps, coeff in terms.items():
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != self.dim:
-                    raise DimensionMismatch(
-                        f"exponent tuple {exps} does not match dim {self.dim}")
+                    raise DomainError(f"exponent tuple {exps} does not match dim {self.dim}")
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
                 clean[exps] = clean.get(exps, 0) + Fraction(coeff)
@@ -160,7 +159,7 @@ class Polynomial:
     @classmethod
     def coordinate(cls, dim, axis):
         if not 0 <= axis < dim:
-            raise DimensionMismatch(f"axis {axis} out of range for dim {dim}")
+            raise DomainError(f"axis {axis} out of range for dim {dim}")
         exps = [0] * dim
         exps[axis] = 1
         return cls(dim, {tuple(exps): 1}, _trusted=True)
@@ -202,7 +201,7 @@ class Polynomial:
 
     def _check_dim(self, other):
         if self.dim != other.dim:
-            raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
+            raise DomainError(f"dim {self.dim} vs {other.dim}")
 
     def __add__(self, other):
         if isinstance(other, Polynomial):
@@ -250,7 +249,7 @@ class Polynomial:
 
     def diff(self, axis):
         if not 0 <= axis < self.dim:
-            raise DimensionMismatch(f"axis {axis} out of range for dim {self.dim}")
+            raise DomainError(f"axis {axis} out of range for dim {self.dim}")
         terms = {}
         for e, c in self.terms.items():
             k = e[axis]
@@ -391,7 +390,7 @@ class RhoExpr:
 
     def _check_dim(self, other):
         if self.dim != other.dim:
-            raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
+            raise DomainError(f"dim {self.dim} vs {other.dim}")
 
     def __add__(self, other):
         if not isinstance(other, RhoExpr):
@@ -435,7 +434,7 @@ class RhoExpr:
     def diff(self, axis):
         """Partial derivative; uses d(rho)/dt = 2t rho^2, d(rho)/dxi = -2 xi rho^2."""
         if not 0 <= axis < self.dim:
-            raise DimensionMismatch(f"axis {axis} out of range for dim {self.dim}")
+            raise DomainError(f"axis {axis} out of range for dim {self.dim}")
         coord = Polynomial.coordinate(self.dim, axis)
         raw = []
         for s, p in self.num.items():
@@ -529,7 +528,7 @@ def normalize(raw, dim, den=1):
         if s < 0:
             raise ValueError("rho powers must be non-negative")
         if poly.dim != dim:
-            raise DimensionMismatch(f"dim {poly.dim} vs {dim}")
+            raise DomainError(f"dim {poly.dim} vs {dim}")
         acc = layers.get(s)
         if acc is None:
             layers[s] = dict(poly.terms)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +29,9 @@ MAX_EXPONENT = 1024
 # reduced term times the layers it passes through: reads under 0.2 s on a 2-vCPU Xeon
 # VM at this limit.  A normal form (t-degree <= 1 at every s >= 1) sums to 0.
 MAX_REDUCTION = 100_000
+# A field CSV's nodes may lie off the uniform grid through their ends by at most
+# this fraction of a step; the 17-digit floats pertwave writes read back exactly.
+UNIFORM_TOL = 1e-9
 
 
 def _parse_coeff(s):
@@ -111,11 +113,16 @@ def dumps(doc):
 
 
 def atomic_write_text(path, text):
-    """Write text to path by a temp file beside it and a rename; OSErrors name path."""
+    """Write text to path by a temp file beside it and a rename; OSErrors name path.
+
+    The temp file is made as open(path, "w") makes a file, mode 0666 less the umask.
+    """
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".pertwave-")
-        with os.fdopen(fd, "w") as handle:
+        folder = os.path.dirname(os.path.abspath(path))
+        name = os.path.join(folder, f".pertwave-{os.urandom(8).hex()}")
+        with open(name, "x") as handle:  # the name is ours to remove only once it is made
+            tmp = name
             handle.write(text)
         os.replace(tmp, path)
     except OSError as exc:
@@ -209,6 +216,12 @@ def read_field_csv(path):
         raise FormatError(f"{path}: field CSV must hold each cell of a grid exactly once")
     grid = Grid2D(x_min=float(xs[0]), x_max=float(xs[-1]), nx=xs.size,
                   t_min=float(ts[0]), t_max=float(ts[-1]), nt=ts.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # a span that overflows is off too
+        for axis, nodes, uniform in (("x", xs, grid.xs()), ("t", ts, grid.ts())):
+            off = ~(np.abs(nodes - uniform) <= UNIFORM_TOL * (uniform[1] - uniform[0]))
+            if off.any():
+                raise FormatError(f"{path}: field CSV {axis} = {nodes[off.argmax()]} is off the "
+                                  f"uniform grid by more than {UNIFORM_TOL} of a step")
     values = np.empty((xs.size, ts.size))
     values.flat[cells] = value
     return Field2D(grid=grid, values=values)

@@ -19,14 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .basis import is_wave_polynomial
-from .errors import DivergentIntegral, DomainError, NotAWavePolynomial, UnsupportedDim
+from .errors import DomainError
 from .ring import Polynomial, RhoExpr, normalize
 
 
 def recursion_step(p_next, n, r):
     """One step P_r from P_{r+1} of the downward recursion (even n)."""
     if n % 2 or n < 2:
-        raise UnsupportedDim(f"recursion defined for even n >= 2, got {n}")
+        raise DomainError(f"recursion defined for even n >= 2, got {n}")
     if not 0 <= r <= n // 2 - 1:
         raise IndexError(f"recursion index r={r} out of range for n={n}")
     factor = Fraction(2 * (r + 1), (n - 2 * r) * (n + 2 * r + 2))
@@ -57,11 +57,11 @@ def build_phi(seed, n, check=True):
     cleared once, into phi's denominator, and the reduction runs on ints.
     """
     if n % 2 or n < 2:
-        raise UnsupportedDim(f"explicit solutions exist for even n >= 2, got {n}")
+        raise DomainError(f"explicit solutions exist for even n >= 2, got {n}")
     if seed.dim != n:
         raise DomainError(f"seed has dim {seed.dim}, expected {n}")
     if check and not is_wave_polynomial(seed):
-        raise NotAWavePolynomial(f"box(seed) != 0 for seed {seed}")
+        raise DomainError(f"box(seed) != 0 for seed {seed}")
     coeffs = [seed]
     for r in range(n // 2 - 1, -1, -1):
         coeffs.append(recursion_step(coeffs[-1], n, r))
@@ -70,7 +70,7 @@ def build_phi(seed, n, check=True):
     if check:
         for p in coeffs[1:]:
             if not is_wave_polynomial(p):
-                raise NotAWavePolynomial(f"recursion produced box(P) != 0: {p}")
+                raise DomainError(f"recursion produced box(P) != 0: {p}")
         if not residual(phi, n).is_zero():
             raise DomainError("constructed phi does not solve the equation")
     return bundle
@@ -90,8 +90,7 @@ def residual(phi, n):
 def psi0_residual(n):
     """box(rho^{(n-2)/2}) + n(n-2) rho^{(n+2)/2}, exactly, for even n >= 4."""
     if n % 2 or n < 4:
-        raise UnsupportedDim(
-            f"psi0 = rho^{{(n-2)/2}} is a ring element only for even n >= 4, got {n}")
+        raise DomainError(f"psi0 = rho^{{(n-2)/2}} is a ring element only for even n >= 4, got {n}")
     r = (n - 2) // 2
     return RhoExpr.rho(n, r).box() + RhoExpr.rho(n, (n + 2) // 2).scale(n * (n - 2))
 
@@ -140,14 +139,13 @@ def beta_coefficients(n, k):
     the t ~ 0 endpoint of every Beta integral is integrable.
     """
     if n % 2 or n < 2:
-        raise UnsupportedDim(f"even n >= 2 required, got {n}")
+        raise DomainError(f"even n >= 2 required, got {n}")
     half = n // 2
     out = []
     for r in range(half, -1, -1):
         p = k + half - 1 - r
         if p <= 0:
-            raise DivergentIntegral(
-                f"integral diverges at t=0 for n={n}, k={k}, r={r}")
+            raise DomainError(f"integral diverges at t=0 for n={n}, k={k}, r={r}")
         q = half + r + 1
         out.append(Fraction(math.comb(half, r)) * _beta_int(p, q))
     return out

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 from pertwave.basis import is_wave_polynomial, monomials, wave_basis
-from pertwave.errors import DimensionMismatch, UnsupportedDim
+from pertwave.errors import DomainError
 from pertwave.ring import Polynomial, grlex_key
 
 
@@ -185,7 +185,7 @@ def test_is_wave_polynomial_examples():
 
 
 def test_degree_cap_and_bad_dim():
-    with pytest.raises(UnsupportedDim):
+    with pytest.raises(ValueError, match="degree 13 exceeds the supported cap 12"):
         wave_basis(2, 13)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DomainError, match="dimension must be >= 2"):
         wave_basis(1, 2)

@@ -42,7 +42,7 @@ def test_import_does_not_load_scipy():
 
 # every subcommand in one interpreter: build, then verify, evolve and invert (more than
 # one block of points) on the phi it wrote; evolve and fdref on a samples CSV, compared;
-# exits nonzero if any scipy module got loaded (the same script runs in the CI workflow)
+# exits nonzero if any scipy module got loaded
 EXACT_EVOLVE = """
 import json, sys
 from pathlib import Path
@@ -83,6 +83,22 @@ def test_exact_evolve_does_not_load_scipy(tmp_path):
         assert read_field_csv(str(tmp_path / name)).values.shape == (11, 4)
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_written_files_follow_the_umask(tmp_path, umask, mode):
+    """Files the CLI writes get mode 0666 less the umask, as open(path, "w") gives."""
+    src = str(Path(pertwave.__file__).resolve().parent.parent)
+    seed = write_seed(tmp_path, Polynomial.coordinate(2, 0))
+    code = (f"import sys; sys.path.insert(0, {src!r}); from pertwave.cli import main; "
+            "sys.exit(main(['basis', '--dim', '2', '--degree', '2', '--out', 'b.jsonl']) or "
+            f"main(['build', '--dim', '2', '--seed', {seed!r}, '--out', 'bundle.json']))")
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, umask=umask,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    for name in ("b.jsonl", "bundle.json"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == mode
+
+
 def test_parse_grid():
     g = parse_grid("-1,1,11:0,0.5,6")
     assert g == Grid2D(-1.0, 1.0, 11, 0.0, 0.5, 6)
@@ -103,8 +119,8 @@ class TestBasis:
     def test_bad_degree(self, tmp_path, capsys):
         out = str(tmp_path / "basis.jsonl")
         code = main(["basis", "--dim", "2", "--degree", "40", "--out", out])
-        assert code == EXIT_DOMAIN
-        assert "error: domain:" in capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "error: usage: degree 40 exceeds the supported cap 12" in capsys.readouterr().err
 
 
 class TestBuildVerify:
@@ -374,6 +390,9 @@ BAD_CSV = {
     "samples-nan-u0.csv": "w,u0,v0\n-1,0,0\n-0.5,nan,0\n0,1,0\n0.5,0,0\n1,0,0\n",
     "points-nan.csv": "t,x1\n0.1,0.2\n0.1,nan\n",
     "points-inf.csv": "t,x1\ninf,0.2\n",
+    # x = 0, 0.1, 1 is not the uniform grid x = 0, 0.5, 1 it would otherwise read as
+    "field-off-grid.csv": "x,t,value\n0,0,1\n0.1,0,2\n1,0,3\n0,1,1\n0.1,1,2\n1,1,3\n",
+    "field-on-grid.csv": "x,t,value\n0,0,1\n0.5,0,2\n1,0,3\n0,1,1\n0.5,1,2\n1,1,3\n",
 }
 
 
@@ -414,6 +433,7 @@ def test_split_layers_read(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, code, kind", [
     (["basis", "--dim", "4", "--degree", "-1", "--out", "{tmp}/b.jsonl"], EXIT_USAGE, "usage"),
+    (["basis", "--dim", "4", "--degree", "13", "--out", "{tmp}/b.jsonl"], EXIT_USAGE, "usage"),
     (["verify", "--dim", "2", "--phi", "{tmp}/missing.json"], EXIT_USAGE, "usage"),
     (["build", "--dim", "2", "--seed", "{tmp}/missing.json", "--out", "{tmp}/b.json"],
      EXIT_USAGE, "usage"),
@@ -428,7 +448,11 @@ def test_split_layers_read(tmp_path, capsys):
     (["fdref", GRID, "--data", "{tmp}/phi.json", "--refine", "-1", "--out", "{tmp}/o.csv"],
      EXIT_USAGE, "usage"),
     (["fdref", GRID, "--data", "{tmp}/phi.json", "--cfl", "nan", "--out", "{tmp}/o.csv"],
-     EXIT_DOMAIN, "domain"),
+     EXIT_USAGE, "usage"),
+    (["fdref", GRID, "--data", "{tmp}/phi.json", "--cfl", "2", "--out", "{tmp}/o.csv"],
+     EXIT_USAGE, "usage"),
+    (["fdref", GRID, "--data", "{tmp}/phi.json", "--cfl", "0", "--out", "{tmp}/o.csv"],
+     EXIT_USAGE, "usage"),
     (["verify", "--dim", "4", "--phi", "{tmp}/phi.json"], EXIT_DOMAIN, "domain"),
     (["compare", "--a", "{tmp}/f.csv", "--b", "{tmp}/f.csv", "--tol", "nan"],
      EXIT_USAGE, "usage"),
@@ -474,17 +498,21 @@ def test_split_layers_read(tmp_path, capsys):
     (["invert", "--dim", "2", "--phi", "{tmp}/phi.json", "--points", "{tmp}/points-inf.csv",
       "--out", "{tmp}/o.csv"], EXIT_PARSE, "parse"),
     (["evolve", GRID, "--data", "{tmp}/phi.json", "--out", "{tmp}"], EXIT_USAGE, "usage"),
+    (["compare", "--a", "{tmp}/field-off-grid.csv", "--b", "{tmp}/field-on-grid.csv", "--tol", "0"],
+     EXIT_PARSE, "parse"),
     *[(["verify", "--dim", "0" if name == "dim-zero" else "2", "--phi", f"{{tmp}}/{name}.json"],
        EXIT_PARSE, "parse") for name in MALFORMED],
-], ids=["negative-degree", "verify-missing", "build-missing", "evolve-missing",
-        "bad-order", "nan-abs-tol", "refine-zero", "refine-negative", "nan-cfl",
+], ids=["negative-degree", "degree-above-cap", "verify-missing", "build-missing",
+        "evolve-missing", "bad-order", "nan-abs-tol", "refine-zero", "refine-negative", "nan-cfl",
+        "cfl-above-cap", "cfl-zero",
         "verify-dim-mismatch", "compare-nan-tol", "compare-other-grid", "evolve-nan-grid",
         "evolve-nan-a", "fdref-nan-grid", "order-above-cap", "inf-abs-tol",
         "invert-header-only", "compare-header-only", "evolve-header-only",
         "compare-empty-cell", "compare-missing", "invert-points-missing",
         "evolve-samples-missing", "samples-repeated-w", "samples-nan-u0", "evolve-overflow-grid",
         "evolve-overflow-both", "evolve-huge-a", "fdref-huge-a", "evolve-tolerance",
-        "invert-nan-point", "invert-inf-point", "evolve-out-is-directory", *MALFORMED])
+        "invert-nan-point", "invert-inf-point", "evolve-out-is-directory", "compare-off-grid",
+        *MALFORMED])
 def test_error_contract(tmp_path, capsys, argv, code, kind):
     """Every failure exits with its documented code and one error line."""
     phi = build_phi(Polynomial(2, {(1, 1): Fraction(1)}), 2).phi

@@ -7,7 +7,7 @@ import pytest
 from pertwave import invert
 from pertwave.basis import wave_basis
 from pertwave.cli import INVERT_BLOCK
-from pertwave.errors import DimensionMismatch, DomainError, ToleranceNotMet
+from pertwave.errors import DomainError, ToleranceNotMet
 from pertwave.invert import KERNELS, RayField, h_shift_inverse, recover, recover_n2, recover_n4
 from pertwave.quadrature import MAX_ORDER, QuadratureSpec, adaptive_gauss
 from pertwave.ring import Polynomial, RhoExpr, margin
@@ -396,9 +396,9 @@ def test_dim_without_kernels():
     (2, lambda f, x: h_shift_inverse(f, 0, x, Q)),
 ], ids=["recover", "recover-flat", "recover_n2", "recover_n4", "h_shift_inverse"])
 def test_point_shape_checked_before_sampling(dim, call):
-    """A point with one coordinate too many on a black-box field is a DimensionMismatch."""
+    """A point with one coordinate too many on a black-box field is a DomainError."""
     def evaluate(points):
         raise AssertionError("sampled a point of the wrong shape")
 
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DomainError, match=rf"points of shape .*, expected \(m, {dim}\)"):
         call(RayField(dim=dim, evaluate=evaluate), np.full(dim + 1, 0.1))

@@ -206,6 +206,28 @@ class TestFieldCsv:
         with pytest.raises(FormatError):
             read_field_csv(path)
 
+    @pytest.mark.parametrize("axis", ["x", "t"])
+    @pytest.mark.parametrize("nodes, ok", [
+        ((0.0, 0.1, 1.0), False), ((0.0, 0.5 - 6e-10, 1.0), False),
+        ((0.0, 0.5 - 4e-10, 1.0), True), ((0.0, 0.5 + 4e-10, 1.0), True),
+        ((-1e308, 0.0, 1e308), False),  # the step overflows: no uniform grid to compare with
+    ])
+    def test_nodes_on_the_uniform_grid(self, tmp_path, axis, nodes, ok):
+        """Three nodes on one axis read as the grid through their ends only when the middle
+        one is within 1e-9 of a step of the midpoint."""
+        other = (0.0, 1.0)
+        cells = ([(x, t) for t in other for x in nodes] if axis == "x"
+                 else [(x, t) for t in nodes for x in other])
+        path = tmp_path / "field.csv"
+        rows = "".join(f"{x!r},{t!r},{i}\n" for i, (x, t) in enumerate(cells))
+        path.write_text("x,t,value\n" + rows)
+        if ok:
+            nx, nt = (3, 2) if axis == "x" else (2, 3)
+            assert read_field_csv(str(path)).grid == Grid2D(0.0, 1.0, nx, 0.0, 1.0, nt)
+        else:
+            with pytest.raises(FormatError, match=f"field CSV {axis} = .* is off the uniform"):
+                read_field_csv(str(path))
+
 
 class TestPointAndSampleCsv:
     def test_points(self, tmp_path):

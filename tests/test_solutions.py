@@ -8,8 +8,7 @@ import pytest
 from conftest import nonsingular_points
 from pertwave import solutions
 from pertwave.basis import is_wave_polynomial, wave_basis
-from pertwave.errors import (DivergentIntegral, DomainError,
-                             NotAWavePolynomial, UnsupportedDim)
+from pertwave.errors import DomainError
 from pertwave.ring import Polynomial, RhoExpr
 from pertwave.serialize import bundle_to_doc, dumps, expr_to_doc
 from pertwave.solutions import (beta_coefficients, build_phi,
@@ -90,7 +89,7 @@ def test_phi_numeric_residual():
 
 
 def test_rejects_non_wave_seed():
-    with pytest.raises(NotAWavePolynomial):
+    with pytest.raises(DomainError, match=r"box\(seed\) != 0"):
         build_phi(P(2, {(2, 0): 1}), 2)
 
 
@@ -109,9 +108,9 @@ def test_each_coefficient_checked_once(monkeypatch, n):
 
 
 def test_rejects_odd_dim():
-    with pytest.raises(UnsupportedDim):
+    with pytest.raises(DomainError, match="explicit solutions exist for even n >= 2, got 3"):
         build_phi(P(3, {(0, 0, 0): 1}), 3)
-    with pytest.raises(UnsupportedDim):
+    with pytest.raises(DomainError, match="recursion defined for even n >= 2, got 3"):
         recursion_step(RhoExpr.constant(3, 1), 3, 0)
 
 
@@ -132,7 +131,7 @@ def test_psi0_residual_zero(n):
 
 def test_psi0_rejects_small_or_odd():
     for n in (2, 3, 5):
-        with pytest.raises(UnsupportedDim):
+        with pytest.raises(DomainError, match=f"only for even n >= 4, got {n}"):
             psi0_residual(n)
 
 
@@ -194,9 +193,9 @@ class TestBetaCoefficients:
             assert seed.scale(c / cs[0]) == bundle.coefficients[i]
 
     def test_divergent(self):
-        with pytest.raises(DivergentIntegral):
+        with pytest.raises(DomainError, match="integral diverges at t=0 for n=2, k=1"):
             beta_coefficients(2, 1)
-        with pytest.raises(UnsupportedDim):
+        with pytest.raises(DomainError, match="even n >= 2 required, got 3"):
             beta_coefficients(3, 2)
 
 
