@@ -17,12 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
-from .errors import DomainError
-from .ring import Polynomial, box_monomial
+from .ring import Polynomial
 
 MAX_DEGREE = 12
+# Most monomials wave_basis(n, k) may enumerate, C(k + n - 1, n - 1), before it
+# refuses: wave_basis(10, 10) (92 378) takes 2.3 s on a 2-vCPU Xeon VM.
+MAX_MONOMIALS = 100_000
 
 
 def monomials(dim, degree):
@@ -45,19 +47,16 @@ def _seed(n, exps):
     It is the Cauchy-Kovalevskaya series (e0 <= 1)
     P = sum_j t^(e0+2j) e0!/(e0+2j)! Lap^j x^alpha,
     scaled by (e0+2J)!/e0! (J the last nonzero j) to integer coefficients and
-    then by their gcd.  Lap^j x^alpha has positive coefficients, so every
-    coefficient of P is positive, the graded-lex-largest one included.
+    then by their gcd.  On the t-free x^alpha, Polynomial.box is the spatial
+    Laplacian, so each Lap^j x^alpha is one box call on the one before it.
+    Lap^j x^alpha has positive coefficients, so every coefficient of P is
+    positive, the graded-lex-largest one included.
     """
-    e0 = exps[0]
-    layers = [{(0,) + exps[1:]: 1}]  # Lap^j x^alpha on t-free exponents
-    while True:
-        lap = {}
-        for e, c in layers[-1].items():
-            for e2, f in box_monomial(e):
-                lap[e2] = lap.get(e2, 0) + c * f
-        if not lap:
-            break
-        layers.append(lap)
+    e0, layers = exps[0], []
+    p = Polynomial(n, {(0,) + exps[1:]: 1}, _trusted=True)  # x^alpha, t-free
+    while p.terms:
+        layers.append(p.terms)
+        p = p.box()
     top = factorial(e0 + 2 * (len(layers) - 1))
     # Term order is the order every evaluation sums in: the t-degree <= 1
     # monomial first, then the rest descending graded-lex.
@@ -83,11 +82,14 @@ def wave_basis(n, k):
     a multiple of that monomial.
     """
     if n < 2:
-        raise DomainError(f"dimension must be >= 2, got {n}")
+        raise ValueError(f"dimension must be >= 2, got {n}")
     if k < 0:
         raise ValueError(f"degree must be >= 0, got {k}")
     if k > MAX_DEGREE:
         raise ValueError(f"degree {k} exceeds the supported cap {MAX_DEGREE}")
+    if (count := comb(k + n - 1, n - 1)) > MAX_MONOMIALS:
+        raise ValueError(f"dim {n}, degree {k} has {count} monomials, "
+                         f"above the cap {MAX_MONOMIALS}")
     elements = tuple(_seed(n, e) for e in monomials(n, k) if e[0] <= 1)
     return WaveBasis(dim=n, degree=k, elements=elements)
 

@@ -82,11 +82,12 @@ class InitialData:
         m0 = margin([(a, 0.0)])[0]  # ring.margin at (a, w) is m0 + w^2, rounded as below
 
         def on_slice(phi):
-            top, num = max(phi.layers, default=0), zero
-            for s in range(top + 1):  # Horner in m over the layers
-                terms = phi.layers.get(s, zero).terms.items()
+            top, num = max(phi.num, default=0), zero
+            for s in range(top + 1):  # Horner in m over the int layers, then over den once
+                terms = phi.num.get(s, zero).terms.items()
                 num = num * m + sum((Polynomial.monomial(1, e[1:], c * ta ** e[0])
                                      for e, c in terms), zero)
+            num = num.scale(Fraction(1, phi.den))
             coeffs = [float(num.terms.get((k,), 0)) for k in range(num.degree(), -1, -1)] or [0.0]
 
             def data(w):

@@ -1,7 +1,8 @@
 """Command-line entry point: basis / build / verify / invert / evolve / fdref / compare.
 
 Exit codes: 0 success, 2 usage, 3 parse error, 4 domain or singularity
-error, 5 tolerance or verification failure.  Every failure, argument errors
+error (a float overflow or invalid operation included), 5 tolerance or
+verification failure.  Every failure, argument errors
 included, prints a single machine-readable "error: <kind>: <reason>" line on
 stderr.
 """
@@ -214,14 +215,15 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        with np.errstate(over="raise", invalid="raise"):  # one domain error, not warnings
+            return globals()[f"cmd_{args.command}"](args)
     except errors.FormatError as exc:
         print(f"error: parse: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except errors.ToleranceNotMet as exc:
         print(f"error: tolerance: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
-    except errors.PertwaveError as exc:
+    except (errors.PertwaveError, FloatingPointError) as exc:
         print(f"error: domain: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (ValueError, OSError) as exc:

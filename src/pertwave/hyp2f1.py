@@ -15,31 +15,23 @@ exactly in ring.Polynomial(dim=1) (u is coordinate 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
 from .ring import Polynomial
 
 
-@dataclass(frozen=True)
-class GaussParams:
-    a: Fraction
-    b: Fraction
-    c: Fraction
-
-
 def _nonpos_int(v):
     return v.denominator == 1 and v <= 0
 
 
-def hyp2f1_terminating(params):
-    """F[a, b, c, z] as an exact dim-1 Polynomial in z.
+def hyp2f1_terminating(a, b, c):
+    """F[a, b, c, z] as an exact dim-1 Polynomial in z, for rationals a, b, c.
 
     Requires a or b to be a non-positive integer so the series terminates;
     raises DomainError if c hits a pole before the truncation order.
     """
-    a, b, c = Fraction(params.a), Fraction(params.b), Fraction(params.c)
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
     stops = [int(-v) for v in (a, b) if _nonpos_int(v)]
     if not stops:
         raise DomainError(f"no upper parameter of F[{a},{b},{c},z] is a non-positive integer")
@@ -61,8 +53,7 @@ def radial_numerator(n, k):
     if n % 2 or n < 2:
         raise DomainError(f"even n >= 2 required, got {n}")
     half = n // 2
-    series = hyp2f1_terminating(
-        GaussParams(Fraction(-half), Fraction(k - 1), Fraction(k + half)))
+    series = hyp2f1_terminating(-half, k - 1, k + half)
     # series is a polynomial in w = 1/u of degree <= n/2; multiplying by
     # (-u)^{n/2} sends w^j to (-1)^{n/2} u^{n/2-j}
     sign = (-1) ** half

@@ -12,13 +12,14 @@ form (RhoExpr.box, RhoExpr.euler_h), from d_mu rho = -2 x_mu rho^2,
 H rho = -2 rho + 2 rho^2 and x.x = 1/rho - 1: one normalize call per operator.
 
 A Polynomial coefficient is an int when integral, else a Fraction.  A RhoExpr
-is int layers over one positive den coprime to all their coefficients (a
-unique pair: content and primitive part, Knuth TAOCP 4.6.1), so operators run
-on ints, and its rational ``layers`` are built when read.  normalize is the
-one place that reduces by 1 + x.x: it clears rational input once and divides
-each rho-layer's int terms in place, one t-slice at a time.  Floating point
-enters only at evaluation: eval_points (Polynomial is its rho^0 case) builds
-each coordinate and rho power once per call for all terms and layers, and
+is stored one way only: int layers over one positive den coprime to all their
+coefficients (a unique pair: content and primitive part, Knuth TAOCP 4.6.1),
+so operators run on ints; its rational ``layers`` are a view built on each
+read.  normalize is the one place that reduces by 1 + x.x: it clears rational
+input once and divides each rho-layer's int terms in place, one t-slice at a
+time.  Floating point enters only at evaluation: eval_points (Polynomial is
+its rho^0 case) rounds each int coefficient over den once, as c / den, and
+builds each coordinate and rho power once per call for all terms and layers;
 exact n = 2 Cauchy data are one rational function of w on t = a, evaluated by
 Horner (cauchy).
 """
@@ -58,13 +59,17 @@ def _nonzero(terms):
             for e, c in terms.items() if c}
 
 
-def box_monomial(exps):
-    """box of the monomial with exponents exps, as (exponents, integer factor) pairs.
+def _check_dim(a, b):
+    if a != b:
+        raise DomainError(f"dim {a} vs {b}")
 
-    -d2/dt2 gives -e0(e0-1) on t and each d2/dxi2 gives +ei(ei-1) on xi.
-    """
-    return [(exps[:axis] + (k - 2,) + exps[axis + 1:], k * (k - 1) if axis else -k * (k - 1))
-            for axis, k in enumerate(exps) if k >= 2]
+
+def _join(parts):
+    """Display terms joined by their signs ("a - b" for a part "-b"); "0" for none."""
+    out = parts[0] if parts else "0"
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
 
 
 def margin(points):
@@ -79,12 +84,13 @@ def margin(points):
     return 1.0 - sq[0] + sum(sq[1:], 0.0)
 
 
-def _evaluate(dim, layers, points, rho=False):
+def _evaluate(dim, layers, points, den=None):
     """sum_s P_s rho^s at each row of an (m, dim) array, from layers {s: P_s}.
 
     Powers come from repeated multiplication (numpy's pow is far slower for
-    k >= 3).  With rho set, rho = 1/(1 + x.x) after the _SING_TOL guard;
-    without it, layers may only hold s = 0.
+    k >= 3).  Given den, the layers hold ints over it, each rounded once as
+    c / den (int true division), and rho = 1/(1 + x.x) after the _SING_TOL
+    guard; without it, layers may only hold s = 0.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -92,7 +98,7 @@ def _evaluate(dim, layers, points, rho=False):
     if points.shape[1] != dim:
         raise DomainError(f"points have {points.shape[1]} coords, expected {dim}")
     powers = [[None, col] for col in points.T]  # powers[axis][k]; axis dim is rho
-    if rho:
+    if den is not None:
         denom = margin(points)
         if (np.abs(denom) < _SING_TOL).any():
             raise DomainError("evaluation on the singular set 1 + x.x = 0")
@@ -105,7 +111,7 @@ def _evaluate(dim, layers, points, rho=False):
     for s, p in layers.items():
         acc = 0.0
         for e, c in p.terms.items():
-            term = float(c)
+            term = float(c) if den is None else c / den
             for row, k in zip(powers, e):
                 if k:
                     term *= row[k]  # float * array first: powers are never written
@@ -187,11 +193,6 @@ class Polynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def t_degree(self):
-        if not self.terms:
-            return -1
-        return max(e[0] for e in self.terms)
-
     def sorted_terms(self):
         """Terms in descending graded-lex order (leading term first)."""
         return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]),
@@ -199,13 +200,9 @@ class Polynomial:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _check_dim(self, other):
-        if self.dim != other.dim:
-            raise DomainError(f"dim {self.dim} vs {other.dim}")
-
     def __add__(self, other):
         if isinstance(other, Polynomial):
-            self._check_dim(other)
+            _check_dim(self.dim, other.dim)
             terms = dict(self.terms)
             for e, c in other.terms.items():
                 terms[e] = terms.get(e, 0) + c
@@ -221,7 +218,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            self._check_dim(other)
+            _check_dim(self.dim, other.dim)
             terms = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
@@ -261,11 +258,14 @@ class Polynomial:
         return Polynomial(self.dim, _nonzero(terms), _trusted=True)
 
     def box(self):
-        """D'Alembertian -d2/dt2 + sum_i d2/dxi2, term by term (box_monomial)."""
+        """D'Alembertian -d2/dt2 + sum_i d2/dxi2, term by term: a power k >= 2 of
+        t gives -k(k-1), of xi +k(k-1), on the power k - 2."""
         terms = {}
         for e, c in self.terms.items():
-            for de, f in box_monomial(e):
-                terms[de] = terms.get(de, 0) + c * f
+            for axis, k in enumerate(e):
+                if k >= 2:
+                    de = e[:axis] + (k - 2,) + e[axis + 1:]
+                    terms[de] = terms.get(de, 0) + c * (k * (k - 1) if axis else -k * (k - 1))
         return Polynomial(self.dim, _nonzero(terms), _trusted=True)
 
     def euler_h(self):
@@ -283,9 +283,6 @@ class Polynomial:
     def eval_points(self, points):
         """Evaluate at an (m, dim) float array; returns an (m,) array."""
         return _evaluate(self.dim, {0: self}, points)
-
-    def __call__(self, point):
-        return float(self.eval_points(np.reshape(point, (1, -1)))[0])
 
     # -- display ----------------------------------------------------------
 
@@ -312,13 +309,7 @@ class Polynomial:
         return f"{coeff}*{body}"
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = [self._term_str(e, c) for e, c in self.sorted_terms()]
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _join([self._term_str(e, c) for e, c in self.sorted_terms()])
 
     def __repr__(self):
         return f"Polynomial({self.dim}, {self})"
@@ -332,34 +323,25 @@ class RhoExpr:
     ``den`` is a positive int coprime to all of num's coefficients.
     """
 
-    __slots__ = ("dim", "den", "num", "_layers")
+    __slots__ = ("dim", "den", "num")
 
     def __init__(self, dim, layers, _den=None):
         if _den is None:  # any rational layers; given _den, int layers in normal form over it
             built = normalize(list(layers.items()), dim)
             layers, _den = built.num, built.den
-        self.dim, self.den, self.num, self._layers = dim, _den, layers, None
+        self.dim, self.den, self.num = dim, _den, layers
 
     @property
     def layers(self):
-        """{s: Polynomial} with rational coefficients, built on first read (num if den is 1)."""
-        if self._layers is None:
-            self._layers = self.num if self.den == 1 else {
-                s: p.scale(Fraction(1, self.den)) for s, p in self.num.items()}
-        return self._layers
+        """{s: Polynomial} with rational coefficients, built on each read (num if den is 1)."""
+        return self.num if self.den == 1 else {
+            s: p.scale(Fraction(1, self.den)) for s, p in self.num.items()}
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, dim):
         return cls(dim, {}, 1)
-
-    @classmethod
-    def constant(cls, dim, value):
-        value = _coeff(value)
-        if not value:
-            return cls.zero(dim)
-        return cls(dim, {0: Polynomial.constant(dim, value.numerator)}, value.denominator)
 
     @classmethod
     def from_polynomial(cls, poly, rho_power=0):
@@ -369,8 +351,6 @@ class RhoExpr:
     def rho(cls, dim, power=1):
         if power < 0:
             raise ValueError("rho powers must be non-negative")
-        if power == 0:
-            return cls.constant(dim, 1)
         return cls(dim, {power: Polynomial.constant(dim, 1)}, 1)
 
     # -- structure --------------------------------------------------------
@@ -388,14 +368,10 @@ class RhoExpr:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _check_dim(self, other):
-        if self.dim != other.dim:
-            raise DomainError(f"dim {self.dim} vs {other.dim}")
-
     def __add__(self, other):
         if not isinstance(other, RhoExpr):
             return NotImplemented
-        self._check_dim(other)
+        _check_dim(self.dim, other.dim)
         den = math.lcm(self.den, other.den)
         return normalize([(s, p.scale(den // x.den)) for x in (self, other)
                           for s, p in x.num.items()], self.dim, den)
@@ -408,7 +384,7 @@ class RhoExpr:
 
     def __mul__(self, other):
         if isinstance(other, RhoExpr):
-            self._check_dim(other)
+            _check_dim(self.dim, other.dim)
             raw = []
             for s1, p1 in self.num.items():
                 for s2, p2 in other.num.items():
@@ -477,19 +453,14 @@ class RhoExpr:
 
     def eval_points(self, points):
         """Evaluate at an (m, dim) float array, substituting rho = 1/(1+x.x)."""
-        return _evaluate(self.dim, self.layers, points, rho=True)
-
-    def __call__(self, point):
-        return float(self.eval_points(np.reshape(point, (1, -1)))[0])
+        return _evaluate(self.dim, self.num, points, self.den)
 
     # -- display ----------------------------------------------------------
 
     def __str__(self):
-        if not self.layers:
-            return "0"
-        chunks = []
-        for s in sorted(self.layers):
-            p = self.layers[s]
+        chunks, layers = [], self.layers
+        for s in sorted(layers):
+            p = layers[s]
             if s == 0:
                 chunks.append(str(p))
             else:
@@ -503,10 +474,7 @@ class RhoExpr:
                     chunks.append(f"{body}*{rho}")
                 else:
                     chunks.append(f"({body})*{rho}")
-        out = chunks[0]
-        for c in chunks[1:]:
-            out += f" - {c[1:]}" if c.startswith("-") else f" + {c}"
-        return out
+        return _join(chunks)
 
     def __repr__(self):
         return f"RhoExpr({self.dim}, {self})"
@@ -527,8 +495,7 @@ def normalize(raw, dim, den=1):
     for s, poly in raw:
         if s < 0:
             raise ValueError("rho powers must be non-negative")
-        if poly.dim != dim:
-            raise DomainError(f"dim {poly.dim} vs {dim}")
+        _check_dim(poly.dim, dim)
         acc = layers.get(s)
         if acc is None:
             layers[s] = dict(poly.terms)

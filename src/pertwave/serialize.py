@@ -51,7 +51,7 @@ def expr_to_doc(expr):
     return {
         "format_version": FORMAT_VERSION,
         "dim": expr.dim,
-        "layers": [_layer_entry(s, expr.layers[s]) for s in sorted(expr.layers)],
+        "layers": [_layer_entry(s, p) for s, p in sorted(expr.layers.items())],
     }
 
 
@@ -93,7 +93,7 @@ def doc_to_expr(doc):
 
 def doc_to_poly(doc):
     expr = doc_to_expr(doc)
-    if set(expr.layers) - {0}:
+    if set(expr.num) - {0}:
         raise FormatError("expected a pure polynomial document (rho power 0 only)")
     return expr.layers.get(0, Polynomial.zero(expr.dim))
 

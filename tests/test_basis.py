@@ -1,10 +1,9 @@
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
-from pertwave.basis import is_wave_polynomial, monomials, wave_basis
-from pertwave.errors import DomainError
+from pertwave.basis import MAX_MONOMIALS, is_wave_polynomial, monomials, wave_basis
 from pertwave.ring import Polynomial, grlex_key
 
 
@@ -187,5 +186,15 @@ def test_is_wave_polynomial_examples():
 def test_degree_cap_and_bad_dim():
     with pytest.raises(ValueError, match="degree 13 exceeds the supported cap 12"):
         wave_basis(2, 13)
-    with pytest.raises(DomainError, match="dimension must be >= 2"):
-        wave_basis(1, 2)
+    for n in (1, 0):
+        with pytest.raises(ValueError, match=f"dimension must be >= 2, got {n}"):
+            wave_basis(n, 2)
+
+
+def test_monomial_cap():
+    """A count C(k + n - 1, n - 1) above the cap is refused before any enumeration:
+    dim 9 is the first above it at degree 12, and (10, 10) is under it."""
+    assert comb(10 + 10 - 1, 10 - 1) <= MAX_MONOMIALS < comb(12 + 9 - 1, 9 - 1)
+    for n, k in [(9, 12), (13, 8)]:
+        with pytest.raises(ValueError, match=f"dim {n}, degree {k} has 125970 monomials, above"):
+            wave_basis(n, k)

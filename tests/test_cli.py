@@ -40,6 +40,11 @@ def test_import_does_not_load_scipy():
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
+def test_public_names_resolve():
+    """Every name in pertwave.__all__ is bound in the package (no stale export)."""
+    assert [name for name in pertwave.__all__ if not hasattr(pertwave, name)] == []
+
+
 # every subcommand in one interpreter: build, then verify, evolve and invert (more than
 # one block of points) on the phi it wrote; evolve and fdref on a samples CSV, compared;
 # exits nonzero if any scipy module got loaded
@@ -500,6 +505,15 @@ def test_split_layers_read(tmp_path, capsys):
     (["evolve", GRID, "--data", "{tmp}/phi.json", "--out", "{tmp}"], EXIT_USAGE, "usage"),
     (["compare", "--a", "{tmp}/field-off-grid.csv", "--b", "{tmp}/field-on-grid.csv", "--tol", "0"],
      EXIT_PARSE, "parse"),
+    # every guard passes, but w^2 on the data intervals (|w| near 2e154) overflows
+    (["evolve", "--grid=1e154,1.3e154,3:0,9e153,3", "--data", "{tmp}/phit.json",
+      "--out", "{tmp}/o.csv"], EXIT_DOMAIN, "domain"),
+    # the ray is admissible, but x^3 overflows at x = 1e150
+    (["invert", "--dim", "2", "--phi", "{tmp}/phicube.json", "--points", "{tmp}/far.csv",
+      "--out", "{tmp}/o.csv"], EXIT_DOMAIN, "domain"),
+    (["basis", "--dim", "1", "--degree", "2", "--out", "{tmp}/b.jsonl"], EXIT_USAGE, "usage"),
+    (["basis", "--dim", "0", "--degree", "2", "--out", "{tmp}/b.jsonl"], EXIT_USAGE, "usage"),
+    (["basis", "--dim", "13", "--degree", "8", "--out", "{tmp}/b.jsonl"], EXIT_USAGE, "usage"),
     *[(["verify", "--dim", "0" if name == "dim-zero" else "2", "--phi", f"{{tmp}}/{name}.json"],
        EXIT_PARSE, "parse") for name in MALFORMED],
 ], ids=["negative-degree", "degree-above-cap", "verify-missing", "build-missing",
@@ -512,13 +526,18 @@ def test_split_layers_read(tmp_path, capsys):
         "evolve-samples-missing", "samples-repeated-w", "samples-nan-u0", "evolve-overflow-grid",
         "evolve-overflow-both", "evolve-huge-a", "fdref-huge-a", "evolve-tolerance",
         "invert-nan-point", "invert-inf-point", "evolve-out-is-directory", "compare-off-grid",
-        *MALFORMED])
+        "evolve-overflow-data", "invert-overflow-point", "basis-dim-1", "basis-dim-0",
+        "basis-above-monomial-cap", *MALFORMED])
 def test_error_contract(tmp_path, capsys, argv, code, kind):
     """Every failure exits with its documented code and one error line."""
     phi = build_phi(Polynomial(2, {(1, 1): Fraction(1)}), 2).phi
     write_doc(str(tmp_path / "phi.json"), expr_to_doc(phi))
     phi3 = build_phi(Polynomial(2, {(3, 0): 1, (1, 2): 3}), 2).phi  # data on t = a of degree 5
     write_doc(str(tmp_path / "phi3.json"), expr_to_doc(phi3))
+    for name, seed in (("phit", {(1, 0): 1}), ("phicube", {(2, 1): 3, (0, 3): 1})):
+        phi = build_phi(Polynomial(2, seed), 2).phi
+        write_doc(str(tmp_path / f"{name}.json"), expr_to_doc(phi))
+    (tmp_path / "far.csv").write_text("t,x1\n0,1e150\n")
     for name, doc in MALFORMED.items():
         write_doc(str(tmp_path / f"{name}.json"), doc)
     (tmp_path / "x.csv").write_text("t,x1\n0.1,0.2\n")

@@ -129,7 +129,7 @@ class TestShiftInverse:
         assert got == pytest.approx(expr.eval_points(x[None, :])[0], rel=1e-12)
 
     def test_negative_shift_rejected(self):
-        f = RayField.from_rho_expr(RhoExpr.constant(2, 1))
+        f = RayField.from_rho_expr(RhoExpr.rho(2, 0))
         with pytest.raises(ValueError):
             h_shift_inverse(f, -1, np.array([0.1, 0.1]), Q)
 

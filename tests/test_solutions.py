@@ -111,12 +111,12 @@ def test_rejects_odd_dim():
     with pytest.raises(DomainError, match="explicit solutions exist for even n >= 2, got 3"):
         build_phi(P(3, {(0, 0, 0): 1}), 3)
     with pytest.raises(DomainError, match="recursion defined for even n >= 2, got 3"):
-        recursion_step(RhoExpr.constant(3, 1), 3, 0)
+        recursion_step(RhoExpr.rho(3, 0), 3, 0)
 
 
 def test_recursion_index_range():
     with pytest.raises(IndexError):
-        recursion_step(RhoExpr.constant(4, 1), 4, 2)
+        recursion_step(RhoExpr.rho(4, 0), 4, 2)
 
 
 def test_seed_dim_mismatch():
