@@ -8,7 +8,10 @@ from initial position data u0 and velocity data v0 given at t = a.  Its two
 kernel integrals share the data interval, oriented as in the closed form
 from w = x + (t-a) to w = x - (t-a), so they are one integrand.  A grid is
 checked and its boundary terms taken once; then each time row is one
-adaptive_gauss batch; evolve_point is the one-node grid.
+adaptive_gauss batch; evolve_point is the one-node grid.  On the slice a = 0
+(the CLI default) every a-term of the kernel is an exact zero, so the
+kernel skips them, with the same result to the bit.  A float overflow or
+invalid operation is a DomainError (errors.float_guard), not a warning.
 Data from an exact phi are restricted to t = a once, exactly: each of u0
 and v0 is one rational function of w, evaluated by Horner in place.
 Tabulated data are a natural cubic spline, one cubic per interval.
@@ -24,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, float_guard
 from .quadrature import QuadratureSpec, adaptive_gauss
 from .ring import _SING_TOL, Polynomial, RhoExpr, margin
 
@@ -80,6 +83,7 @@ class InitialData:
         ta, zero = Fraction(a), Polynomial.zero(1)  # Fraction(a) is exact for every float
         m = Polynomial(1, {(0,): 1 - ta * ta, (2,): 1})
         m0 = margin([(a, 0.0)])[0]  # ring.margin at (a, w) is m0 + w^2, rounded as below
+        scan = not m0 >= _SING_TOL  # else fl(w^2 + m0) >= m0 for every w: the scan never fires
 
         def on_slice(phi):
             top, num = max(phi.num, default=0), zero
@@ -88,17 +92,22 @@ class InitialData:
                 num = num * m + sum((Polynomial.monomial(1, e[1:], c * ta ** e[0])
                                      for e, c in terms), zero)
             num = num.scale(Fraction(1, phi.den))
-            coeffs = [float(num.terms.get((k,), 0)) for k in range(num.degree(), -1, -1)] or [0.0]
+            head, *tail = ([float(num.terms.get((k,), 0)) for k in range(num.degree(), -1, -1)]
+                           or [0.0])
 
             def data(w):
                 w = np.asarray(w, dtype=float)
-                out = np.full(w.shape, coeffs[0])
-                for c in coeffs[1:]:
-                    out *= w
-                    out += c
+                if tail:  # Horner in place, from the buffer of its first product
+                    out = head * w
+                    out += tail[0]
+                    for c in tail[1:]:
+                        out *= w
+                        out += c
+                else:
+                    out = np.full(w.shape, head)
                 den = w * w
                 den += m0
-                if (np.abs(den) < _SING_TOL).any():
+                if scan and (np.abs(den) < _SING_TOL).any():
                     raise DomainError(f"data slice t = {a} meets the singular set 1 + x.x = 0")
                 rho = np.divide(1.0, den, out=den)
                 for _ in range(top):
@@ -220,10 +229,12 @@ def _check_data_intervals(a, w_lo, w_hi):
                       "data slice t = {t} has 1 - t^2 + w^2 = {m} < {eps} at w = {x}")
 
 
+@float_guard("closed-form evolution")
 def _evolve_nodes(d, x, t, q):
     """Closed-form phi at the nodes (x[i, k], t[i, k]) of (rows x nodes) arrays: the node
     margins, boundary terms and data intervals once, in that order; then each row with a
-    node off t = a is one adaptive_gauss batch of 2 K1 u0 + K2 v0 / 2, a row per node."""
+    node off t = a is one adaptive_gauss batch of 2 K1 u0 + K2 v0 / 2, a row per node.
+    A float overflow or invalid operation on the way is a DomainError, not a warning."""
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     _check_margin(x, t, "point (x={x}, t={t}) has 1 + x^2 - t^2 = {m} < {eps}")
     a, delta = d.a, t - d.a
@@ -237,17 +248,21 @@ def _evolve_nodes(d, x, t, q):
         xk2, tk2 = xk * xk, tk * tk
         scale = 1.0 + xk2 - tk2
         half_scale, two_scale, k2_factor = 0.5 * scale, 2.0 * scale, 1.0 - xk2 + tk2
-        four_at = 4.0 * a * tk
+        four_xk, four_at = 4.0 * xk, 4.0 * a * tk  # 4 w xk = w (4 xk): scaling by 4 is exact
 
         def kernel(w):  # w^2 once, and k2 built in its buffer: fewer row-sized temporaries
             w2 = w * w
             den = oma + w2
-            k1 = tk * (opa + w2) + a * (xk2 - 2.0 * w * xk - tk2 - 1.0)
+            if a:
+                k1 = tk * (opa + w2) + a * (xk2 - 2.0 * w * xk - tk2 - 1.0)
+            else:  # every a-term is an exact zero and opa == oma == 1
+                k1 = tk * den
             k1 *= d.u0(w.ravel()).reshape(w.shape) / (half_scale * den * den)
             k2 = np.subtract(opa, w2, out=w2)
             k2 *= k2_factor
-            k2 -= four_at
-            k2 += 4.0 * w * xk
+            if a:
+                k2 -= four_at
+            k2 += w * four_xk
             k2 *= d.v0(w.ravel()).reshape(w.shape) / (two_scale * den)
             return np.add(k1, k2, out=k1)
 

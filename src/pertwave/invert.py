@@ -4,8 +4,9 @@ H = x . grad is the Euler operator, and (H+k+1)^-1 f at x is the ray integral
 int_0^1 v^k f(vx) dv.  recover(phi, points, q) inverts phi = sum_r P_r rho^r,
 rho = 1/(1 + x.x), at each row x of an (m, n) points array whose rays keep
 1 + x.x (ring.margin) >= DEFAULT_DELTA, with one batched adaptive_gauss call
-per kernel of KERNELS[n]; recover_n2, recover_n4 and h_shift_inverse are
-one-point cases.
+whose row block r holds the rays of kernel r of KERNELS[n]; recover_n2,
+recover_n4 and h_shift_inverse are one-point cases.  A float overflow or
+invalid operation on the way is a DomainError (errors.float_guard).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, float_guard
 from .quadrature import QuadratureSpec, adaptive_gauss
 from .ring import RhoExpr, margin
 
@@ -79,23 +80,36 @@ def _check_rays(f, points):
     return points, rho_inv
 
 
-def _ray_integrals(f, points, s, kernel, q):
-    """int_0^1 kernel(v, rho, s) f(vx) dv per checked row x of points, rho its value at vx."""
+def _ray_integrals(f, points, s, kernels, q):
+    """The (len(kernels), m) array of int_0^1 K(v, rho, s) f(vx) dv, rho its value at vx,
+    for each K of kernels and each checked row x of the (m, dim) points.
+
+    One adaptive_gauss batch whose row block j holds kernel j's rays; each row keeps
+    its own panels, so every value is that of one call per kernel, bit for bit.
+    """
+    m, rays = len(points), points.T[:, None, :, None]
+
     def integrand(v):
-        # the rows vx, built with contiguous coordinate columns (faster to evaluate)
-        pts = (points.T[:, :, None] * v).reshape(points.shape[1], -1).T
-        return kernel(v, 1.0 / margin(pts).reshape(v.shape), s) * f.evaluate(pts).reshape(v.shape)
+        # the rows vx, block by block, built with contiguous coordinate columns (faster to evaluate)
+        pts = (rays * v.reshape(len(kernels), m, -1)).reshape(points.shape[1], -1).T
+        values = f.evaluate(pts).reshape(v.shape)
+        out = 1.0 / margin(pts).reshape(v.shape)  # rho, overwritten block by block
+        for j, K in enumerate(kernels):
+            block = slice(j * m, (j + 1) * m)
+            np.multiply(K(v[block], out[block], s), values[block], out=out[block])
+        return out
 
-    lo = np.zeros(len(points))
-    return adaptive_gauss(integrand, lo, lo + 1.0, q)
+    lo = np.zeros(len(kernels) * m)
+    return adaptive_gauss(integrand, lo, lo + 1.0, q).reshape(len(kernels), m)
 
 
+@float_guard("ray recovery")
 def h_shift_inverse(f, k, x, q=QuadratureSpec()):
     """(H + k + 1)^-1 f at x, as the adaptive ray integral int_0^1 v^k f(vx) dv."""
     if k < 0:
         raise ValueError(f"shift k must be non-negative, got {k}")
     points, _ = _check_rays(f, np.asarray(x, dtype=float)[None])
-    return float(_ray_integrals(f, points, None, lambda v, rho, s: v ** k, q)[0])
+    return float(_ray_integrals(f, points, None, (lambda v, rho, s: v ** k,), q)[0, 0])
 
 
 def _ray_data(phi, points, q, n):
@@ -104,7 +118,7 @@ def _ray_data(phi, points, q, n):
         raise DomainError(f"no KERNELS[{n}] for a dim-{phi.dim} field; KERNELS has {list(KERNELS)}")
     points, rho_inv = _check_rays(phi, points)
     s = rho_inv[:, None] - 1.0
-    return phi.evaluate(points), rho_inv, [_ray_integrals(phi, points, s, K, q) for K in KERNELS[n]]
+    return phi.evaluate(points), rho_inv, _ray_integrals(phi, points, s, KERNELS[n], q)
 
 
 def _back_substitute(top, rho_inv, integrals):
@@ -116,11 +130,13 @@ def _back_substitute(top, rho_inv, integrals):
     return coeffs + [top]
 
 
+@float_guard("ray recovery")
 def recover(phi, points, q=QuadratureSpec()):
     """The (m, n/2 + 1) array of P_0, ..., P_{n/2} at the rows of the (m, n = phi.dim) points."""
     return np.column_stack(_back_substitute(*_ray_data(phi, points, q, phi.dim)))
 
 
+@float_guard("ray recovery")
 def _one_point(phi, x, q, n):
     """recover at the one point x as a tuple of floats, back-substituting on (faster) numbers."""
     top, rho_inv, integrals = _ray_data(phi, np.asarray(x, dtype=float)[None], q, n)

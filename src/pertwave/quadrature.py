@@ -62,9 +62,9 @@ def adaptive_gauss(f, a, b, spec):
         p = lo.shape[1]
         halves = est[:, :p] + est[:, p:]
         bisect = live & ~(np.abs(halves - whole) <= tol)
-        count = bisect.sum(axis=1)
-        if not count.any():
+        if not bisect.any():
             return halves
+        count = bisect.sum(axis=1)
         used = used + count
         if used.max() > spec.max_subdivisions:
             i = np.argmax(used)
@@ -75,16 +75,19 @@ def adaptive_gauss(f, a, b, spec):
         kept = np.arange(pick.shape[1]) < count[:, None]
         lo, hi = np.take_along_axis(lo, pick, axis=1), np.take_along_axis(hi, pick, axis=1)
         mid = 0.5 * (lo + hi)
-        lo, hi = np.hstack([lo, mid]), np.hstack([mid, hi])
+        lo, hi = np.concatenate([lo, mid], axis=1), np.concatenate([mid, hi], axis=1)
         mid = 0.5 * (lo + hi)
-        value = settle(lo, hi, np.take_along_axis(est, np.hstack([pick, pick + p]), axis=1),
-                       estimates(np.hstack([lo, mid]), np.hstack([mid, hi])),
+        whole = np.take_along_axis(est, np.concatenate([pick, pick + p], axis=1), axis=1)
+        value = settle(lo, hi, whole, estimates(np.concatenate([lo, mid], axis=1),
+                                                np.concatenate([mid, hi], axis=1)),
                        0.5 * tol, used, np.tile(kept, 2))
         halves[bisect] = np.add(*np.hsplit(value, 2))[kept]
         return halves
 
     # the opening step takes each whole interval together with its two halves
     mid = 0.5 * (a + b)
-    est = estimates(np.hstack([a, a, mid]), np.hstack([b, mid, b]))
-    out = np.where(live, settle(a, b, est[:, :1], est[:, 1:], spec.abs_tol, 0, live), 0.0)[:, 0]
-    return out if batched else float(out[0])
+    est = estimates(np.concatenate([a, a, mid], axis=1), np.concatenate([b, mid, b], axis=1))
+    out = settle(a, b, est[:, :1], est[:, 1:], spec.abs_tol, 0, live)
+    if not live.all():
+        out = np.where(live, out, 0.0)
+    return out[:, 0] if batched else float(out[0, 0])

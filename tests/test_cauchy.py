@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from pertwave import cauchy
+from pertwave import cauchy, ring
 from pertwave.basis import wave_basis
 from pertwave.cauchy import (Field2D, Grid2D, InitialData, evolve_grid,
                              evolve_point, fd_reference,
@@ -172,6 +172,17 @@ class TestEvolvePoint:
         with pytest.raises(DomainError, match=re.escape(f"point (x={x}, t={t}) has margin")):
             evolve_point(d, x, t, Q)
 
+    def test_overflow_is_a_domain_error(self):
+        """Every guard passes, but w^2 on the data intervals (|w| near 2e154) overflows:
+        the grid and the point raise DomainError, with no RuntimeWarning (which fails
+        this module) and no quadrature left to exhaust its budget."""
+        d = InitialData.from_rho_expr(build_phi(Polynomial(2, {(1, 0): 1}), 2).phi)
+        message = "closed-form evolution: overflow encountered"
+        with pytest.raises(DomainError, match=message):
+            evolve_grid(d, Grid2D(1e154, 1.3e154, 3, 0.0, 9e153, 3), Q)
+        with pytest.raises(DomainError, match=message):
+            evolve_point(d, 1.15e154, 4.5e153, Q)
+
     def test_kernel_pole_rejected(self):
         d = InitialData(a=1.5, u0=lambda w: np.zeros_like(w),
                         v0=lambda w: np.zeros_like(w))
@@ -313,10 +324,58 @@ def slice_reference(expr, a, w):
     return expr.eval_points(np.column_stack([np.full_like(w, a), w]))
 
 
+def plain_slice_data(expr, a):
+    """(u0, v0) of expr on t = a, each a Horner pass that starts from np.full, with the
+    singular-set scan always on: the form from_rho_expr must match bit for bit."""
+    ta, zero = Fraction(a), Polynomial.zero(1)
+    m = Polynomial(1, {(0,): 1 - ta * ta, (2,): 1})
+    m0 = ring.margin([(a, 0.0)])[0]
+
+    def on_slice(phi):
+        top, num = max(phi.num, default=0), zero
+        for s in range(top + 1):
+            terms = phi.num.get(s, zero).terms.items()
+            num = num * m + sum((Polynomial.monomial(1, e[1:], c * ta ** e[0])
+                                 for e, c in terms), zero)
+        num = num.scale(Fraction(1, phi.den))
+        coeffs = [float(num.terms.get((k,), 0)) for k in range(num.degree(), -1, -1)] or [0.0]
+
+        def data(w):
+            out = np.full(w.shape, coeffs[0])
+            for c in coeffs[1:]:
+                out *= w
+                out += c
+            den = w * w
+            den += m0
+            if (np.abs(den) < ring._SING_TOL).any():
+                raise DomainError(f"data slice t = {a} meets the singular set 1 + x.x = 0")
+            rho = np.divide(1.0, den, out=den)
+            for _ in range(top):
+                out *= rho
+            return out
+
+        return data
+
+    return on_slice(expr), on_slice(expr.diff(0))
+
+
 class TestSliceData:
     """u0 and v0 of exact data: one rational function of w on the slice t = a."""
 
     W = np.linspace(-1.6, 1.6, 161)
+
+    @pytest.mark.parametrize("a", [0.0, 0.1, -0.37, 0.999, 2.5])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    def test_bitwise_equal_to_plain_horner(self, k, a):
+        """Same bits as plain_slice_data, signed zeros, NaN and overflow included."""
+        w = np.concatenate([np.linspace(-3.0, 3.0, 601),
+                            [0.0, -0.0, 5e-324, 1e200, -1e200, np.inf, -np.inf, np.nan]])
+        for seed in wave_basis(2, k).elements:
+            expr = build_phi(seed, 2).phi
+            d = InitialData.from_rho_expr(expr, a=a)
+            for got, want in zip((d.u0, d.v0), plain_slice_data(expr, a)):
+                with np.errstate(all="ignore"):
+                    assert got(w).tobytes() == want(w).tobytes()
 
     @pytest.mark.parametrize("a", [0.0, 0.1, -0.3, 0.5])
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
@@ -483,7 +542,7 @@ class TestOneCallPerGrid:
 
     @pytest.mark.parametrize("case", [
         "criterion-7", "criterion-8-bumps", "criterion-8-ring", "golden-degree-3",
-        "backwards", "straddles-a", "samples"])
+        "backwards", "straddles-a", "samples", "ring-a-negative", "ring-a-above-one"])
     def test_grid_matches_row_by_row_reference(self, case):
         x_rho = InitialData.from_rho_expr(exact_x_rho())
         golden = json.loads((Path(__file__).parent / "golden" / "evolve_n2_deg3.json").read_text())
@@ -501,6 +560,12 @@ class TestOneCallPerGrid:
             "straddles-a": [(InitialData.from_rho_expr(degree_three_phi()),
                              Grid2D(-0.8, 0.8, 21, -0.2, 0.2, 5))],
             "samples": [(samples, Grid2D(-0.7, 0.7, 21, 0.1, 0.6, 11))],
+            # off a = 0 the kernel keeps every a-term; rows both ways from t = a
+            "ring-a-negative": [(InitialData.from_rho_expr(degree_three_phi(), a=-0.37),
+                                 Grid2D(-0.8, 0.8, 17, -0.6, 0.1, 8))],
+            # 1 - a^2 + w^2 vanishes at |w| = 1.118, left of every data interval
+            "ring-a-above-one": [(InitialData.from_rho_expr(degree_three_phi(), a=1.5),
+                                  Grid2D(2.0, 2.6, 13, 1.5, 1.8, 7))],
         }[case]
         for d, g in jobs:
             if case == "straddles-a":

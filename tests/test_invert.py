@@ -249,6 +249,18 @@ def test_domain_margin_boundary(n, recover):
         recover(f, x, Q)
 
 
+def test_overflow_is_a_domain_error():
+    """The ray to (0, 1e150) is admissible, but x^3 overflows there: DomainError from
+    recover, the one-point recoveries and h_shift_inverse, with no RuntimeWarning
+    (pyproject.toml makes one fail the test)."""
+    f = RayField.from_rho_expr(build_phi(Polynomial(2, {(2, 1): 3, (0, 3): 1}), 2).phi)
+    for call in (lambda: recover(f, np.array([[0.0, 1e150]]), Q),
+                 lambda: recover_n2(f, np.array([0.0, 1e150]), Q),
+                 lambda: h_shift_inverse(f, 0, np.array([0.0, 1e150]), Q)):
+        with pytest.raises(DomainError, match="ray recovery: overflow encountered"):
+            call()
+
+
 @pytest.mark.parametrize("n, recover", [(2, recover_n2), (4, recover_n4)])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200, -1e200])
 @pytest.mark.parametrize("axis", [0, 1])
@@ -324,10 +336,10 @@ def test_core_matches_reference_on_basis_seeds(n, k):
         assert_matches_reference(n, build_phi(seed, n).phi, safe_points(rng, n, 2))
 
 
-@pytest.mark.parametrize("n, calls", [(2, 1), (4, 2)])
-def test_one_ray_integral_per_lower_coefficient(monkeypatch, n, calls):
-    """P_r for r < n/2 takes one adaptive_gauss call each, P_{n/2} none; one ray check.
-    recover on 5 points makes the same calls: one batch per kernel."""
+@pytest.mark.parametrize("n", sorted(KERNELS))
+def test_one_ray_integral_batch_per_recovery(monkeypatch, n):
+    """The P_r for r < n/2 take one adaptive_gauss call together, P_{n/2} none; one ray
+    check.  recover on 5 points makes the same calls: one batch for every kernel."""
     counts = {"adaptive_gauss": 0, "_check_rays": 0}
 
     def counted(name):
@@ -343,10 +355,34 @@ def test_one_ray_integral_per_lower_coefficient(monkeypatch, n, calls):
     phi = build_phi(Polynomial.monomial(n, (1, 1) + (0,) * (n - 2)), n).phi
     field = RayField.from_rho_expr(phi)
     RECOVERIES[n][0](field, np.full(n, 0.2), Q)
-    assert counts == {"adaptive_gauss": calls, "_check_rays": 1}
+    assert counts == {"adaptive_gauss": 1, "_check_rays": 1}
     counts.update(dict.fromkeys(counts, 0))
     assert recover(field, safe_points(np.random.default_rng(n), n, 5), Q).shape == (5, n // 2 + 1)
-    assert counts == {"adaptive_gauss": calls, "_check_rays": 1}
+    assert counts == {"adaptive_gauss": 1, "_check_rays": 1}
+
+
+def test_stacked_kernels_equal_one_batch_per_kernel():
+    """Stacking kernels as row blocks of one batch changes no bit, even when one kernel
+    bisects and the other does not: each row keeps the panels it has alone."""
+    phi = build_phi(Polynomial(2, {(1, 1): 1}), 2).phi
+    steps = []
+
+    def evaluate(points):  # one call per adaptive_gauss step
+        steps.append(len(points))
+        return phi.eval_points(points)
+
+    field, points = RayField(dim=2, evaluate=evaluate), safe_points(np.random.default_rng(3), 2, 4)
+    kernels = (lambda v, rho, s: 2.0 * rho,  # smooth: the opening step settles it
+               lambda v, rho, s: 1.0 / (1e-4 + (v - 0.3) ** 2))  # peaked: bisects
+
+    def alone(K):
+        steps.clear()
+        return invert._ray_integrals(field, points, None, (K,), Q)[0], len(steps)
+
+    (smooth, smooth_steps), (peaked, peaked_steps) = map(alone, kernels)
+    assert smooth_steps == 1 < peaked_steps
+    stacked = invert._ray_integrals(field, points, None, kernels, Q)
+    assert stacked.shape == (2, len(points)) and np.array_equal(stacked, [smooth, peaked])
 
 
 @pytest.mark.parametrize("n", sorted(KERNELS))
