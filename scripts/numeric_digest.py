@@ -10,7 +10,10 @@ can be checked by running this script before and after it.  The cases:
 * data: InitialData.from_rho_expr u0 and v0 on a w-grid, for every n = 2
   basis seed of degree <= 4 and five slices a;
 * recover: recover on fixed points for every n = 2 and n = 4 basis seed of
-  degree <= 3.
+  degree <= 3;
+* point: the one-point entries on the same fields and points (recover_n2 or
+  recover_n4, and h_shift_inverse for k = 0, 1, 2), and evolve_point on the
+  criterion-7 data at the nodes of an 11 x 6 grid.
 
 Usage: PYTHONPATH=src python3 scripts/numeric_digest.py [--cases]
 """
@@ -23,7 +26,8 @@ from fractions import Fraction
 import numpy as np
 
 from pertwave import (Grid2D, InitialData, Polynomial, QuadratureSpec, RayField,
-                      build_phi, evolve_grid, recover, wave_basis)
+                      build_phi, evolve_grid, evolve_point, h_shift_inverse, recover,
+                      recover_n2, recover_n4, wave_basis)
 
 Q = QuadratureSpec()
 DATA_SLICES = (0.0, 0.1, -0.37, 0.999, 2.5)
@@ -56,6 +60,24 @@ def evolve_cases():
         yield name, InitialData.from_rho_expr(deg3, a=a), g
 
 
+def point_cases():
+    """(case, float64 array) of the one-point entries, one value per point."""
+    one_point = {2: recover_n2, 4: recover_n4}
+    for n in (2, 4):
+        points = np.random.default_rng(n).uniform(-0.3, 0.3, (8, n))
+        for k in range(4):
+            for i, seed in enumerate(wave_basis(n, k).elements):
+                field = RayField.from_rho_expr(build_phi(seed, n).phi)
+                yield f"n{n}-k{k}-{i}", np.array([one_point[n](field, x, Q) for x in points])
+                for shift in range(3):
+                    yield (f"n{n}-k{k}-{i}-h{shift}",
+                           np.array([h_shift_inverse(field, shift, x, Q) for x in points]))
+    x_rho = InitialData.from_rho_expr(ring_phi({(0, 1): 1}))
+    g = Grid2D(-1.0, 1.0, 11, 0.0, 0.5, 6)
+    yield "criterion-7-evolve-point", np.array([[evolve_point(x_rho, x, t, Q) for t in g.ts()]
+                                                for x in g.xs()])
+
+
 def digests():
     """(group, case, float64 array) for every case, in a fixed order."""
     for name, d, g in evolve_cases():
@@ -73,6 +95,8 @@ def digests():
             for i, seed in enumerate(wave_basis(n, k).elements):
                 field = RayField.from_rho_expr(build_phi(seed, n).phi)
                 yield "recover", f"n{n}-k{k}-{i}", recover(field, points, Q)
+    for name, values in point_cases():
+        yield "point", name, values
 
 
 def main(argv=None):

@@ -5,8 +5,8 @@ from .basis import WaveBasis, is_wave_polynomial, wave_basis
 from .cauchy import (Field2D, Grid2D, InitialData, evolve_grid, evolve_point,
                      fd_reference, initial_condition_check, pde_residual_fd)
 from .hyp2f1 import fk_ode_residual, hyp2f1_terminating, radial_numerator
-from .invert import (QuadratureSpec, RayField, h_shift_inverse, recover,
-                     recover_n2, recover_n4)
+from .invert import RayField, h_shift_inverse, recover, recover_n2, recover_n4
+from .quadrature import QuadratureSpec
 from .ring import Polynomial, RhoExpr, margin, normalize
 from .solutions import (SolutionBundle, beta_coefficients, build_phi,
                         check_n2_background, psi0_residual, recursion_step,

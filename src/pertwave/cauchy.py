@@ -21,6 +21,7 @@ fd_reference is a leapfrog oracle; it shares no code path with the kernel.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -57,7 +58,11 @@ def _check_margin(x, t, message):
 
 @dataclass(frozen=True)
 class InitialData:
-    """Cauchy data on the slice t = a: phi = u0(w), dphi/dt = v0(w)."""
+    """Cauchy data on the slice t = a: phi = u0(w), dphi/dt = v0(w).
+
+    u0 and v0 map an array of abscissae w to the array of their values.  The
+    data of from_rho_expr and from_samples take a number w as the array [w].
+    """
 
     a: float
     u0: Callable[[np.ndarray], np.ndarray]
@@ -96,7 +101,7 @@ class InitialData:
                            or [0.0])
 
             def data(w):
-                w = np.asarray(w, dtype=float)
+                w = np.atleast_1d(np.asarray(w, dtype=float))
                 if tail:  # Horner in place, from the buffer of its first product
                     out = head * w
                     out += tail[0]
@@ -299,12 +304,13 @@ def fd_reference(d, g, cfl=0.9, refine=1):
 
     The spatial domain is widened so the numerical domain of dependence of
     the requested region never touches the artificial boundaries; `refine`
-    divides the spatial step for convergence studies.
+    divides the spatial step (an integer, so the grid nodes stay on the
+    refined nodes) for convergence studies.
     """
     if not 0.0 < cfl <= 0.95:  # written so that NaN fails it too
         raise ValueError(f"cfl must be in (0, 0.95], got {cfl}")
-    if not refine >= 1:
-        raise ValueError(f"refine must be >= 1, got {refine}")
+    if not (isinstance(refine, numbers.Integral) and refine >= 1):
+        raise ValueError(f"refine must be an integer >= 1, got {refine}")
     if abs(g.t_min - d.a) > 1e-12:
         raise DomainError(
             f"fd_reference must start at the data slice t = {d.a}, grid starts at {g.t_min}")

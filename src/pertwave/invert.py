@@ -3,10 +3,11 @@
 H = x . grad is the Euler operator, and (H+k+1)^-1 f at x is the ray integral
 int_0^1 v^k f(vx) dv.  recover(phi, points, q) inverts phi = sum_r P_r rho^r,
 rho = 1/(1 + x.x), at each row x of an (m, n) points array whose rays keep
-1 + x.x (ring.margin) >= DEFAULT_DELTA, with one batched adaptive_gauss call
-whose row block r holds the rays of kernel r of KERNELS[n]; recover_n2,
-recover_n4 and h_shift_inverse are one-point cases.  A float overflow or
-invalid operation on the way is a DomainError (errors.float_guard).
+1 + x.x (ring.margin) >= DEFAULT_DELTA, with one adaptive_gauss batch
+whose row block r holds the rays of kernel r of KERNELS[n].  recover_n2,
+recover_n4 and h_shift_inverse take one point x and run the same batch code
+on the one-row array x[None].  A float overflow or invalid operation on the
+way is a DomainError (errors.float_guard).
 """
 
 from __future__ import annotations
@@ -112,42 +113,32 @@ def h_shift_inverse(f, k, x, q=QuadratureSpec()):
     return float(_ray_integrals(f, points, None, (lambda v, rho, s: v ** k,), q)[0, 0])
 
 
-def _ray_data(phi, points, q, n):
-    """(phi(x), 1 + x.x, [int_0^1 K(v, rho, s) phi(vx) dv for K in KERNELS[n]]) at the rows x."""
+@float_guard("ray recovery")
+def _recover(phi, points, q, n):
+    """The (m, n/2 + 1) array of P_0, ..., P_{n/2} at the rows x of the (m, n) points:
+    P_r = [r = 0] phi + int_0^1 K_r(v, rho, s) phi(vx) dv for r < n/2, K_r of KERNELS[n],
+    and P_{n/2} = rho^-1 (... (rho^-1 (phi - P_0) - P_1) ... - P_{n/2-1})."""
     if phi.dim != n or n not in KERNELS:
         raise DomainError(f"no KERNELS[{n}] for a dim-{phi.dim} field; KERNELS has {list(KERNELS)}")
     points, rho_inv = _check_rays(phi, points)
-    s = rho_inv[:, None] - 1.0
-    return phi.evaluate(points), rho_inv, _ray_integrals(phi, points, s, KERNELS[n], q)
-
-
-def _back_substitute(top, rho_inv, integrals):
-    """[P_0, ..., P_{n/2}] on arrays or numbers: P_r = [r = 0] phi + integrals[r] for r < n/2,
-    and P_{n/2} = rho^-1 (... (rho^-1 (phi - P_0) - P_1) ... - P_{n/2-1})."""
+    top = phi.evaluate(points)
+    integrals = _ray_integrals(phi, points, rho_inv[:, None] - 1.0, KERNELS[n], q)
     coeffs = [integrals[0] + top, *integrals[1:]]
     for p in coeffs:
         top = (top - p) * rho_inv
-    return coeffs + [top]
+    return np.column_stack(coeffs + [top])
 
 
-@float_guard("ray recovery")
 def recover(phi, points, q=QuadratureSpec()):
     """The (m, n/2 + 1) array of P_0, ..., P_{n/2} at the rows of the (m, n = phi.dim) points."""
-    return np.column_stack(_back_substitute(*_ray_data(phi, points, q, phi.dim)))
-
-
-@float_guard("ray recovery")
-def _one_point(phi, x, q, n):
-    """recover at the one point x as a tuple of floats, back-substituting on (faster) numbers."""
-    top, rho_inv, integrals = _ray_data(phi, np.asarray(x, dtype=float)[None], q, n)
-    return tuple(map(float, _back_substitute(top[0], rho_inv[0], [p[0] for p in integrals])))
+    return _recover(phi, points, q, phi.dim)
 
 
 def recover_n2(phi, x, q=QuadratureSpec()):
     """Pointwise (P0, P1) from a solution field for n = 2."""
-    return _one_point(phi, x, q, 2)
+    return tuple(map(float, _recover(phi, np.asarray(x, dtype=float)[None], q, 2)[0]))
 
 
 def recover_n4(phi, x, q=QuadratureSpec()):
     """Pointwise (P0, P1, P2) from a solution field for n = 4."""
-    return _one_point(phi, x, q, 4)
+    return tuple(map(float, _recover(phi, np.asarray(x, dtype=float)[None], q, 4)[0]))

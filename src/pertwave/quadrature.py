@@ -1,4 +1,4 @@
-"""Adaptive composite Gauss-Legendre quadrature over one interval or a batch."""
+"""Adaptive composite Gauss-Legendre quadrature over a batch of intervals."""
 
 from __future__ import annotations
 
@@ -11,12 +11,13 @@ from .errors import ToleranceNotMet
 
 # leggauss builds an order x order matrix, so the node count is capped
 MAX_ORDER = 1024
+# bisections each interval may take before adaptive_gauss gives up
+MAX_SUBDIVISIONS = 200
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     order: int = 64
-    max_subdivisions: int = 200
     abs_tol: float = 1e-12
 
     def __post_init__(self):
@@ -33,28 +34,27 @@ def gauss_nodes(order):
 
 
 def adaptive_gauss(f, a, b, spec):
-    """Integrate the vectorized integrand f over [a, b], or over each [a[i], b[i]].
+    """The (m,) array of integrals of f over each [a[i], b[i]], for length-m arrays a, b.
 
-    For arrays a and b of length m, f maps an (m, N) array, row i holding
-    abscissae in [a[i], b[i]], to its values.  A panel is accepted once its
-    one-panel and two-panel estimates agree to the (halved per bisection)
-    absolute tolerance, never when that is NaN.  Each interval keeps the
-    panels, tree-order sums and budget of spec.max_subdivisions bisections
-    it would have alone (ToleranceNotMet when that runs out), so batching
-    changes no result.  a > b gives the signed integral; a == b gives 0.0.
+    f maps an (m, N) array, row i holding abscissae in [a[i], b[i]], to its
+    (m, N) values.  A panel is accepted once its one-panel and two-panel
+    estimates agree to the (halved per bisection) absolute tolerance, never
+    when that is NaN.  Each interval keeps the panels, tree-order sums and
+    budget of MAX_SUBDIVISIONS bisections it would have alone
+    (ToleranceNotMet when that runs out), so batching changes no result.
+    a[i] > b[i] gives the signed integral; a[i] == b[i] gives 0.0.
     """
-    batched = np.ndim(a) > 0
     a, b = (np.asarray(v, dtype=float).reshape(-1, 1) for v in (a, b))
     live = a != b
     if not live.any():
-        return np.zeros(len(a)) if batched else 0.0
+        return np.zeros(len(a))
     nodes, weights = gauss_nodes(spec.order)
 
     def estimates(lo, hi):
         """Gauss estimates on the (m, p) panels [lo, hi], from one call of f."""
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         points = mid[..., None] + half[..., None] * nodes
-        values = f(points.reshape(len(lo), -1) if batched else points.ravel())
+        values = f(points.reshape(len(lo), -1))
         return half * (np.reshape(values, points.shape) * weights).sum(axis=-1)
 
     def settle(lo, hi, whole, est, tol, used, live):
@@ -66,7 +66,7 @@ def adaptive_gauss(f, a, b, spec):
             return halves
         count = bisect.sum(axis=1)
         used = used + count
-        if used.max() > spec.max_subdivisions:
+        if used.max() > MAX_SUBDIVISIONS:
             i = np.argmax(used)
             raise ToleranceNotMet(
                 f"quadrature subdivision budget exhausted on [{a[i, 0]}, {b[i, 0]}]")
@@ -90,4 +90,4 @@ def adaptive_gauss(f, a, b, spec):
     out = settle(a, b, est[:, :1], est[:, 1:], spec.abs_tol, 0, live)
     if not live.all():
         out = np.where(live, out, 0.0)
-    return out[:, 0] if batched else float(out[0, 0])
+    return out[:, 0]

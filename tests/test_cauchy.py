@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from pertwave import cauchy, ring
+from pertwave import cauchy, quadrature, ring
 from pertwave.basis import wave_basis
 from pertwave.cauchy import (Field2D, Grid2D, InitialData, evolve_grid,
                              evolve_point, fd_reference,
@@ -45,8 +45,8 @@ def phi_eval(expr, x, t):
     return float(expr.eval_points(np.array([[t, x]]))[0])
 
 
-def scalar_reference(d, x, t, q):
-    """The closed form node by node: two scalar adaptive_gauss integrals."""
+def reference_point(d, x, t, q):
+    """The closed form node by node: two one-row adaptive_gauss batches."""
     a, delta = d.a, t - d.a
     margin = 1.0 + x * x - t * t
     boundary = 0.5 * float(d.u0(np.array([x - delta]))[0]
@@ -64,9 +64,10 @@ def scalar_reference(d, x, t, q):
         num = (1.0 - x * x + t * t) * (1.0 + a * a - w * w) - 4.0 * a * t + 4.0 * w * x
         return num / (margin * den) * d.v0(w)
 
-    i1 = adaptive_gauss(k1, x + delta, x - delta, q)
-    i2 = adaptive_gauss(k2, x + delta, x - delta, q)
-    return boundary - 2.0 * i1 - 0.5 * i2
+    i1 = adaptive_gauss(k1, [x + delta], [x - delta], q)
+    i2 = adaptive_gauss(k2, [x + delta], [x - delta], q)
+    assert i1.shape == i2.shape == (1,)
+    return boundary - 2.0 * i1[0] - 0.5 * i2[0]
 
 
 def row_by_row_reference(d, x, t, q):
@@ -233,6 +234,19 @@ class TestInitialData:
         table[column][index] = bad
         with pytest.raises(DomainError, match="finite samples, with w strictly increasing"):
             InitialData.from_samples(table["w"], table["u"], table["v"])
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_number_abscissa_is_a_one_element_array(self, k):
+        """u0(w) and v0(w) at a Python float w are u0([w]) and v0([w]), bit for bit, for
+        exact data and for tabulated data of every n = 2 basis seed of degree k."""
+        table = np.linspace(-2.0, 2.0, 41)
+        for seed in wave_basis(2, k).elements:
+            exact = InitialData.from_rho_expr(build_phi(seed, 2).phi, a=0.1)
+            tabulated = InitialData.from_samples(table, exact.u0(table), exact.v0(table), a=0.1)
+            for data in (exact.u0, exact.v0, tabulated.u0, tabulated.v0):
+                for w in (-1.3, 0.0, 0.25, 1.9):
+                    got = data(w)
+                    assert got.shape == (1,) and got.tobytes() == data([w]).tobytes()
 
 
 def exact_samples(expr_fn):
@@ -489,7 +503,7 @@ class TestEvolveGrid:
         monkeypatch.setattr(cauchy, "adaptive_gauss", counting)
         f = evolve_grid(d, g, Q)
         assert calls
-        expect = np.array([[scalar_reference(d, x, t, Q) for t in g.ts()] for x in g.xs()])
+        expect = np.array([[reference_point(d, x, t, Q) for t in g.ts()] for x in g.xs()])
         assert np.max(np.abs(f.values - expect)) <= 1e-14
 
     def test_golden_degree_three_grid(self):
@@ -615,12 +629,13 @@ class TestOneCallPerGrid:
         assert str(got.value) == str(expected.value)
         assert calls == []
 
-    def test_a_later_check_wins_over_an_earlier_budget(self):
+    def test_a_later_check_wins_over_an_earlier_budget(self, monkeypatch):
         """An early row that would exhaust the quadrature budget no longer
         hides a later row's failed check."""
         a, g, _ = self.LAST_ROW_FAILS["kernel-pole"]
         d = InitialData(a=a, u0=np.cos, v0=np.sin)
-        q = QuadratureSpec(order=2, max_subdivisions=0)
+        monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 0)
+        q = QuadratureSpec(order=2)
         first_rows = Grid2D(g.x_min, g.x_max, g.nx, g.t_min, g.ts()[1], 2)
         with pytest.raises(ToleranceNotMet):
             evolve_grid(d, first_rows, q)
@@ -662,11 +677,11 @@ class TestFdReference:
             with pytest.raises(ValueError, match=re.escape(f"cfl must be in (0, 0.95], got {cfl}")):
                 fd_reference(d, g, cfl=cfl)
 
-    @pytest.mark.parametrize("refine", [0, -1])
+    @pytest.mark.parametrize("refine", [0, -1, 1.5, 2.0, float("nan")])
     def test_refine_guard(self, refine):
         d = InitialData.from_rho_expr(exact_x_rho())
         g = Grid2D(-1.0, 1.0, 11, 0.0, 0.5, 6)
-        with pytest.raises(ValueError, match="refine must be >= 1"):
+        with pytest.raises(ValueError, match="refine must be an integer >= 1"):
             fd_reference(d, g, refine=refine)
 
     def test_widened_domain_guard_covers_the_data_slice(self):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pertwave import invert
+from pertwave import invert, quadrature
 from pertwave.basis import wave_basis
 from pertwave.cli import INVERT_BLOCK
 from pertwave.errors import DomainError, ToleranceNotMet
@@ -29,32 +29,38 @@ def safe_points(rng, dim, count, delta=0.3):
 
 class TestQuadrature:
     def test_polynomial_exact(self):
-        got = adaptive_gauss(lambda t: t ** 5, 0.0, 1.0, Q)
-        assert got == pytest.approx(1.0 / 6.0, abs=1e-14)
+        got = adaptive_gauss(lambda t: t ** 5, [0.0], [1.0], Q)
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(1.0 / 6.0, abs=1e-14)
 
     def test_orientation(self):
-        fwd = adaptive_gauss(lambda t: t ** 2, 0.0, 2.0, Q)
-        rev = adaptive_gauss(lambda t: t ** 2, 2.0, 0.0, Q)
-        assert rev == pytest.approx(-fwd, abs=1e-14)
+        fwd = adaptive_gauss(lambda t: t ** 2, [0.0], [2.0], Q)
+        rev = adaptive_gauss(lambda t: t ** 2, [2.0], [0.0], Q)
+        assert fwd.shape == rev.shape == (1,)
+        assert rev[0] == pytest.approx(-fwd[0], abs=1e-14)
 
     def test_empty_interval(self):
-        assert adaptive_gauss(lambda t: t, 1.0, 1.0, Q) == 0.0
+        got = adaptive_gauss(lambda t: t, [1.0], [1.0], Q)
+        assert got.shape == (1,) and got[0] == 0.0
 
     def test_adaptive_refines(self):
         # sharply peaked but smooth integrand
-        got = adaptive_gauss(lambda t: 1.0 / (1e-4 + t * t), -1.0, 1.0,
+        got = adaptive_gauss(lambda t: 1.0 / (1e-4 + t * t), [-1.0], [1.0],
                              QuadratureSpec(order=16))
         expect = 2.0 / 1e-2 * math.atan(1.0 / 1e-2)
-        assert got == pytest.approx(expect, rel=1e-10)
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(expect, rel=1e-10)
 
-    def test_budget_exhaustion(self):
-        spec = QuadratureSpec(order=2, max_subdivisions=3, abs_tol=1e-15)
+    def test_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 3)
+        spec = QuadratureSpec(order=2, abs_tol=1e-15)
         with pytest.raises(ToleranceNotMet):
-            adaptive_gauss(lambda t: np.abs(t - 1 / 3) ** 0.1, 0.0, 1.0, spec)
+            adaptive_gauss(lambda t: np.abs(t - 1 / 3) ** 0.1, [0.0], [1.0], spec)
 
     def test_batch_matches_each_interval_alone(self):
         """Smooth, sharply peaked (refines), reversed and empty intervals in one
-        batch: every element is the value the rule gives that interval alone."""
+        batch: every element is the value the rule gives that interval alone,
+        as a one-row batch."""
         spec = QuadratureSpec(order=16)
         a, b = np.array([0.0, -1.0, 2.0, 0.5]), np.array([1.0, 1.0, 0.0, 0.5])
         # the empty interval's integrand 1/(t - 0.5)^2 is infinite on it
@@ -69,23 +75,26 @@ class TestQuadrature:
             got = adaptive_gauss(batch, a, b, spec)
         assert len(calls) > 1 and all(shape[0] == 4 for shape in calls)
         for i in range(4):
-            alone = adaptive_gauss(lambda t: 1.0 / (eps[i] + (t - c[i]) ** 2), a[i], b[i], spec)
-            assert got[i] == alone
+            alone = adaptive_gauss(lambda t: 1.0 / (eps[i] + (t - c[i]) ** 2),
+                                   a[i:i + 1], b[i:i + 1], spec)
+            assert alone.shape == (1,) and got[i] == alone[0]
         assert got[3] == 0.0
 
     def test_empty_batch_never_samples(self):
         def failing(t):
             raise AssertionError("sampled an empty interval")
 
-        assert adaptive_gauss(failing, 0.5, 0.5, Q) == 0.0
+        got = adaptive_gauss(failing, [0.5], [0.5], Q)
+        assert got.shape == (1,) and got[0] == 0.0
         got = adaptive_gauss(failing, np.array([0.5, -1.0]), np.array([0.5, -1.0]), Q)
         assert np.array_equal(got, [0.0, 0.0])
 
-    def test_batch_budget_is_per_interval(self):
+    def test_batch_budget_is_per_interval(self, monkeypatch):
         """exp needs 1 bisection and sqrt(t + 1e-3) 21: together they fit a
         budget of 21, because each interval has its own; the kinked integrand
         alone exhausts it and fails the batch."""
-        spec = QuadratureSpec(order=4, max_subdivisions=21, abs_tol=1e-10)
+        monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 21)
+        spec = QuadratureSpec(order=4, abs_tol=1e-10)
         rows = [np.exp, lambda t: np.sqrt(t + 1e-3), lambda t: np.abs(t - 1 / 3) ** 0.1]
 
         def batch(keep):

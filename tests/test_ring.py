@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 
 from conftest import nonsingular_points, polynomials, rho_exprs
 from pertwave.basis import wave_basis
+from pertwave.cauchy import InitialData
 from pertwave.errors import DomainError
 from pertwave.hyp2f1 import radial_numerator
 from pertwave.ring import Polynomial, RhoExpr, margin, normalize
@@ -559,3 +560,39 @@ def test_polynomial_ring_laws(a, b):
     assert a * b == b * a
     assert a + b == b + a
     assert (a - b) + b == a
+
+
+# Input checks and display branches that no other test reaches, as (call, the error
+# it raises and a pattern of its message) or (call, None, the value it returns).
+EDGE_CASES = {
+    "polynomial-dim-below-one": (lambda: Polynomial(0), DomainError, "dim must be >= 1"),
+    "exponents-of-wrong-length": (lambda: Polynomial(2, {(1,): 1}), DomainError,
+                                  r"exponent tuple \(1,\) does not match dim 2"),
+    "negative-exponent": (lambda: Polynomial(2, {(1, -1): 1}), ValueError,
+                          "negative exponent"),
+    "zero-constant-has-no-terms": (lambda: Polynomial.constant(2, 0).terms, None, {}),
+    "coordinate-axis-out-of-range": (lambda: Polynomial.coordinate(2, -1), DomainError,
+                                     "axis -1 out of range for dim 2"),
+    "polynomial-diff-axis-out-of-range": (lambda: Polynomial.coordinate(2, 0).diff(-1),
+                                          DomainError, "axis -1 out of range for dim 2"),
+    "rho-expr-diff-axis-out-of-range": (lambda: RhoExpr.rho(2).diff(2), DomainError,
+                                        "axis 2 out of range for dim 2"),
+    "negative-rho-power": (lambda: RhoExpr.rho(2, -1), ValueError,
+                           "rho powers must be non-negative"),
+    "normalize-negative-rho-power": (lambda: normalize([(-1, Polynomial.constant(2, 1))], 2),
+                                     ValueError, "rho powers must be non-negative"),
+    "rho-expr-times-int": (lambda: RhoExpr.rho(2) * 3, None, RhoExpr.rho(2).scale(3)),
+    "minus-rho-display": (lambda: str(-RhoExpr.rho(2)), None, "-rho"),
+    "initial-data-nan-slice": (lambda: InitialData(a=math.nan, u0=np.cos, v0=np.sin),
+                               DomainError, "data slice t = a must be finite, got nan"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_input_checks_and_display_edges(case):
+    call, error, expected = EDGE_CASES[case]
+    if error is None:
+        assert call() == expected
+    else:
+        with pytest.raises(error, match=expected):
+            call()
