@@ -74,6 +74,7 @@ class InitialData:
             raise DomainError(f"data slice t = a must be finite, got {self.a}")
 
     @classmethod
+    @float_guard("exact Cauchy data")  # a coefficient rounded to float may overflow
     def from_rho_expr(cls, expr, a=0.0):
         """Restrict an exact dim-2 solution, and for v0 its t-derivative, to t = a.
 
@@ -121,10 +122,7 @@ class InitialData:
 
             return data
 
-        try:  # rounding an exact coefficient to float overflows for a huge a
-            return cls(a=float(a), u0=on_slice(expr), v0=on_slice(expr.diff(0)), expr=expr)
-        except OverflowError:
-            raise DomainError(f"data on the slice t = {a} overflow a float") from None
+        return cls(a=float(a), u0=on_slice(expr), v0=on_slice(expr.diff(0)), expr=expr)
 
     @classmethod
     def from_samples(cls, w, u, v, a=0.0):

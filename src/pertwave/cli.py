@@ -1,10 +1,10 @@
 """Command-line entry point: basis / build / verify / invert / evolve / fdref / compare.
 
-Exit codes: 0 success, 2 usage, 3 parse error, 4 domain or singularity
-error (a float overflow or invalid operation included), 5 tolerance or
-verification failure.  Every failure, argument errors
-included, prints a single machine-readable "error: <kind>: <reason>" line on
-stderr.
+main returns every exit code: 0 success, 2 usage (an argparse error, a
+ValueError or an OSError), else the exit_code of the errors.PertwaveError
+raised: 3 parse, 4 domain, 5 tolerance or verification failure.  Each command
+runs under errors.float_guard.  A failure prints one machine-readable
+"error: <kind>: <reason>" line on stderr; only --help exits by itself.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from .solutions import build_phi, residual
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_PARSE = 3
-EXIT_DOMAIN = 4
-EXIT_TOLERANCE = 5
+EXIT_PARSE = errors.FormatError.exit_code
+EXIT_DOMAIN = errors.DomainError.exit_code
+EXIT_TOLERANCE = errors.ToleranceNotMet.exit_code
 
 INVERT_BLOCK = 256  # points per recover call in `invert`: bounds its quadrature arrays
 
@@ -143,11 +143,10 @@ def cmd_compare(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose errors print one "error: usage:" line, exit 2."""
+    """ArgumentParser whose errors raise a ValueError, which main reports as usage."""
 
     def error(self, message):
-        print(f"error: usage: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError(message)
 
 
 @functools.cache
@@ -213,19 +212,12 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
-        with np.errstate(over="raise", invalid="raise"):  # one domain error, not warnings
-            return globals()[f"cmd_{args.command}"](args)
-    except errors.FormatError as exc:
-        print(f"error: parse: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except errors.ToleranceNotMet as exc:
-        print(f"error: tolerance: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    except (errors.PertwaveError, FloatingPointError) as exc:
-        print(f"error: domain: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        args = build_parser().parse_args(argv)
+        return errors.float_guard(args.command)(globals()[f"cmd_{args.command}"])(args)
+    except errors.PertwaveError as exc:
+        print(f"error: {exc.kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except (ValueError, OSError) as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE

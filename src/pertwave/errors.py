@@ -1,9 +1,8 @@
 """Exception hierarchy shared by all modules: one class per CLI exit code.
 
-cli.main maps FormatError to exit 3 (parse), DomainError to exit 4 (domain)
-and ToleranceNotMet to exit 5 (tolerance).  A ValueError is a usage error,
-exit 2.  The message of each error names its reason.  float_guard turns a
-float overflow or invalid operation into a DomainError.
+Each class carries the exit_code and kind that cli.main reports it with:
+FormatError 3 (parse), DomainError 4 (domain), ToleranceNotMet 5 (tolerance).
+float_guard is the one place where float trouble becomes a DomainError.
 """
 
 import functools
@@ -14,9 +13,13 @@ import numpy as np
 class PertwaveError(Exception):
     """Base class for every error raised by this package."""
 
+    exit_code, kind = 4, "domain"
+
 
 class FormatError(PertwaveError):
     """Malformed input document or CSV."""
+
+    exit_code, kind = 3, "parse"
 
 
 class DomainError(PertwaveError):
@@ -27,18 +30,20 @@ class DomainError(PertwaveError):
 class ToleranceNotMet(PertwaveError):
     """A numerical result could not meet its requested tolerance."""
 
+    exit_code, kind = 5, "tolerance"
+
 
 def float_guard(what):
-    """Decorator: run each call under np.errstate(over="raise", invalid="raise"), so that a
-    float overflow or an invalid operation (inf - inf, 0 * inf) is a DomainError naming
-    `what`, not a warning."""
+    """Decorator: a float overflow or invalid operation (inf - inf, 0 * inf) in a call is
+    a DomainError naming `what`, not a warning, and so is an OverflowError (an int or
+    Fraction too large for a float, as c / den and float(c) raise it)."""
     def decorate(fn):
         @functools.wraps(fn)
         def guarded(*args, **kwargs):
             with np.errstate(over="raise", invalid="raise"):
                 try:
                     return fn(*args, **kwargs)
-                except FloatingPointError as err:
+                except (FloatingPointError, OverflowError) as err:
                     raise DomainError(f"{what}: {err}") from None
 
         return guarded

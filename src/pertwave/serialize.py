@@ -1,9 +1,9 @@
 """Versioned document formats: JSON for symbolic objects, CSV for fields.
 
-Every document carries format_version: 1.  Coefficients are exact "num/den"
-fraction strings; floats are printed with 17 significant digits so that
-serialize-then-parse is the identity on doubles.  Writes are atomic
-(temp file + rename).
+Every document carries format_version: 1.  Coefficients are exact fraction
+strings "num/den" or "num" of ASCII digits, num signed (COEFF); floats are
+printed with 17 significant digits so that serialize-then-parse is the
+identity on doubles.  Writes are atomic (temp file + rename).
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -32,9 +33,12 @@ MAX_REDUCTION = 100_000
 # A field CSV's nodes may lie off the uniform grid through their ends by at most
 # this fraction of a step; the 17-digit floats pertwave writes read back exactly.
 UNIFORM_TOL = 1e-9
+COEFF = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def _parse_coeff(s):
+    if not (isinstance(s, str) and COEFF.fullmatch(s)):  # before any int is built
+        raise FormatError(f"bad coefficient {s!r}: not a string num or num/den")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -140,7 +144,7 @@ def read_doc(path):
     try:
         with open(path) as handle:
             return json.load(handle)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -163,7 +167,7 @@ def read_doc_lines(path):
                 line = line.strip()
                 if line:
                     docs.append(json.loads(line))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
         raise FormatError(f"{path}: invalid JSON lines: {exc}") from exc
     return docs
 

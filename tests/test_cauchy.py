@@ -17,6 +17,7 @@ from pertwave.cauchy import (Field2D, Grid2D, InitialData, evolve_grid,
 from pertwave.errors import DomainError, ToleranceNotMet
 from pertwave.quadrature import QuadratureSpec, adaptive_gauss
 from pertwave.ring import Polynomial, RhoExpr
+from pertwave.serialize import doc_to_expr
 from pertwave.solutions import build_phi
 
 # a warning (say a divide on a row on t = a) fails the test
@@ -215,6 +216,18 @@ class TestInitialData:
     def test_wrong_dim(self):
         with pytest.raises(DomainError):
             InitialData.from_rho_expr(RhoExpr.rho(4))
+
+    @pytest.mark.parametrize("coeff, exponents, a", [("9" * 400, [0, 1], 0.0),
+                                                     ("1", [4, 0], 1e100)],
+                             ids=["400-digit-coefficient", "huge-slice"])
+    def test_coefficient_too_large_for_a_float(self, coeff, exponents, a):
+        """Data whose exact coefficients on t = a overflow float(c), from a document holding
+        a 400-digit coefficient or from t^4 on the slice a = 1e100: a DomainError, not an
+        OverflowError."""
+        term = {"coeff": coeff, "exponents": exponents}
+        doc = {"format_version": 1, "dim": 2, "layers": [{"rho_power": 0, "terms": [term]}]}
+        with pytest.raises(DomainError, match="exact Cauchy data"):
+            InitialData.from_rho_expr(doc_to_expr(doc), a=a)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sample_rejected(self, bad):

@@ -1,3 +1,6 @@
+import json
+import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -321,10 +324,10 @@ class TestEvolveCompare:
         assert code == EXIT_PARSE
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+def test_usage_error_exit_code(capsys):
+    assert main(["frobnicate"]) == EXIT_USAGE == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: usage:")
 
 
 @pytest.mark.parametrize("argv", [
@@ -332,10 +335,8 @@ def test_usage_error_exit_code():
     ["basis", "--dim", "2"],
 ], ids=["invalid-dim-choice", "missing-required"])
 def test_argparse_error_contract(capsys, argv):
-    """argparse failures print one "error: usage:" line and exit 2."""
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == EXIT_USAGE
+    """argparse failures print one "error: usage:" line, and main returns 2."""
+    assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: usage:")
 
@@ -401,13 +402,16 @@ BAD_CSV = {
 }
 
 
-def one_term_doc(dim=2, rho_power=0, exponents=(1, 0)):
+def one_term_doc(dim=2, rho_power=0, exponents=(1, 0), coeff="1/1"):
     """The document of t rho^rho_power, well formed at the defaults."""
     return {"format_version": 1, "dim": dim, "layers": [
-        {"rho_power": rho_power, "terms": [{"coeff": "1/1", "exponents": list(exponents)}]}]}
+        {"rho_power": rho_power, "terms": [{"coeff": coeff, "exponents": list(exponents)}]}]}
 
 
-# one defect each; test_error_contract writes them as {tmp}/<name>.json
+HUGE_COEFF = "9" * 400  # reads as an int, but c / den and float(c) overflow
+
+
+# one defect each; test_error_contract writes them as {tmp}/<name>.json, bytes as they are
 MALFORMED = {
     "negative-rho": one_term_doc(rho_power=-1),
     "float-rho": one_term_doc(rho_power=1.9),
@@ -423,6 +427,15 @@ MALFORMED = {
     "reduction-high-t": one_term_doc(rho_power=1, exponents=(640, 0)),
     "reduction-deep": one_term_doc(rho_power=MAX_EXPONENT, exponents=(92, 0)),
     "reduction-dim-8": one_term_doc(dim=8, rho_power=1, exponents=(20,) + (0,) * 7),
+    # a coefficient is a JSON string num or num/den of ASCII digits, and nothing else
+    "coeff-exponent": one_term_doc(coeff="1e2000000"),
+    "coeff-decimal": one_term_doc(coeff="0.5"),
+    "coeff-space": one_term_doc(coeff=" 1/2"),
+    "coeff-json-1e400": json.dumps(one_term_doc()).replace('"1/1"', "1e400").encode(),
+    "coeff-infinity": one_term_doc(coeff=math.inf),
+    "coeff-true": one_term_doc(coeff=True),
+    "coeff-number": one_term_doc(coeff=0.5),
+    "not-utf-8": b'{"format_version": 1, "dim": 2, "layers": [], "note": "\xff"}',
 }
 
 
@@ -511,6 +524,11 @@ def test_split_layers_read(tmp_path, capsys):
     # the ray is admissible, but x^3 overflows at x = 1e150
     (["invert", "--dim", "2", "--phi", "{tmp}/phicube.json", "--points", "{tmp}/far.csv",
       "--out", "{tmp}/o.csv"], EXIT_DOMAIN, "domain"),
+    # a 400-digit coefficient reads, but is too large for a float where it is sampled
+    (["invert", "--dim", "2", "--phi", "{tmp}/phibig.json", "--points", "{tmp}/x.csv",
+      "--out", "{tmp}/o.csv"], EXIT_DOMAIN, "domain"),
+    (["evolve", GRID, "--data", "{tmp}/phibig.json", "--out", "{tmp}/o.csv"],
+     EXIT_DOMAIN, "domain"),
     (["basis", "--dim", "1", "--degree", "2", "--out", "{tmp}/b.jsonl"], EXIT_USAGE, "usage"),
     (["basis", "--dim", "0", "--degree", "2", "--out", "{tmp}/b.jsonl"], EXIT_USAGE, "usage"),
     (["basis", "--dim", "13", "--degree", "8", "--out", "{tmp}/b.jsonl"], EXIT_USAGE, "usage"),
@@ -526,7 +544,8 @@ def test_split_layers_read(tmp_path, capsys):
         "evolve-samples-missing", "samples-repeated-w", "samples-nan-u0", "evolve-overflow-grid",
         "evolve-overflow-both", "evolve-huge-a", "fdref-huge-a", "evolve-tolerance",
         "invert-nan-point", "invert-inf-point", "evolve-out-is-directory", "compare-off-grid",
-        "evolve-overflow-data", "invert-overflow-point", "basis-dim-1", "basis-dim-0",
+        "evolve-overflow-data", "invert-overflow-point",
+        "invert-huge-coefficient", "evolve-huge-coefficient", "basis-dim-1", "basis-dim-0",
         "basis-above-monomial-cap", *MALFORMED])
 def test_error_contract(tmp_path, capsys, argv, code, kind):
     """Every failure exits with its documented code and one error line."""
@@ -538,8 +557,10 @@ def test_error_contract(tmp_path, capsys, argv, code, kind):
         phi = build_phi(Polynomial(2, seed), 2).phi
         write_doc(str(tmp_path / f"{name}.json"), expr_to_doc(phi))
     (tmp_path / "far.csv").write_text("t,x1\n0,1e150\n")
+    write_doc(str(tmp_path / "phibig.json"), one_term_doc(rho_power=1, coeff=HUGE_COEFF))
     for name, doc in MALFORMED.items():
-        write_doc(str(tmp_path / f"{name}.json"), doc)
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(doc) if isinstance(doc, bytes) else write_doc(str(path), doc)
     (tmp_path / "x.csv").write_text("t,x1\n0.1,0.2\n")
     for name, text in BAD_CSV.items():
         (tmp_path / name).write_text(text)
@@ -551,3 +572,27 @@ def test_error_contract(tmp_path, capsys, argv, code, kind):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {kind}:")
     assert ".pertwave-" not in err[0] and not list(tmp_path.glob(".pertwave-*"))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["frobnicate"], EXIT_USAGE),
+    (["basis", "--dim", "2", "--degree", "-1", "--out", "b.jsonl"], EXIT_USAGE),
+    (["verify", "--dim", "2", "--phi", "bad.json"], EXIT_PARSE),
+    (["invert", "--dim", "2", "--phi", "big.json", "--points", "x.csv", "--out", "o.csv"],
+     EXIT_DOMAIN),
+    (["evolve", GRID, "--data", "phi.json", "--abs-tol", "1e-300", "--out", "o.csv"],
+     EXIT_TOLERANCE),
+], ids=["argparse", "value-error", "parse", "domain", "tolerance"])
+def test_error_contract_in_a_fresh_interpreter(tmp_path, argv, code):
+    """`python -m pertwave.cli` exits with each kind of failure's code and prints one
+    stderr line, with no traceback."""
+    (tmp_path / "bad.json").write_text("{not json")
+    write_doc(str(tmp_path / "big.json"), one_term_doc(rho_power=1, coeff=HUGE_COEFF))
+    phi = build_phi(Polynomial(2, {(1, 1): Fraction(1)}), 2).phi
+    write_doc(str(tmp_path / "phi.json"), expr_to_doc(phi))
+    (tmp_path / "x.csv").write_text("t,x1\n0.1,0.2\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(pertwave.__file__).resolve().parent.parent)}
+    run = subprocess.run([sys.executable, "-m", "pertwave.cli", *argv], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == code, run.stderr
+    assert len(run.stderr.splitlines()) == 1 and "Traceback" not in run.stderr, run.stderr

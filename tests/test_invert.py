@@ -11,6 +11,7 @@ from pertwave.errors import DomainError, ToleranceNotMet
 from pertwave.invert import KERNELS, RayField, h_shift_inverse, recover, recover_n2, recover_n4
 from pertwave.quadrature import MAX_ORDER, QuadratureSpec, adaptive_gauss
 from pertwave.ring import Polynomial, RhoExpr, margin
+from pertwave.serialize import doc_to_expr
 from pertwave.solutions import build_phi
 
 Q = QuadratureSpec()
@@ -267,6 +268,20 @@ def test_overflow_is_a_domain_error():
                  lambda: recover_n2(f, np.array([0.0, 1e150]), Q),
                  lambda: h_shift_inverse(f, 0, np.array([0.0, 1e150]), Q)):
         with pytest.raises(DomainError, match="ray recovery: overflow encountered"):
+            call()
+
+
+def test_coefficient_too_large_for_a_float_is_a_domain_error():
+    """A field read from a document holding a 400-digit coefficient overflows c / den when
+    sampled: DomainError from recover, the one-point recoveries and h_shift_inverse, not
+    OverflowError."""
+    term = {"coeff": "9" * 400, "exponents": [1, 0]}
+    doc = {"format_version": 1, "dim": 2, "layers": [{"rho_power": 1, "terms": [term]}]}
+    f = RayField.from_rho_expr(doc_to_expr(doc))
+    x = np.array([0.1, 0.2])
+    for call in (lambda: recover(f, x[None], Q), lambda: recover_n2(f, x, Q),
+                 lambda: h_shift_inverse(f, 0, x, Q)):
+        with pytest.raises(DomainError, match="ray recovery"):
             call()
 
 

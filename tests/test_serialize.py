@@ -66,6 +66,20 @@ class TestExprDocs:
         with pytest.raises(FormatError):
             doc_to_expr(doc)
 
+    @pytest.mark.parametrize("coeff, value", [
+        ("7", 7), ("-12/8", Fraction(-3, 2)), ("0", 0), ("-0/5", 0), ("007/010", Fraction(7, 10)),
+        ("+1", None), ("1/-2", None), ("1/0", None), ("1/00", None), ("1_000", None),
+        ("\u0663", None), ("1/2 ", None), ("1/2\n", None), ("1.", None), ("", None)])
+    def test_coefficient_grammar(self, coeff, value):
+        """A coefficient is a string num or num/den of ASCII digits, num signed, den > 0."""
+        doc = expr_to_doc(RhoExpr.from_polynomial(Polynomial.coordinate(2, 0)))
+        doc["layers"][0]["terms"][0]["coeff"] = coeff
+        if value is None:
+            with pytest.raises(FormatError, match="bad coefficient"):
+                doc_to_expr(doc)
+        else:
+            assert doc_to_expr(doc) == RhoExpr.from_polynomial(Polynomial(2, {(1, 0): value}))
+
     def test_exponent_bound(self):
         """A rho power or exponent of MAX_EXPONENT reads and evaluates; one more is refused."""
         top = RhoExpr.from_polynomial(Polynomial(2, {(1, MAX_EXPONENT): 1}), MAX_EXPONENT)
@@ -135,6 +149,13 @@ class TestFiles:
         path = tmp_path / "basis.jsonl"
         path.write_text('{"format_version": 1}\n{not json\n')
         with pytest.raises(FormatError, match="invalid JSON lines"):
+            read_doc_lines(str(path))
+
+    def test_read_doc_lines_not_utf_8(self, tmp_path):
+        """Bytes that do not decode are a FormatError, as bytes that do not parse are."""
+        path = tmp_path / "basis.jsonl"
+        path.write_bytes(b'{"format_version": 1}\n{"note": "\xff"}\n')
+        with pytest.raises(FormatError, match="invalid JSON lines: 'utf-8' codec"):
             read_doc_lines(str(path))
 
     @pytest.mark.parametrize("target", ["out", "missing/out.txt"])
