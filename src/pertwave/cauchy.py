@@ -30,30 +30,18 @@ import numpy as np
 
 from .errors import DomainError, float_guard
 from .quadrature import QuadratureSpec, adaptive_gauss
-from .ring import _SING_TOL, Polynomial, RhoExpr, margin
+from .ring import _SING_TOL, Polynomial, RhoExpr, check_margin, margin
 
 # Cauchy guard: nodes, grids and the data intervals on t = a keep
-# 1 + x^2 - t^2 >= EPS_SING.  The kernel divides by that margin and the
-# leapfrog oracle steps with the potential 8/margin^2, so the cut bounds those
+# 1 + x^2 - t^2 >= EPS_SING (ring.check_margin).  The kernel divides by that margin
+# and the leapfrog oracle steps with the potential 8/margin^2, so the cut bounds those
 # factors by 1e3 and 8e6 on every admitted node, grid and data interval.
 EPS_SING = 1e-3
 
 
-def _check_margin(x, t, message):
-    """DomainError unless 1 + x^2 - t^2 is finite and >= EPS_SING at every (x, t).
-
-    x and t broadcast together; `message` is formatted with the first
-    offending x, t, its margin m and eps = EPS_SING.  A NaN or infinite
-    margin (a non-finite or overflowing x or t) gets a message of its own.
-    """
-    points = np.stack(np.broadcast_arrays(t, x), axis=-1, dtype=float).reshape(-1, 2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = margin(points)
-    bad = np.flatnonzero(~((m >= EPS_SING) & (m < math.inf)))  # written so that NaN fails too
-    if bad.size:
-        k = bad[0]
-        text = message if np.isfinite(m[k]) else "point (x={x}, t={t}) has margin {m}"
-        raise DomainError(text.format(x=points[k, 1], t=points[k, 0], m=m[k], eps=EPS_SING))
+def _tx_rows(t, x):
+    """The (t, x) pairs of broadcast t and x as the rows of an (m, 2) array, in C order."""
+    return np.stack(np.broadcast_arrays(t, x), axis=-1, dtype=float).reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -198,8 +186,8 @@ class Grid2D:
 
     def check_singularity(self):
         """DomainError unless the whole rectangle keeps 1 + x^2 - t^2 >= EPS_SING."""
-        _check_margin(np.clip(0.0, self.x_min, self.x_max), max(abs(self.t_min), abs(self.t_max)),
-                      "grid reaches 1 + x^2 - t^2 = {m} < {eps}")
+        t, x = max(abs(self.t_min), abs(self.t_max)), np.clip(0.0, self.x_min, self.x_max)
+        check_margin([[t, x]], EPS_SING, lambda p: f"grid reaches (x={p[1]}, t={p[0]})")
 
 
 @dataclass(frozen=True)
@@ -216,20 +204,16 @@ class Field2D:
 
 
 def _check_data_intervals(a, w_lo, w_hi):
-    """Guard the kernel denominator 1 - a^2 + w^2 on each data interval on t = a.
+    """Guard the kernel denominator 1 - a^2 + w^2 >= EPS_SING on every data interval on t = a.
 
-    Row by row: DomainError if an interval holds a zero of it, or else unless it
-    stays >= EPS_SING, checked at each interval's point nearest w = 0.
+    It is least at an interval's point nearest w = 0, and <= 0 there if the interval
+    holds a real zero of it: one check_margin call over those points, in C order.
+    ring.margin rounds it as the kernel does, so the kernel's is >= EPS_SING too.
     """
     if 1.0 - a * a >= EPS_SING:
         return  # 1 - a^2 + w^2 >= 1 - a^2 >= EPS_SING everywhere
-    pole = math.sqrt(a * a - 1.0) if abs(a) >= 1.0 else math.nan  # NaN is in no interval
-    for lo, hi in zip(np.minimum(w_lo, w_hi), np.maximum(w_lo, w_hi)):
-        for w_star in (pole, -pole):  # nodes on t = a integrate over nothing
-            if np.any((lo <= w_star) & (w_star <= hi) & (lo < hi)):
-                raise DomainError(f"kernel denominator 1 - a^2 + w^2 vanishes at w = {w_star}")
-        _check_margin(np.clip(0.0, lo, hi), a,
-                      "data slice t = {t} has 1 - t^2 + w^2 = {m} < {eps} at w = {x}")
+    w = np.clip(0.0, np.minimum(w_lo, w_hi), np.maximum(w_lo, w_hi))
+    check_margin(_tx_rows(a, w), EPS_SING, lambda p: f"data slice t = {p[0]} at w = {p[1]}")
 
 
 @float_guard("closed-form evolution")
@@ -239,7 +223,7 @@ def _evolve_nodes(d, x, t, q):
     node off t = a is one adaptive_gauss batch of 2 K1 u0 + K2 v0 / 2, a row per node.
     A float overflow or invalid operation on the way is a DomainError, not a warning."""
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    _check_margin(x, t, "point (x={x}, t={t}) has 1 + x^2 - t^2 = {m} < {eps}")
+    check_margin(_tx_rows(t, x), EPS_SING, lambda p: f"point (x={p[1]}, t={p[0]})")
     a, delta = d.a, t - d.a
     ends = d.u0(np.concatenate([(x - delta).ravel(), (x + delta).ravel()]))
     out = 0.5 * (ends[:x.size] + ends[x.size:]).reshape(x.shape)
@@ -322,8 +306,8 @@ def fd_reference(d, g, cfl=0.9, refine=1):
     m_sub = max(1, int(math.ceil(g.dt / (cfl * dx))))
     dt = g.dt / m_sub
     # the leapfrog steps from t_min to t_max: the margin is least at one of them
-    _check_margin(xs[:, None], [g.t_min, g.t_max],
-                  "widened FD domain reaches 1 + x^2 - t^2 = {m} < {eps} at (x={x}, t={t})")
+    check_margin(_tx_rows([g.t_min, g.t_max], xs[:, None]), EPS_SING,
+                 lambda p: f"widened FD domain reaches (x={p[1]}, t={p[0]})")
 
     u0 = np.asarray(d.u0(xs), dtype=float)
     v0 = np.asarray(d.v0(xs), dtype=float)

@@ -1,10 +1,11 @@
 """Command-line entry point: basis / build / verify / invert / evolve / fdref / compare.
 
 main returns every exit code: 0 success, 2 usage (an argparse error, a
-ValueError or an OSError), else the exit_code of the errors.PertwaveError
-raised: 3 parse, 4 domain, 5 tolerance or verification failure.  Each command
-runs under errors.float_guard.  A failure prints one machine-readable
-"error: <kind>: <reason>" line on stderr; only --help exits by itself.
+malformed --grid among them, a ValueError or an OSError), else the exit_code
+of the errors.PertwaveError raised: 3 parse, 4 domain, 5 tolerance or
+verification failure.  Each command runs under errors.float_guard.  A failure
+prints one machine-readable "error: <kind>: <reason>" line on stderr, its
+reason cut to REASON_CHARS in the middle; only --help exits by itself.
 """
 
 from __future__ import annotations
@@ -33,18 +34,17 @@ EXIT_DOMAIN = errors.DomainError.exit_code
 EXIT_TOLERANCE = errors.ToleranceNotMet.exit_code
 
 INVERT_BLOCK = 256  # points per recover call in `invert`: bounds its quadrature arrays
+REASON_CHARS = 300  # the most of a reason an error line prints: its head ... its tail
 
 
 def parse_grid(text):
-    try:
-        x_part, t_part = text.split(":")
-        x0, x1, nx = x_part.split(",")
-        t0, t1, nt = t_part.split(",")
-        return Grid2D(x_min=float(x0), x_max=float(x1), nx=int(nx),
-                      t_min=float(t0), t_max=float(t1), nt=int(nt))
-    except ValueError as exc:
-        raise errors.FormatError(
-            f"grid spec {text!r} is not x0,x1,nx:t0,t1,nt") from exc
+    """The Grid2D of an "x0,x1,nx:t0,t1,nt" spec: ValueError if malformed, DomainError
+    if Grid2D refuses it."""
+    x_part, t_part = text.split(":")
+    x0, x1, nx = x_part.split(",")
+    t0, t1, nt = t_part.split(",")
+    return Grid2D(x_min=float(x0), x_max=float(x1), nx=int(nx),
+                  t_min=float(t0), t_max=float(t1), nt=int(nt))
 
 
 def _quad_spec(args):
@@ -112,20 +112,17 @@ def cmd_invert(args):
 
 
 def cmd_evolve(args):
-    data = _load_initial_data(args.data, args.a)
-    grid = parse_grid(args.grid)
-    field = evolve_grid(data, grid, _quad_spec(args))
+    field = evolve_grid(_load_initial_data(args.data, args.a), args.grid, _quad_spec(args))
     write_field_csv(args.out, field)
-    print(f"{grid.nx}x{grid.nt} field written to {args.out}")
+    print(f"{args.grid.nx}x{args.grid.nt} field written to {args.out}")
     return EXIT_OK
 
 
 def cmd_fdref(args):
-    data = _load_initial_data(args.data, args.a)
-    grid = parse_grid(args.grid)
-    field = fd_reference(data, grid, cfl=args.cfl, refine=args.refine)
+    field = fd_reference(_load_initial_data(args.data, args.a), args.grid,
+                         cfl=args.cfl, refine=args.refine)
     write_field_csv(args.out, field)
-    print(f"{grid.nx}x{grid.nt} reference field written to {args.out}")
+    print(f"{args.grid.nx}x{args.grid.nt} reference field written to {args.out}")
     return EXIT_OK
 
 
@@ -187,7 +184,7 @@ def build_parser():
 
     p = sub.add_parser("evolve", help="evaluate the closed-form Cauchy solution on a grid")
     p.add_argument("--a", type=float, default=0.0, help="initial time slice")
-    p.add_argument("--grid", required=True, help="x0,x1,nx:t0,t1,nt")
+    p.add_argument("--grid", required=True, type=parse_grid, help="x0,x1,nx:t0,t1,nt")
     p.add_argument("--data", required=True,
                    help="phi document (.json) or tabulated samples CSV (w,u0,v0)")
     p.add_argument("--out", required=True)
@@ -195,7 +192,7 @@ def build_parser():
 
     p = sub.add_parser("fdref", help="finite-difference reference solution on a grid")
     p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--grid", required=True, help="x0,x1,nx:t0,t1,nt")
+    p.add_argument("--grid", required=True, type=parse_grid, help="x0,x1,nx:t0,t1,nt")
     p.add_argument("--data", required=True)
     p.add_argument("--cfl", type=float, default=0.9)
     p.add_argument("--refine", type=int, default=1,
@@ -216,11 +213,14 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         return errors.float_guard(args.command)(globals()[f"cmd_{args.command}"])(args)
     except errors.PertwaveError as exc:
-        print(f"error: {exc.kind}: {exc}", file=sys.stderr)
-        return exc.exit_code
+        kind, reason, code = exc.kind, str(exc), exc.exit_code
     except (ValueError, OSError) as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        kind, reason, code = "usage", str(exc), EXIT_USAGE
+    if len(reason) > REASON_CHARS:  # its head and tail, the middle elided
+        half = (REASON_CHARS - 5) // 2
+        reason = f"{reason[:half]} ... {reason[-half:]}"
+    print(f"error: {kind}: {reason}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 H = x . grad is the Euler operator, and (H+k+1)^-1 f at x is the ray integral
 int_0^1 v^k f(vx) dv.  recover(phi, points, q) inverts phi = sum_r P_r rho^r,
 rho = 1/(1 + x.x), at each row x of an (m, n) points array whose rays keep
-1 + x.x (ring.margin) >= DEFAULT_DELTA, with one adaptive_gauss batch
+1 + x.x >= DEFAULT_DELTA (ring.check_margin), with one adaptive_gauss batch
 whose row block r holds the rays of kernel r of KERNELS[n].  recover_n2,
 recover_n4 and h_shift_inverse take one point x and run the same batch code
 on the one-row array x[None].  A float overflow or invalid operation on the
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, float_guard
 from .quadrature import QuadratureSpec, adaptive_gauss
-from .ring import RhoExpr, margin
+from .ring import RhoExpr, check_margin, margin
 
 # Ray-inversion guard: every point of the ray from the origin to x keeps
 # 1 + x.x >= DEFAULT_DELTA, so rho <= 1/DEFAULT_DELTA = 4 along it and the
@@ -71,14 +71,8 @@ def _check_rays(f, points):
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != f.dim:
         raise DomainError(f"points of shape {points.shape}, expected (m, {f.dim})")
-    with np.errstate(over="ignore", invalid="ignore"):
-        rho_inv = margin(points)
     # 1 + s^2 x.x is monotone in s, so its minimum on a ray is 1 or rho_inv (finite iff x.x is)
-    ok = (rho_inv >= DEFAULT_DELTA) & (rho_inv < np.inf)
-    if not ok.all():
-        x = tuple(map(float, points[ok.argmin()]))
-        raise DomainError(f"ray to {x} leaves the domain margin delta={DEFAULT_DELTA}")
-    return points, rho_inv
+    return points, check_margin(points, DEFAULT_DELTA, lambda x: f"ray to {tuple(map(float, x))}")
 
 
 def _ray_integrals(f, points, s, kernels, q):

@@ -75,13 +75,31 @@ def _join(parts):
 def margin(points):
     """1 + x.x = 1 - t^2 + sum(xi^2) (that is, 1/rho) at each row of an (m, dim) array.
 
-    Every singular-set guard takes 1 + x.x from here under np.errstate (an overflowing
-    square fails it as inf or NaN), with its own threshold and error class.
+    Every singular-set guard takes 1 + x.x from here: check_margin for the floors of
+    the Cauchy nodes, grids, data and leapfrog domain and of the inversion rays, and
+    _evaluate for its two-sided _SING_TOL.
     """
     sq = np.asarray(points, dtype=float).T ** 2
     # whole columns added left to right: the order of a row-wise reduction
     # over the spatial axes, without numpy's slow short-axis reduce
     return 1.0 - sq[0] + sum(sq[1:], 0.0)
+
+
+def check_margin(points, floor, subject):
+    """margin(points), once every row's margin is finite and >= floor.
+
+    DomainError otherwise, naming the first row x that fails by the text subject(x),
+    its margin and the floor.  A coordinate whose square overflows gives an infinite
+    or NaN margin, which fails too, without a numpy warning.
+    """
+    points = np.asarray(points, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = margin(points)
+    bad = np.flatnonzero(~((m >= floor) & (m < math.inf)))  # written so that NaN fails too
+    if bad.size:
+        k = bad[0]
+        raise DomainError(f"{subject(points[k])}: margin 1 + x.x = {m[k]}, not in [{floor}, inf)")
+    return m
 
 
 def _evaluate(dim, layers, points, den=None):

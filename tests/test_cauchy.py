@@ -75,7 +75,8 @@ def row_by_row_reference(d, x, t, q):
     """Reference closed form at the nodes (x[k], t[k]) of one row, with every
     check, the boundary terms and the quadrature taken for this row alone."""
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    cauchy._check_margin(x, t, "point (x={x}, t={t}) has 1 + x^2 - t^2 = {m} < {eps}")
+    ring.check_margin(cauchy._tx_rows(t, x), cauchy.EPS_SING,
+                      lambda p: f"point (x={p[1]}, t={p[0]})")
     delta = t - d.a
     ends = d.u0(np.concatenate([x - delta, x + delta]))
     out = 0.5 * (ends[:x.size] + ends[x.size:])
@@ -147,7 +148,7 @@ class TestEvolvePoint:
 
     def test_singular_point_rejected(self):
         d = InitialData.from_rho_expr(exact_x_rho())
-        message = "point (x=0.0, t=1.0) has 1 + x^2 - t^2 = 0.0 < 0.001"
+        message = "point (x=0.0, t=1.0): margin 1 + x.x = 0.0, not in [0.001, inf)"
         with pytest.raises(DomainError, match=re.escape(message)):
             evolve_point(d, 0.0, 1.0, Q)
 
@@ -158,7 +159,7 @@ class TestEvolvePoint:
         inside, outside = 0.9994998749374608, 0.999499874937461
         assert 1.0 - inside ** 2 >= 1e-3 > 1.0 - outside ** 2
         assert evolve_point(d, 0.0, inside, Q) == pytest.approx(phi_eval(phi, 0.0, inside))
-        with pytest.raises(DomainError, match=re.escape("point (x=0.0, t=0.999499874937461) has")):
+        with pytest.raises(DomainError, match=re.escape("point (x=0.0, t=0.999499874937461):")):
             evolve_point(d, 0.0, outside, Q)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200, -1e200])
@@ -171,7 +172,7 @@ class TestEvolvePoint:
 
         d = InitialData(a=0.0, u0=never, v0=never)
         x, t = (bad, 0.3) if axis == "x" else (0.2, bad)
-        with pytest.raises(DomainError, match=re.escape(f"point (x={x}, t={t}) has margin")):
+        with pytest.raises(DomainError, match=re.escape(f"point (x={x}, t={t}): margin")):
             evolve_point(d, x, t, Q)
 
     def test_overflow_is_a_domain_error(self):
@@ -188,10 +189,21 @@ class TestEvolvePoint:
     def test_kernel_pole_rejected(self):
         d = InitialData(a=1.5, u0=lambda w: np.zeros_like(w),
                         v0=lambda w: np.zeros_like(w))
-        # evolving back from a = 1.5, the dependence interval [0.8, 1.4]
-        # straddles the kernel pole at w = sqrt(a^2 - 1) ~ 1.118
-        with pytest.raises(DomainError, match="kernel denominator .* vanishes at w = 1.118"):
+        # evolving back from a = 1.5, the dependence interval [0.8, 1.4] straddles the
+        # kernel pole at w = sqrt(a^2 - 1) ~ 1.118, so 1 - a^2 + w^2 < 0 at w = 0.8
+        with pytest.raises(DomainError, match=re.escape("data slice t = 1.5 at w = 0.8: margin")):
             evolve_point(d, 1.1, 1.2, Q)
+
+    def test_interval_beside_a_rounded_pole_is_admitted(self):
+        """The float sqrt(a^2 - 1) rounds up to a = 83997152.98349816, though the real
+        zero of 1 - a^2 + w^2 lies 6e-9 below it: the data interval [a, a + 2 ulp] of the
+        node (a + 1 ulp, a - 1 ulp) holds no zero, its exact margin at w = a is 1, and the
+        kernel's float denominator there clears the floor."""
+        a = 83997152.98349816
+        assert math.sqrt(a * a - 1.0) == a
+        d = InitialData(a=a, u0=np.cos, v0=np.sin)
+        x, t = math.nextafter(a, math.inf), math.nextafter(a, 0.0)
+        assert math.isfinite(evolve_point(d, x, t, Q))
 
 
 class TestInitialData:
@@ -465,7 +477,7 @@ class TestGrids:
             Grid2D(x0, x1, 5, t0, t1, 3)
 
     def test_singularity_check(self):
-        with pytest.raises(DomainError, match=re.escape("grid reaches 1 + x^2 - t^2")):
+        with pytest.raises(DomainError, match=re.escape("grid reaches (x=0.0, t=1.2): margin")):
             Grid2D(-1.0, 1.0, 5, 0.0, 1.2, 5).check_singularity()
 
     def test_field_shape_guard(self):
@@ -533,7 +545,7 @@ class TestEvolveGrid:
                         v0=lambda w: np.zeros_like(w))
         # the node (1.2, 1.2) depends on [0.9, 1.5], which holds w = 1.118...
         g = Grid2D(1.2, 1.6, 5, 1.2, 1.5, 3)
-        with pytest.raises(DomainError, match="kernel denominator .* vanishes at w = 1.118"):
+        with pytest.raises(DomainError, match=re.escape("data slice t = 1.5 at w = 0.899")):
             evolve_grid(d, g, Q)
 
     def test_singular_data_interval_rejected(self):
@@ -543,12 +555,14 @@ class TestEvolveGrid:
                         v0=lambda w: np.zeros_like(np.asarray(w, dtype=float)))
         # node (0.5, -0.5) depends on [0.0005, 0.9995]; at w = 0.0005 the
         # margin 1 - a^2 + w^2 evaluates to 0.000999999999999855
-        with pytest.raises(DomainError, match=re.escape("data slice t = -0.9995 has")):
+        message = ("data slice t = -0.9995 at w = 0.0004999999999999449: "
+                   "margin 1 + x.x = 0.000999999999999855, not in [0.001, inf)")
+        with pytest.raises(DomainError, match=re.escape(message)):
             evolve_grid(d, Grid2D(0.5, 1.0, 11, a, -0.5, 6), Q)
 
     def test_singular_grid_rejected(self):
         d = InitialData.from_rho_expr(exact_x_rho())
-        with pytest.raises(DomainError, match=re.escape("grid reaches 1 + x^2 - t^2")):
+        with pytest.raises(DomainError, match=re.escape("grid reaches (x=0.0, t=1.2): margin")):
             evolve_grid(d, Grid2D(-1.0, 1.0, 5, 0.0, 1.2, 5), Q)
 
     def test_out_of_table_rejected(self):
@@ -624,7 +638,7 @@ class TestOneCallPerGrid:
     # (data, grid, message): the last row alone fails its check, earlier rows integrate
     LAST_ROW_FAILS = {
         # rows t = -1.5, -1.45, -1.4; only t = -1.4 has an interval holding w = 1.118...
-        "kernel-pole": (-1.5, Grid2D(1.2, 1.6, 5, -1.5, -1.4, 3), "kernel denominator"),
+        "kernel-pole": (-1.5, Grid2D(1.2, 1.6, 5, -1.5, -1.4, 3), "data slice t = "),
         # rows t = a ... -0.5; only t = -0.5 reaches w = 0.0005, where 1 - a^2 + w^2 < 1e-3
         "data-margin": (-0.9995, Grid2D(0.5, 1.0, 11, -0.9995, -0.5, 6), "data slice t = "),
     }
@@ -654,7 +668,7 @@ class TestOneCallPerGrid:
             evolve_grid(d, first_rows, q)
         with pytest.raises(ToleranceNotMet):
             reference_grid(d, g, q)
-        with pytest.raises(DomainError, match="kernel denominator"):
+        with pytest.raises(DomainError, match="data slice t = "):
             evolve_grid(d, g, q)
 
 

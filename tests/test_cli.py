@@ -14,9 +14,8 @@ from pertwave import cli
 from pertwave.basis import wave_basis
 from pertwave.cauchy import Field2D, Grid2D
 from pertwave.cli import (EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_TOLERANCE,
-                          EXIT_USAGE, INVERT_BLOCK, build_parser, main,
+                          EXIT_USAGE, INVERT_BLOCK, REASON_CHARS, build_parser, main,
                           parse_grid)
-from pertwave.errors import FormatError
 from pertwave.invert import RayField, recover_n2
 from pertwave.quadrature import MAX_ORDER, QuadratureSpec
 from pertwave.ring import Polynomial, RhoExpr
@@ -110,7 +109,7 @@ def test_written_files_follow_the_umask(tmp_path, umask, mode):
 def test_parse_grid():
     g = parse_grid("-1,1,11:0,0.5,6")
     assert g == Grid2D(-1.0, 1.0, 11, 0.0, 0.5, 6)
-    with pytest.raises(FormatError):
+    with pytest.raises(ValueError):
         parse_grid("-1,1,11")
 
 
@@ -321,7 +320,27 @@ class TestEvolveCompare:
         phi_path, _ = self.make_phi_doc(tmp_path)
         code = main(["evolve", "--grid", "nonsense", "--data", phi_path,
                      "--out", str(tmp_path / "o.csv")])
-        assert code == EXIT_PARSE
+        assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("case, code", [("coeff", EXIT_PARSE), ("exponent", EXIT_PARSE),
+                                        ("grid", EXIT_USAGE)])
+def test_error_line_is_bounded(tmp_path, capsys, case, code):
+    """A 100 000-character coefficient, a 50 000-character exponent string or a
+    50 000-character --grid is echoed with its middle elided: one stderr line with at
+    most REASON_CHARS of reason, which keeps the reason's head and tail."""
+    path = str(tmp_path / "phi.json")
+    doc = {"coeff": one_term_doc(coeff="9" * 100_000),
+           "exponent": one_term_doc(exponents=("1" * 50_000, 0))}.get(case, one_term_doc())
+    write_doc(path, doc)
+    argv = {"grid": ["evolve", "--grid=" + "1" * 50_000, "--data", path,
+                     "--out", str(tmp_path / "o.csv")]}.get(case, ["verify", "--dim", "2",
+                                                                   "--phi", path])
+    assert main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    kind = "usage" if code == EXIT_USAGE else "parse"
+    assert len(err) == 1 and len(err[0]) <= len(f"error: {kind}: ") + REASON_CHARS
+    assert err[0].startswith(f"error: {kind}: ") and " ... " in err[0]
 
 
 def test_usage_error_exit_code(capsys):
