@@ -37,6 +37,8 @@ from .ring import _SING_TOL, Polynomial, RhoExpr, check_margin, margin
 # and the leapfrog oracle steps with the potential 8/margin^2, so the cut bounds those
 # factors by 1e3 and 8e6 on every admitted node, grid and data interval.
 EPS_SING = 1e-3
+# leapfrog oracle's Courant number: its dt <= CFL * dx, under the scheme's stability limit 1
+CFL = 0.9
 
 
 def _tx_rows(t, x):
@@ -166,9 +168,10 @@ class Grid2D:
     def __post_init__(self):
         if self.nx < 2 or self.nt < 2:
             raise DomainError(f"grid needs nx, nt >= 2, got {self.nx}x{self.nt}")
-        if not (-math.inf < self.x_min < self.x_max < math.inf
-                and -math.inf < self.t_min < self.t_max < math.inf):  # NaN fails it too
-            raise DomainError("grid bounds must be finite and increasing")
+        if not (0.0 < self.x_max - self.x_min < math.inf
+                and 0.0 < self.t_max - self.t_min < math.inf):  # NaN fails it too
+            raise DomainError(
+                f"grid bounds must be finite and increasing, with finite spans: {self}")
 
     def xs(self):
         return np.linspace(self.x_min, self.x_max, self.nx)
@@ -281,16 +284,15 @@ def _potential(xs, t):
     return 8.0 / (1.0 + xs ** 2 - t * t) ** 2
 
 
-def fd_reference(d, g, cfl=0.9, refine=1):
+def fd_reference(d, g, refine=1):
     """Independent leapfrog reference solution, restricted back to grid g.
 
-    The spatial domain is widened so the numerical domain of dependence of
-    the requested region never touches the artificial boundaries; `refine`
-    divides the spatial step (an integer, so the grid nodes stay on the
-    refined nodes) for convergence studies.
+    The data slice t = d.a must be the grid's first time.  The spatial domain
+    is widened so the numerical domain of dependence of the requested region
+    never touches the artificial boundaries; the time step is at most CFL
+    times the space step; `refine` divides the spatial step (an integer, so
+    the grid nodes stay on the refined nodes) for convergence studies.
     """
-    if not 0.0 < cfl <= 0.95:  # written so that NaN fails it too
-        raise ValueError(f"cfl must be in (0, 0.95], got {cfl}")
     if not (isinstance(refine, numbers.Integral) and refine >= 1):
         raise ValueError(f"refine must be an integer >= 1, got {refine}")
     if abs(g.t_min - d.a) > 1e-12:
@@ -299,11 +301,11 @@ def fd_reference(d, g, cfl=0.9, refine=1):
     g.check_singularity()
     dx = g.dx / refine
     span = g.t_max - d.a
-    n_pad = int(math.ceil(span / (cfl * dx))) + 2
+    n_pad = int(math.ceil(span / (CFL * dx))) + 2
     nx_ext = (g.nx - 1) * refine + 1 + 2 * n_pad
     xs = g.x_min - n_pad * dx + dx * np.arange(nx_ext)
     # substep so that stored slices land exactly on the requested t nodes
-    m_sub = max(1, int(math.ceil(g.dt / (cfl * dx))))
+    m_sub = max(1, int(math.ceil(g.dt / (CFL * dx))))
     dt = g.dt / m_sub
     # the leapfrog steps from t_min to t_max: the margin is least at one of them
     check_margin(_tx_rows([g.t_min, g.t_max], xs[:, None]), EPS_SING,
@@ -353,15 +355,13 @@ def pde_residual_fd(f):
     return Field2D(grid=inner, values=res)
 
 
-def initial_condition_check(d, q=QuadratureSpec(), xs=None):
-    """(max |phi(., a) - u0|, max |d/dt phi(., a) - v0|) over sample positions.
+def initial_condition_check(d, q=QuadratureSpec()):
+    """(max |phi(., a) - u0|, max |d/dt phi(., a) - v0|) over 21 positions in [-1, 1].
 
     The velocity is taken by a one-sided 4th-order finite difference in t of
-    the closed form with step 1e-4, all 5 * len(xs) nodes in one batch.
+    the closed form with step 1e-4, all 5 * 21 nodes in one batch.
     """
-    if xs is None:
-        xs = np.linspace(-1.0, 1.0, 21)
-    xs = np.asarray(xs, dtype=float)
+    xs = np.linspace(-1.0, 1.0, 21)
     dt_step = 1e-4
     xx, tt = np.broadcast_arrays(xs, d.a + np.arange(5)[:, None] * dt_step)
     samples = _evolve_nodes(d, xx.ravel()[None], tt.ravel()[None], q).reshape(xx.shape)

@@ -29,22 +29,22 @@ from .solutions import build_phi, residual
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_PARSE = errors.FormatError.exit_code
-EXIT_DOMAIN = errors.DomainError.exit_code
-EXIT_TOLERANCE = errors.ToleranceNotMet.exit_code
 
 INVERT_BLOCK = 256  # points per recover call in `invert`: bounds its quadrature arrays
 REASON_CHARS = 300  # the most of a reason an error line prints: its head ... its tail
 
 
 def parse_grid(text):
-    """The Grid2D of an "x0,x1,nx:t0,t1,nt" spec: ValueError if malformed, DomainError
-    if Grid2D refuses it."""
-    x_part, t_part = text.split(":")
-    x0, x1, nx = x_part.split(",")
-    t0, t1, nt = t_part.split(",")
-    return Grid2D(x_min=float(x0), x_max=float(x1), nx=int(nx),
-                  t_min=float(t0), t_max=float(t1), nt=int(nt))
+    """The Grid2D of an "x0,x1,nx:t0,t1,nt" spec: argparse.ArgumentTypeError if
+    malformed, DomainError if Grid2D refuses it."""
+    try:
+        x_part, t_part = text.split(":")
+        x0, x1, nx = x_part.split(",")
+        t0, t1, nt = t_part.split(",")
+        bounds = float(x0), float(x1), int(nx), float(t0), float(t1), int(nt)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected x0,x1,nx:t0,t1,nt, got {text!r}") from None
+    return Grid2D(*bounds)
 
 
 def _quad_spec(args):
@@ -91,7 +91,7 @@ def cmd_verify(args):
         print("PASS")
         return EXIT_OK
     print("FAIL")
-    return EXIT_TOLERANCE
+    return errors.ToleranceNotMet.exit_code
 
 
 def cmd_invert(args):
@@ -119,8 +119,8 @@ def cmd_evolve(args):
 
 
 def cmd_fdref(args):
-    field = fd_reference(_load_initial_data(args.data, args.a), args.grid,
-                         cfl=args.cfl, refine=args.refine)
+    field = fd_reference(_load_initial_data(args.data, args.grid.t_min), args.grid,
+                         refine=args.refine)
     write_field_csv(args.out, field)
     print(f"{args.grid.nx}x{args.grid.nt} reference field written to {args.out}")
     return EXIT_OK
@@ -136,7 +136,7 @@ def cmd_compare(args):
     diff = fa.values - fb.values  # a field has at least 2 x 2 values
     value = float(np.max(np.abs(diff)) if args.norm == "linf" else np.sqrt(np.mean(diff ** 2)))
     print(format_float(value))
-    return EXIT_TOLERANCE if value > args.tol else EXIT_OK
+    return errors.ToleranceNotMet.exit_code if value > args.tol else EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -191,10 +191,8 @@ def build_parser():
     add_quad(p)
 
     p = sub.add_parser("fdref", help="finite-difference reference solution on a grid")
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--grid", required=True, type=parse_grid, help="x0,x1,nx:t0,t1,nt")
+    p.add_argument("--grid", required=True, type=parse_grid, help="x0,x1,nx:t0,t1,nt; data on t0")
     p.add_argument("--data", required=True)
-    p.add_argument("--cfl", type=float, default=0.9)
     p.add_argument("--refine", type=int, default=1,
                    help="internal spatial refinement factor")
     p.add_argument("--out", required=True)

@@ -362,8 +362,8 @@ class RhoExpr:
         return cls(dim, {}, 1)
 
     @classmethod
-    def from_polynomial(cls, poly, rho_power=0):
-        return normalize([(rho_power, poly)], poly.dim)
+    def from_polynomial(cls, poly):
+        return normalize([(0, poly)], poly.dim)
 
     @classmethod
     def rho(cls, dim, power=1):

@@ -154,24 +154,6 @@ def write_doc_lines(path, docs):
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_doc_lines(path):
-    """Documents of a JSON-lines file, one per line.
-
-    Public because it reads the output of `pertwave basis` (written by
-    write_doc_lines); the round-trip tests use it.
-    """
-    docs = []
-    try:
-        with open(path) as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    docs.append(json.loads(line))
-    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
-        raise FormatError(f"{path}: invalid JSON lines: {exc}") from exc
-    return docs
-
-
 def format_float(v):
     """17 significant digits: enough that parsing the text gives back the same double."""
     return format(float(v), ".17g")
@@ -218,14 +200,15 @@ def read_field_csv(path):
     cells = xi * ts.size + ti
     if xs.size * ts.size != value.size or np.unique(cells).size != value.size:
         raise FormatError(f"{path}: field CSV must hold each cell of a grid exactly once")
-    grid = Grid2D(x_min=float(xs[0]), x_max=float(xs[-1]), nx=xs.size,
-                  t_min=float(ts[0]), t_max=float(ts[-1]), nt=ts.size)
     with np.errstate(over="ignore", invalid="ignore"):  # a span that overflows is off too
-        for axis, nodes, uniform in (("x", xs, grid.xs()), ("t", ts, grid.ts())):
-            off = ~(np.abs(nodes - uniform) <= UNIFORM_TOL * (uniform[1] - uniform[0]))
-            if off.any():
+        for axis, nodes in (("x", xs), ("t", ts)):  # Grid2D refuses one node or a non-finite one
+            uniform = np.linspace(nodes[0], nodes[-1], nodes.size)
+            off = ~(np.abs(nodes - uniform) <= UNIFORM_TOL * np.diff(uniform[:2]))
+            if off.any() and np.isfinite(nodes).all():
                 raise FormatError(f"{path}: field CSV {axis} = {nodes[off.argmax()]} is off the "
                                   f"uniform grid by more than {UNIFORM_TOL} of a step")
+    grid = Grid2D(x_min=float(xs[0]), x_max=float(xs[-1]), nx=xs.size,
+                  t_min=float(ts[0]), t_max=float(ts[-1]), nt=ts.size)
     values = np.empty((xs.size, ts.size))
     values.flat[cells] = value
     return Field2D(grid=grid, values=values)

@@ -470,7 +470,9 @@ class TestGrids:
 
     @pytest.mark.parametrize("bounds", [(-math.inf, 1.0, 0.0, 0.5), (-1.0, math.inf, 0.0, 0.5),
                                         (-1.0, 1.0, -math.inf, 0.5), (-1.0, 1.0, 0.0, math.inf),
-                                        (math.nan, 1.0, 0.0, 0.5)])
+                                        (math.nan, 1.0, 0.0, 0.5),
+                                        # finite bounds whose span overflows: dx or dt is inf
+                                        (-1e308, 1e308, 0.0, 0.5), (-1.0, 1.0, -1e308, 1e308)])
     def test_non_finite_bounds_rejected(self, bounds):
         x0, x1, t0, t1 = bounds
         with pytest.raises(DomainError, match="finite and increasing"):
@@ -499,7 +501,7 @@ class TestEvolveGrid:
 
     def test_initial_conditions(self):
         d = InitialData.from_rho_expr(exact_tx())
-        pos_err, vel_err = initial_condition_check(d, Q, xs=np.linspace(-0.8, 0.8, 9))
+        pos_err, vel_err = initial_condition_check(d, Q)
         assert pos_err < 1e-12
         assert vel_err < 1e-6
 
@@ -696,13 +698,6 @@ class TestFdReference:
         kernel = evolve_grid(d, g, Q)
         fd = fd_reference(d, g, refine=8)
         assert np.max(np.abs(kernel.values - fd.values)) < 5e-4
-
-    def test_cfl_guard(self):
-        d = InitialData.from_rho_expr(exact_x_rho())
-        g = Grid2D(-1.0, 1.0, 11, 0.0, 0.5, 6)
-        for cfl in (1.1, 0.0, float("nan")):
-            with pytest.raises(ValueError, match=re.escape(f"cfl must be in (0, 0.95], got {cfl}")):
-                fd_reference(d, g, cfl=cfl)
 
     @pytest.mark.parametrize("refine", [0, -1, 1.5, 2.0, float("nan")])
     def test_refine_guard(self, refine):

@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,15 +15,15 @@ import pertwave
 from pertwave import cli
 from pertwave.basis import wave_basis
 from pertwave.cauchy import Field2D, Grid2D
-from pertwave.cli import (EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_TOLERANCE,
-                          EXIT_USAGE, INVERT_BLOCK, REASON_CHARS, build_parser, main,
+from pertwave.cli import (EXIT_OK, EXIT_USAGE, INVERT_BLOCK, REASON_CHARS, build_parser, main,
                           parse_grid)
+from pertwave.errors import DomainError, FormatError, ToleranceNotMet
 from pertwave.invert import RayField, recover_n2
 from pertwave.quadrature import MAX_ORDER, QuadratureSpec
 from pertwave.ring import Polynomial, RhoExpr
 from pertwave.serialize import (MAX_EXPONENT, doc_to_expr, doc_to_poly, expr_to_doc, format_float,
-                                poly_to_doc, read_doc, read_doc_lines,
-                                read_field_csv, write_doc, write_field_csv)
+                                poly_to_doc, read_doc, read_field_csv, write_doc,
+                                write_field_csv)
 from pertwave.solutions import build_phi
 
 # a warning on the CLI path prints more than the one "error:" line on stderr
@@ -109,7 +111,8 @@ def test_written_files_follow_the_umask(tmp_path, umask, mode):
 def test_parse_grid():
     g = parse_grid("-1,1,11:0,0.5,6")
     assert g == Grid2D(-1.0, 1.0, 11, 0.0, 0.5, 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(argparse.ArgumentTypeError,
+                       match=re.escape("expected x0,x1,nx:t0,t1,nt, got '-1,1,11'")):
         parse_grid("-1,1,11")
 
 
@@ -117,7 +120,7 @@ class TestBasis:
     def test_writes_jsonl(self, tmp_path):
         out = str(tmp_path / "basis.jsonl")
         assert main(["basis", "--dim", "2", "--degree", "2", "--out", out]) == EXIT_OK
-        docs = read_doc_lines(out)
+        docs = [json.loads(line) for line in Path(out).read_text().splitlines()]
         assert len(docs) == 2
         for doc in docs:
             p = doc_to_poly(doc)
@@ -145,14 +148,14 @@ class TestBuildVerify:
     def test_verify_fail(self, tmp_path, capsys):
         phi_path = str(tmp_path / "phi.json")
         write_doc(phi_path, expr_to_doc(RhoExpr.rho(2)))
-        assert main(["verify", "--dim", "2", "--phi", phi_path]) == EXIT_TOLERANCE
+        assert main(["verify", "--dim", "2", "--phi", phi_path]) == ToleranceNotMet.exit_code
         assert "FAIL" in capsys.readouterr().out
 
     def test_build_rejects_non_wave_seed(self, tmp_path, capsys):
         seed = write_seed(tmp_path, Polynomial(2, {(2, 0): Fraction(1)}))
         out = str(tmp_path / "bundle.json")
         code = main(["build", "--dim", "2", "--seed", seed, "--out", out])
-        assert code == EXIT_DOMAIN
+        assert code == DomainError.exit_code
 
     def test_bad_json_is_parse_error(self, tmp_path, capsys):
         bad = str(tmp_path / "bad.json")
@@ -160,7 +163,7 @@ class TestBuildVerify:
             f.write("{")
         code = main(["build", "--dim", "2", "--seed", bad, "--out",
                      str(tmp_path / "x.json")])
-        assert code == EXIT_PARSE
+        assert code == FormatError.exit_code
         assert "error: parse:" in capsys.readouterr().err
 
 
@@ -181,7 +184,7 @@ def test_build_verify_golden(tmp_path, capsys, n, k, i):
     phi = read_doc(str(out))["phi"]
     truncated = dict(phi, layers=[layer for layer in phi["layers"] if layer["rho_power"]])
     printed = []
-    for doc, code in ((phi, EXIT_OK), (truncated, EXIT_TOLERANCE)):
+    for doc, code in ((phi, EXIT_OK), (truncated, ToleranceNotMet.exit_code)):
         write_doc(str(tmp_path / "phi.json"), doc)
         capsys.readouterr()
         assert main(["verify", "--dim", str(n), "--phi", str(tmp_path / "phi.json")]) == code
@@ -235,7 +238,7 @@ class TestInvert:
             f.write("t,x1\n0.1,0.2\n")
         code = main(["invert", "--dim", "2", "--phi", phi_path,
                      "--points", pts_path, "--out", str(tmp_path / "o.csv")])
-        assert code == EXIT_DOMAIN
+        assert code == DomainError.exit_code
 
 
 class TestEvolveCompare:
@@ -267,7 +270,7 @@ class TestEvolveCompare:
         write_field_csv(a_out, Field2D(grid=g, values=np.zeros((3, 3))))
         write_field_csv(b_out, Field2D(grid=g, values=np.ones((3, 3))))
         assert main(["compare", "--a", a_out, "--b", b_out,
-                     "--tol", "0.5"]) == EXIT_TOLERANCE
+                     "--tol", "0.5"]) == ToleranceNotMet.exit_code
 
     def test_compare_shape_mismatch(self, tmp_path, capsys):
         a_out = str(tmp_path / "a.csv")
@@ -276,13 +279,13 @@ class TestEvolveCompare:
                                        values=np.zeros((3, 3))))
         write_field_csv(b_out, Field2D(grid=Grid2D(0, 1, 4, 0, 1, 3),
                                        values=np.zeros((4, 3))))
-        assert main(["compare", "--a", a_out, "--b", b_out]) == EXIT_DOMAIN
+        assert main(["compare", "--a", a_out, "--b", b_out]) == DomainError.exit_code
 
     def test_evolve_singular_grid(self, tmp_path, capsys):
         phi_path, _ = self.make_phi_doc(tmp_path)
         code = main(["evolve", "--grid=-1,1,5:0,1.5,5",
                      "--data", phi_path, "--out", str(tmp_path / "o.csv")])
-        assert code == EXIT_DOMAIN
+        assert code == DomainError.exit_code
 
     def test_evolve_singular_data_interval(self, tmp_path, capsys):
         w = np.linspace(-2.0, 2.0, 401)
@@ -293,7 +296,7 @@ class TestEvolveCompare:
                 f.write(f"{format(wi, '.17g')},{format(np.exp(-8.0 * wi * wi), '.17g')},0\n")
         code = main(["evolve", "--a=-0.9995", "--grid=0.5,1,11:-0.9995,-0.5,6",
                      "--data", samples, "--out", str(tmp_path / "o.csv")])
-        assert code == EXIT_DOMAIN
+        assert code == DomainError.exit_code
         assert capsys.readouterr().err.startswith("error: domain: data slice t = -0.9995")
 
     def test_evolve_from_samples(self, tmp_path):
@@ -322,8 +325,37 @@ class TestEvolveCompare:
                      "--out", str(tmp_path / "o.csv")])
         assert code == EXIT_USAGE
 
+    def test_malformed_grid_names_the_form(self, tmp_path, capsys):
+        phi_path, _ = self.make_phi_doc(tmp_path)
+        assert main(["evolve", "--grid=-1,1,11", "--data", phi_path,
+                     "--out", str(tmp_path / "o.csv")]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: usage: argument --grid: expected x0,x1,nx:t0,t1,nt, got '-1,1,11'\n")
 
-@pytest.mark.parametrize("case, code", [("coeff", EXIT_PARSE), ("exponent", EXIT_PARSE),
+    def test_overflowing_grid_span(self, tmp_path, capsys):
+        """A grid whose x span overflows is refused where it is made, and named."""
+        phi_path, _ = self.make_phi_doc(tmp_path)
+        assert main(["fdref", "--grid=-1e308,1e308,2:0,0.5,2", "--data", phi_path,
+                     "--out", str(tmp_path / "o.csv")]) == DomainError.exit_code
+        assert capsys.readouterr().err == (
+            "error: domain: grid bounds must be finite and increasing, with finite spans: "
+            "Grid2D(x_min=-1e+308, x_max=1e+308, nx=2, t_min=0.0, t_max=0.5, nt=2)\n")
+
+    def test_fdref_starts_at_the_grid(self, tmp_path):
+        """fdref takes its data on the grid's first time: from t = 0.1 it follows phi."""
+        phi_path, phi = self.make_phi_doc(tmp_path)
+        out = str(tmp_path / "fd.csv")
+        assert main(["fdref", "--grid=-0.5,0.5,11:0.1,0.4,4", "--data", phi_path,
+                     "--refine", "2", "--out", out]) == EXIT_OK
+        field = read_field_csv(out)
+        g = field.grid
+        exact = phi.eval_points(np.array([[t, x] for x in g.xs() for t in g.ts()]))
+        error = np.max(np.abs(field.values - exact.reshape(g.nx, g.nt)))
+        assert error < FD_TOL * max(1.0, np.max(np.abs(exact)))
+
+
+@pytest.mark.parametrize("case, code", [("coeff", FormatError.exit_code),
+                                        ("exponent", FormatError.exit_code),
                                         ("grid", EXIT_USAGE)])
 def test_error_line_is_bounded(tmp_path, capsys, case, code):
     """A 100 000-character coefficient, a 50 000-character exponent string or a
@@ -404,6 +436,19 @@ class TestCachedParser:
 
 
 GRID = "--grid=-0.5,0.5,5:0,0.2,3"
+FD_TOL = 1e-2  # leapfrog at refine 2 against phi, relative to max(1, max |phi|)
+
+
+@pytest.mark.parametrize("option, value", [("a", "0"), ("cfl", "0.5")])
+def test_fdref_slice_and_courant_number_are_not_options(tmp_path, capsys, option, value):
+    """fdref reads its data slice from --grid and steps at cauchy.CFL."""
+    phi = str(tmp_path / "phi.json")
+    write_doc(phi, expr_to_doc(build_phi(Polynomial(2, {(1, 1): Fraction(1)}), 2).phi))
+    assert main(["fdref", GRID, "--data", phi, f"--{option}", value,
+                 "--out", str(tmp_path / "o.csv")]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: usage: unrecognized arguments: --{option} {value}"]
+
 
 # CSV files test_error_contract writes as {tmp}/<name>: no data rows, or an empty cell
 BAD_CSV = {
@@ -484,84 +529,77 @@ def test_split_layers_read(tmp_path, capsys):
      EXIT_USAGE, "usage"),
     (["fdref", GRID, "--data", "{tmp}/phi.json", "--refine", "-1", "--out", "{tmp}/o.csv"],
      EXIT_USAGE, "usage"),
-    (["fdref", GRID, "--data", "{tmp}/phi.json", "--cfl", "nan", "--out", "{tmp}/o.csv"],
-     EXIT_USAGE, "usage"),
-    (["fdref", GRID, "--data", "{tmp}/phi.json", "--cfl", "2", "--out", "{tmp}/o.csv"],
-     EXIT_USAGE, "usage"),
-    (["fdref", GRID, "--data", "{tmp}/phi.json", "--cfl", "0", "--out", "{tmp}/o.csv"],
-     EXIT_USAGE, "usage"),
-    (["verify", "--dim", "4", "--phi", "{tmp}/phi.json"], EXIT_DOMAIN, "domain"),
+    (["verify", "--dim", "4", "--phi", "{tmp}/phi.json"], DomainError.exit_code, "domain"),
     (["compare", "--a", "{tmp}/f.csv", "--b", "{tmp}/f.csv", "--tol", "nan"],
      EXIT_USAGE, "usage"),
-    (["compare", "--a", "{tmp}/f.csv", "--b", "{tmp}/shifted.csv"], EXIT_DOMAIN, "domain"),
+    (["compare", "--a", "{tmp}/f.csv", "--b", "{tmp}/shifted.csv"],
+     DomainError.exit_code, "domain"),
     (["evolve", "--grid=nan,0.5,5:0,0.2,3", "--data", "{tmp}/phi.json", "--out", "{tmp}/o.csv"],
-     EXIT_DOMAIN, "domain"),
+     DomainError.exit_code, "domain"),
     (["evolve", GRID, "--a", "nan", "--data", "{tmp}/phi.json", "--out", "{tmp}/o.csv"],
-     EXIT_DOMAIN, "domain"),
+     DomainError.exit_code, "domain"),
     (["fdref", "--grid=nan,0.5,5:0,0.2,3", "--data", "{tmp}/phi.json", "--out", "{tmp}/o.csv"],
-     EXIT_DOMAIN, "domain"),
+     DomainError.exit_code, "domain"),
     (["evolve", GRID, "--data", "{tmp}/phi.json", "--order", str(MAX_ORDER + 1),
       "--out", "{tmp}/o.csv"], EXIT_USAGE, "usage"),
     (["invert", "--dim", "2", "--phi", "{tmp}/phi.json", "--points", "{tmp}/x.csv",
       "--abs-tol", "inf", "--out", "{tmp}/o.csv"], EXIT_USAGE, "usage"),
     (["invert", "--dim", "2", "--phi", "{tmp}/phi.json", "--points",
-      "{tmp}/points-header-only.csv", "--out", "{tmp}/o.csv"], EXIT_PARSE, "parse"),
-    (["compare", "--a", "{tmp}/field-header-only.csv", "--b", "{tmp}/f.csv"], EXIT_PARSE, "parse"),
+      "{tmp}/points-header-only.csv", "--out", "{tmp}/o.csv"], FormatError.exit_code, "parse"),
+    (["compare", "--a", "{tmp}/field-header-only.csv", "--b", "{tmp}/f.csv"],
+     FormatError.exit_code, "parse"),
     (["evolve", GRID, "--data", "{tmp}/samples-header-only.csv", "--out", "{tmp}/o.csv"],
-     EXIT_PARSE, "parse"),
+     FormatError.exit_code, "parse"),
     (["compare", "--a", "{tmp}/field-empty-cell.csv", "--b", "{tmp}/field-empty-cell.csv"],
-     EXIT_PARSE, "parse"),
+     FormatError.exit_code, "parse"),
     (["compare", "--a", "{tmp}/missing.csv", "--b", "{tmp}/f.csv"], EXIT_USAGE, "usage"),
     (["invert", "--dim", "2", "--phi", "{tmp}/phi.json", "--points", "{tmp}/missing.csv",
       "--out", "{tmp}/o.csv"], EXIT_USAGE, "usage"),
     (["evolve", GRID, "--data", "{tmp}/missing.csv", "--out", "{tmp}/o.csv"],
      EXIT_USAGE, "usage"),
     (["evolve", GRID, "--data", "{tmp}/samples-repeated-w.csv", "--out", "{tmp}/o.csv"],
-     EXIT_PARSE, "parse"),
+     FormatError.exit_code, "parse"),
     (["evolve", GRID, "--data", "{tmp}/samples-nan-u0.csv", "--out", "{tmp}/o.csv"],
-     EXIT_PARSE, "parse"),
+     FormatError.exit_code, "parse"),
     (["evolve", "--grid=1e200,2e200,5:0,0.2,3", "--data", "{tmp}/phi.json",
-      "--out", "{tmp}/o.csv"], EXIT_DOMAIN, "domain"),
+      "--out", "{tmp}/o.csv"], DomainError.exit_code, "domain"),
     (["evolve", "--grid=1e200,2e200,5:1e200,2e200,3", "--data", "{tmp}/phi.json",
-      "--out", "{tmp}/o.csv"], EXIT_DOMAIN, "domain"),
+      "--out", "{tmp}/o.csv"], DomainError.exit_code, "domain"),
     (["evolve", GRID, "--a", "1e100", "--data", "{tmp}/phi3.json", "--out", "{tmp}/o.csv"],
-     EXIT_DOMAIN, "domain"),
-    (["fdref", GRID, "--a", "1e100", "--data", "{tmp}/phi3.json", "--out", "{tmp}/o.csv"],
-     EXIT_DOMAIN, "domain"),
+     DomainError.exit_code, "domain"),
     (["evolve", GRID, "--data", "{tmp}/phi.json", "--abs-tol", "1e-300", "--out", "{tmp}/o.csv"],
-     EXIT_TOLERANCE, "tolerance"),
+     ToleranceNotMet.exit_code, "tolerance"),
     (["invert", "--dim", "2", "--phi", "{tmp}/phi.json", "--points", "{tmp}/points-nan.csv",
-      "--out", "{tmp}/o.csv"], EXIT_PARSE, "parse"),
+      "--out", "{tmp}/o.csv"], FormatError.exit_code, "parse"),
     (["invert", "--dim", "2", "--phi", "{tmp}/phi.json", "--points", "{tmp}/points-inf.csv",
-      "--out", "{tmp}/o.csv"], EXIT_PARSE, "parse"),
+      "--out", "{tmp}/o.csv"], FormatError.exit_code, "parse"),
     (["evolve", GRID, "--data", "{tmp}/phi.json", "--out", "{tmp}"], EXIT_USAGE, "usage"),
     (["compare", "--a", "{tmp}/field-off-grid.csv", "--b", "{tmp}/field-on-grid.csv", "--tol", "0"],
-     EXIT_PARSE, "parse"),
+     FormatError.exit_code, "parse"),
     # every guard passes, but w^2 on the data intervals (|w| near 2e154) overflows
     (["evolve", "--grid=1e154,1.3e154,3:0,9e153,3", "--data", "{tmp}/phit.json",
-      "--out", "{tmp}/o.csv"], EXIT_DOMAIN, "domain"),
+      "--out", "{tmp}/o.csv"], DomainError.exit_code, "domain"),
     # the ray is admissible, but x^3 overflows at x = 1e150
     (["invert", "--dim", "2", "--phi", "{tmp}/phicube.json", "--points", "{tmp}/far.csv",
-      "--out", "{tmp}/o.csv"], EXIT_DOMAIN, "domain"),
+      "--out", "{tmp}/o.csv"], DomainError.exit_code, "domain"),
     # a 400-digit coefficient reads, but is too large for a float where it is sampled
     (["invert", "--dim", "2", "--phi", "{tmp}/phibig.json", "--points", "{tmp}/x.csv",
-      "--out", "{tmp}/o.csv"], EXIT_DOMAIN, "domain"),
+      "--out", "{tmp}/o.csv"], DomainError.exit_code, "domain"),
     (["evolve", GRID, "--data", "{tmp}/phibig.json", "--out", "{tmp}/o.csv"],
-     EXIT_DOMAIN, "domain"),
+     DomainError.exit_code, "domain"),
     (["basis", "--dim", "1", "--degree", "2", "--out", "{tmp}/b.jsonl"], EXIT_USAGE, "usage"),
     (["basis", "--dim", "0", "--degree", "2", "--out", "{tmp}/b.jsonl"], EXIT_USAGE, "usage"),
     (["basis", "--dim", "13", "--degree", "8", "--out", "{tmp}/b.jsonl"], EXIT_USAGE, "usage"),
     *[(["verify", "--dim", "0" if name == "dim-zero" else "2", "--phi", f"{{tmp}}/{name}.json"],
-       EXIT_PARSE, "parse") for name in MALFORMED],
+       FormatError.exit_code, "parse") for name in MALFORMED],
 ], ids=["negative-degree", "degree-above-cap", "verify-missing", "build-missing",
-        "evolve-missing", "bad-order", "nan-abs-tol", "refine-zero", "refine-negative", "nan-cfl",
-        "cfl-above-cap", "cfl-zero",
+        "evolve-missing", "bad-order", "nan-abs-tol", "refine-zero", "refine-negative",
         "verify-dim-mismatch", "compare-nan-tol", "compare-other-grid", "evolve-nan-grid",
         "evolve-nan-a", "fdref-nan-grid", "order-above-cap", "inf-abs-tol",
         "invert-header-only", "compare-header-only", "evolve-header-only",
         "compare-empty-cell", "compare-missing", "invert-points-missing",
         "evolve-samples-missing", "samples-repeated-w", "samples-nan-u0", "evolve-overflow-grid",
-        "evolve-overflow-both", "evolve-huge-a", "fdref-huge-a", "evolve-tolerance",
+        "evolve-overflow-both", "evolve-huge-a", "evolve-tolerance",
         "invert-nan-point", "invert-inf-point", "evolve-out-is-directory", "compare-off-grid",
         "evolve-overflow-data", "invert-overflow-point",
         "invert-huge-coefficient", "evolve-huge-coefficient", "basis-dim-1", "basis-dim-0",
@@ -596,11 +634,11 @@ def test_error_contract(tmp_path, capsys, argv, code, kind):
 @pytest.mark.parametrize("argv, code", [
     (["frobnicate"], EXIT_USAGE),
     (["basis", "--dim", "2", "--degree", "-1", "--out", "b.jsonl"], EXIT_USAGE),
-    (["verify", "--dim", "2", "--phi", "bad.json"], EXIT_PARSE),
+    (["verify", "--dim", "2", "--phi", "bad.json"], FormatError.exit_code),
     (["invert", "--dim", "2", "--phi", "big.json", "--points", "x.csv", "--out", "o.csv"],
-     EXIT_DOMAIN),
+     DomainError.exit_code),
     (["evolve", GRID, "--data", "phi.json", "--abs-tol", "1e-300", "--out", "o.csv"],
-     EXIT_TOLERANCE),
+     ToleranceNotMet.exit_code),
 ], ids=["argparse", "value-error", "parse", "domain", "tolerance"])
 def test_error_contract_in_a_fresh_interpreter(tmp_path, argv, code):
     """`python -m pertwave.cli` exits with each kind of failure's code and prints one

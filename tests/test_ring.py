@@ -293,7 +293,7 @@ class TestIntegerLayers:
     def test_layers_view(self):
         """With den 1 the view is the int layers; otherwise it is num over den, built on read."""
         t = Polynomial.coordinate(2, 0)
-        ints = RhoExpr.from_polynomial(t, 1).scale(3)
+        ints = (RhoExpr.rho(2) * t).scale(3)
         assert ints.den == 1 and ints.layers is ints.num
         half = ints.scale(Fraction(1, 6))
         assert half.den == 2 and half.num == ints.scale(Fraction(1, 3)).num
