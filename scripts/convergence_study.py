@@ -14,6 +14,7 @@ import numpy as np
 
 from pertwave import (Grid2D, InitialData, Polynomial, QuadratureSpec,
                       build_phi, evolve_grid, fd_reference, pde_residual_fd)
+from pertwave.cli import parse_grid
 
 
 def bump_data(width, center):
@@ -69,18 +70,16 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--width", type=float, default=8.0)
     parser.add_argument("--center", type=float, default=0.0)
-    parser.add_argument("--grid", default="-1,1,41:0,0.5,21",
+    parser.add_argument("--grid", default="-1,1,41:0,0.5,21", type=parse_grid,
                         help="x0,x1,nx:t0,t1,nt")
     parser.add_argument("--refinements", default="1,2,4,8")
     parser.add_argument("--order", type=int, default=64)
     parser.add_argument("--out", default=None, help="optional CSV output")
     args = parser.parse_args(argv)
 
-    from pertwave.cli import parse_grid
-    grid = parse_grid(args.grid)
     q = QuadratureSpec(order=args.order)
     refinements = [int(r) for r in args.refinements.split(",")]
-    oracle_table(grid, q, refinements, args.width, args.center, args.out)
+    oracle_table(args.grid, q, refinements, args.width, args.center, args.out)
     print()
     residual_table(q)
     return 0

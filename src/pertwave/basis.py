@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial, gcd
 
-from .ring import Polynomial
+from .ring import Polynomial, _add_box, _pack
 
 MAX_DEGREE = 12
 # Most monomials wave_basis(n, k) may enumerate, C(k + n - 1, n - 1), before it
@@ -47,24 +47,24 @@ def _seed(n, exps):
     It is the Cauchy-Kovalevskaya series (e0 <= 1)
     P = sum_j t^(e0+2j) e0!/(e0+2j)! Lap^j x^alpha,
     scaled by (e0+2J)!/e0! (J the last nonzero j) to integer coefficients and
-    then by their gcd.  On the t-free x^alpha, Polynomial.box is the spatial
-    Laplacian, so each Lap^j x^alpha is one box call on the one before it.
-    Lap^j x^alpha has positive coefficients, so every coefficient of P is
-    positive, the graded-lex-largest one included.
+    then by their gcd.  On the t-free x^alpha the D'Alembertian is the spatial
+    Laplacian, so each Lap^j x^alpha is one box of the packed terms before it
+    (positive coefficients: no term cancels, and every coefficient of P is
+    positive), and a product of monomials is the sum of their keys.
     """
-    e0, layers = exps[0], []
-    p = Polynomial(n, {(0,) + exps[1:]: 1}, _trusted=True)  # x^alpha, t-free
-    while p.terms:
-        layers.append(p.terms)
-        p = p.box()
+    e0, t, layers = exps[0], _pack((1,) + (0,) * (n - 1)), []  # t^m x^beta: key x^beta + m t
+    terms = {_pack((0,) + exps[1:]): 1}  # x^alpha, t-free
+    while terms:
+        layers.append(terms)
+        terms = _add_box({}, terms, n)
     top = factorial(e0 + 2 * (len(layers) - 1))
     # Term order is the order every evaluation sums in: the t-degree <= 1
     # monomial first, then the rest descending graded-lex.
-    terms = {(e0 + 2 * j,) + e[1:]: top // factorial(e0 + 2 * j) * c
-             for j in [0, *range(len(layers) - 1, 0, -1)]
+    terms = {e + step: f * c for j in [0, *range(len(layers) - 1, 0, -1)]
+             for step, f in [((e0 + 2 * j) * t, top // factorial(e0 + 2 * j))]
              for e, c in sorted(layers[j].items(), reverse=True)}
     g = gcd(*terms.values())
-    return Polynomial(n, {e: c // g for e, c in terms.items()}, _trusted=True)
+    return Polynomial(n, {e: c // g for e, c in terms.items()}, _packed=True)
 
 
 @dataclass(frozen=True)

@@ -11,24 +11,26 @@ The D'Alembertian and the Euler operator H act on each rho-layer in closed
 form (RhoExpr.box, RhoExpr.euler_h), from d_mu rho = -2 x_mu rho^2,
 H rho = -2 rho + 2 rho^2 and x.x = 1/rho - 1: one normalize call per operator.
 
-A Polynomial coefficient is an int when integral, else a Fraction.  A RhoExpr
-is stored one way only: int layers over one positive den coprime to all their
+A Polynomial keys each term by one int, the fields [total degree | t | x1 |
+... | x_{n-1}] of _BITS each (Monagan & Pearce, CASC 2007): a product of
+terms is the sum of their keys, and the keys sort in graded-lex order.  A
+coefficient is an int when integral, else a Fraction.  A RhoExpr is stored
+one way only: int layers over one positive den coprime to all their
 coefficients (a unique pair: content and primitive part, Knuth TAOCP 4.6.1),
-so operators run on ints; its rational ``layers`` are a view built on each
-read.  normalize is the one place that reduces by 1 + x.x: it clears rational
-input once and divides each rho-layer's int terms in place, one t-slice at a
-time.  Floating point enters only at evaluation: eval_points (Polynomial is
-its rho^0 case) rounds each int coefficient over den once, as c / den, and
-builds each coordinate and rho power once per call for all terms and layers;
-exact n = 2 Cauchy data are one rational function of w on t = a, evaluated by
-Horner (cauchy).
+so operators run on ints; Polynomial.terms (keyed by exponent tuples) and
+RhoExpr.layers (rational) are views built on each read.  normalize is the
+one place that reduces by 1 + x.x: it clears rational input once and divides
+each rho-layer's int terms in place, one t-slice at a time.  Floating point
+enters only at evaluation: eval_points (Polynomial is its rho^0 case) rounds
+each int coefficient over den once, as c / den, and builds each coordinate
+and rho power once per call for all terms and layers; exact n = 2 Cauchy
+data are one rational function of w on t = a, evaluated by Horner (cauchy).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
 
 import numpy as np
 
@@ -39,10 +41,24 @@ from .errors import DomainError
 # to cancellation, and rho = 1/(1 + x.x) exceeds 1e12.
 _SING_TOL = 1e-12
 
+# No field of a key carries while each term's degree is <= MAX_TOTAL_DEGREE, which only
+# __mul__ can raise; 2^17 - 1 admits the documents of dim <= 127 (exponents <= 1024).
+_BITS = 17
+_MASK = MAX_TOTAL_DEGREE = (1 << _BITS) - 1
 
-def grlex_key(exponents):
-    """Graded lexicographic sort key (t is the most significant variable)."""
-    return (sum(exponents), exponents)
+
+def _shifts(dim):
+    """Bit offsets of the exponent fields of t, x1, ..., x_{dim-1}; the degree's is _BITS * dim."""
+    return range(_BITS * (dim - 1), -1, -_BITS)
+
+
+def _pack(exps):
+    """Packed key of an exponent tuple (t first); DomainError past MAX_TOTAL_DEGREE."""
+    if (key := sum(exps)) > MAX_TOTAL_DEGREE:
+        raise DomainError(f"exponents {exps}: total degree > {MAX_TOTAL_DEGREE}")
+    for k in exps:
+        key = key << _BITS | k
+    return key
 
 
 def _coeff(value):
@@ -57,6 +73,17 @@ def _nonzero(terms):
     """Drop the zero coefficients that accumulation left behind; integral ones become int."""
     return {e: c if type(c) is int or c.denominator != 1 else c.numerator
             for e, c in terms.items() if c}
+
+
+def _add_box(out, terms, dim):
+    """Add the D'Alembertian of the packed terms into out, and return out (Polynomial.box)."""
+    drop, t_sh, shifts = 2 << _BITS * dim, _BITS * (dim - 1), _shifts(dim)
+    for e, c in terms.items():
+        for sh in shifts:
+            if (k := e >> sh & _MASK) >= 2:
+                de = e - (2 << sh) - drop
+                out[de] = out.get(de, 0) + c * (k * (k - 1) if sh != t_sh else -k * (k - 1))
+    return out
 
 
 def _check_dim(a, b):
@@ -105,10 +132,10 @@ def check_margin(points, floor, subject):
 def _evaluate(dim, layers, points, den=None):
     """sum_s P_s rho^s at each row of an (m, dim) array, from layers {s: P_s}.
 
-    Powers come from repeated multiplication (numpy's pow is far slower for
-    k >= 3).  Given den, the layers hold ints over it, each rounded once as
-    c / den (int true division), and rho = 1/(1 + x.x) after the _SING_TOL
-    guard; without it, layers may only hold s = 0.
+    Powers come from repeated multiplication when first needed (numpy's pow is
+    far slower for k >= 3).  Given den, the layers hold ints over it, each rounded
+    once as c / den, and rho = 1/(1 + x.x) after the _SING_TOL guard; without
+    it, layers may only hold s = 0.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -120,18 +147,19 @@ def _evaluate(dim, layers, points, den=None):
         denom = margin(points)
         if (np.abs(denom) < _SING_TOL).any():
             raise DomainError("evaluation on the singular set 1 + x.x = 0")
-        powers.append([None, 1.0 / denom])
-    keys = [e + (s,) for s, p in layers.items() for e in p.terms]
-    for row, top in zip(powers, map(max, zip(*keys))):
-        while len(row) <= top:
-            row.append(row[-1] * row[1])
+        powers.append(rho := [None, 1.0 / denom])
+        while len(rho) <= max(layers, default=0):
+            rho.append(rho[-1] * rho[1])
+    fields, mask = list(zip(powers, _shifts(dim))), _MASK
     out = np.zeros(len(points))
     for s, p in layers.items():
         acc = 0.0
-        for e, c in p.terms.items():
+        for e, c in p.packed.items():
             term = float(c) if den is None else c / den
-            for row, k in zip(powers, e):
-                if k:
+            for row, sh in fields:
+                if k := e >> sh & mask:
+                    while len(row) <= k:
+                        row.append(row[-1] * row[1])
                     term *= row[k]  # float * array first: powers are never written
             acc += term
         out += acc * powers[dim][s] if s else acc
@@ -141,21 +169,21 @@ def _evaluate(dim, layers, points, den=None):
 class Polynomial:
     """Multivariate polynomial over Q with a canonical term dictionary.
 
-    ``terms`` maps exponent tuples to nonzero coefficients, each an int when
+    ``packed`` maps packed keys to nonzero coefficients, each an int when
     integral and a Fraction otherwise; no zero coefficient is ever stored, so
-    equality is plain structural equality.
+    equality is plain structural equality.  Given _packed, terms is keyed by packed ints.
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "packed")
 
-    def __init__(self, dim, terms=None, _trusted=False):
+    def __init__(self, dim, terms=None, _packed=False):
         if dim < 1:
             raise DomainError(f"dim must be >= 1, got {dim}")
         self.dim = int(dim)
         if terms is None:
-            self.terms = {}
-        elif _trusted:
-            self.terms = terms
+            self.packed = {}
+        elif _packed:
+            self.packed = terms
         else:
             clean = {}
             for exps, coeff in terms.items():
@@ -164,29 +192,34 @@ class Polynomial:
                     raise DomainError(f"exponent tuple {exps} does not match dim {self.dim}")
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
-                clean[exps] = clean.get(exps, 0) + Fraction(coeff)
-            self.terms = _nonzero(clean)
+                key = _pack(exps)
+                clean[key] = clean.get(key, 0) + Fraction(coeff)
+            self.packed = _nonzero(clean)
+
+    @property
+    def terms(self):
+        """{exponent tuple: coefficient}, built on each read from the packed keys."""
+        shifts = _shifts(self.dim)
+        return {tuple([e >> sh & _MASK for sh in shifts]): c for e, c in self.packed.items()}
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, dim):
-        return cls(dim, None, _trusted=True)
+        return cls(dim, None)
 
     @classmethod
     def constant(cls, dim, value):
         value = _coeff(value)
         if not value:
             return cls.zero(dim)
-        return cls(dim, {(0,) * dim: value}, _trusted=True)
+        return cls(dim, {0: value}, _packed=True)
 
     @classmethod
     def coordinate(cls, dim, axis):
         if not 0 <= axis < dim:
             raise DomainError(f"axis {axis} out of range for dim {dim}")
-        exps = [0] * dim
-        exps[axis] = 1
-        return cls(dim, {tuple(exps): 1}, _trusted=True)
+        return cls(dim, {1 << _BITS * dim | 1 << _BITS * (dim - 1 - axis): 1}, _packed=True)
 
     @classmethod
     def monomial(cls, dim, exponents, coeff=1):
@@ -195,41 +228,39 @@ class Polynomial:
     # -- structure --------------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self.packed
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
+        return self.dim == other.dim and self.packed == other.packed
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
+        return hash((self.dim, frozenset(self.packed.items())))
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max(self.packed) >> _BITS * self.dim if self.packed else -1
 
     def sorted_terms(self):
-        """Terms in descending graded-lex order (leading term first)."""
-        return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]),
-                      reverse=True)
+        """Terms in descending graded-lex order (leading term first): the keys sorted."""
+        shifts = _shifts(self.dim)
+        return [(tuple([e >> sh & _MASK for sh in shifts]), c)
+                for e, c in sorted(self.packed.items(), reverse=True)]
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Polynomial):
             _check_dim(self.dim, other.dim)
-            terms = dict(self.terms)
-            for e, c in other.terms.items():
+            terms = dict(self.packed)
+            for e, c in other.packed.items():
                 terms[e] = terms.get(e, 0) + c
-            return Polynomial(self.dim, _nonzero(terms), _trusted=True)
+            return Polynomial(self.dim, _nonzero(terms), _packed=True)
         return NotImplemented
 
     def __neg__(self):
-        return Polynomial(self.dim, {e: -c for e, c in self.terms.items()},
-                          _trusted=True)
+        return Polynomial(self.dim, {e: -c for e, c in self.packed.items()}, _packed=True)
 
     def __sub__(self, other):
         return self + (-other)
@@ -237,12 +268,14 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             _check_dim(self.dim, other.dim)
+            if (degree := self.degree() + other.degree()) > MAX_TOTAL_DEGREE:
+                raise DomainError(f"product of total degree {degree} > {MAX_TOTAL_DEGREE}")
             terms = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(map(add, e1, e2))
+            for e1, c1 in self.packed.items():
+                for e2, c2 in other.packed.items():
+                    e = e1 + e2
                     terms[e] = terms.get(e, 0) + c1 * c2
-            return Polynomial(self.dim, _nonzero(terms), _trusted=True)
+            return Polynomial(self.dim, _nonzero(terms), _packed=True)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -257,34 +290,23 @@ class Polynomial:
         num, den = scalar.numerator, scalar.denominator
         terms = {e: c * num if den == 1 and type(c) is int
                  else Fraction(c.numerator * num, c.denominator * den)
-                 for e, c in self.terms.items()}
-        return Polynomial(self.dim, _nonzero(terms), _trusted=True)
+                 for e, c in self.packed.items()}
+        return Polynomial(self.dim, _nonzero(terms), _packed=True)
 
     # -- calculus ---------------------------------------------------------
 
     def diff(self, axis):
         if not 0 <= axis < self.dim:
             raise DomainError(f"axis {axis} out of range for dim {self.dim}")
-        terms = {}
-        for e, c in self.terms.items():
-            k = e[axis]
-            if k:
-                de = list(e)
-                de[axis] = k - 1
-                de = tuple(de)
-                terms[de] = terms.get(de, 0) + c * k
-        return Polynomial(self.dim, _nonzero(terms), _trusted=True)
+        sh = _BITS * (self.dim - 1 - axis)
+        step = 1 << _BITS * self.dim | 1 << sh  # one off the exponent and the degree
+        return Polynomial(self.dim, _nonzero({e - step: c * k for e, c in self.packed.items()
+                                              if (k := e >> sh & _MASK)}), _packed=True)
 
     def box(self):
-        """D'Alembertian -d2/dt2 + sum_i d2/dxi2, term by term: a power k >= 2 of
+        """D'Alembertian -d2/dt2 + sum_i d2/dxi2, term by term (_add_box): a power k >= 2 of
         t gives -k(k-1), of xi +k(k-1), on the power k - 2."""
-        terms = {}
-        for e, c in self.terms.items():
-            for axis, k in enumerate(e):
-                if k >= 2:
-                    de = e[:axis] + (k - 2,) + e[axis + 1:]
-                    terms[de] = terms.get(de, 0) + c * (k * (k - 1) if axis else -k * (k - 1))
-        return Polynomial(self.dim, _nonzero(terms), _trusted=True)
+        return Polynomial(self.dim, _nonzero(_add_box({}, self.packed, self.dim)), _packed=True)
 
     def euler_h(self):
         """Euler operator t*dt + sum_i xi*dxi: each term times its total degree."""
@@ -292,9 +314,9 @@ class Polynomial:
 
     def _h_affine(self, a, b):
         """(a*H + b) self for integers a, b: each term times a*(its total degree) + b."""
-        return Polynomial(self.dim,
-                          _nonzero({e: c * (a * sum(e) + b) for e, c in self.terms.items()}),
-                          _trusted=True)
+        ds = _BITS * self.dim
+        return Polynomial(self.dim, _nonzero({e: c * (a * (e >> ds) + b)
+                                              for e, c in self.packed.items()}), _packed=True)
 
     # -- evaluation -------------------------------------------------------
 
@@ -437,23 +459,28 @@ class RhoExpr:
                 raw.append((s + 1, (coord * p).scale(2 * s if axis == 0 else -2 * s)))
         return normalize(raw, self.dim, self.den)
 
-    def _box_raw(self):
-        """den * box(self) as unreduced (rho power, int Polynomial) pairs, with a = 4s(s+1):
+    def _box_raw(self, c2):
+        """den * (box + c2 rho^2)(self) added into int layers {s: {key: c}}, with a = 4s(s+1):
 
         box(P rho^s) = rho^s box P + rho^(s+1) [-4s HP + (a - 2sn) P] - a rho^(s+2) P.
         """
-        raw = []
+        ds, layers = _BITS * self.dim, {}
         for s, p in self.num.items():
-            raw.append((s, p.box()))
+            _add_box(layers.setdefault(s, {}), p.packed, self.dim)
+            a = 4 * s * (s + 1)
             if s:
-                a = 4 * s * (s + 1)
-                raw += [(s + 1, p._h_affine(-4 * s, a - 2 * s * self.dim)),
-                        (s + 2, p.scale(-a))]
-        return raw
+                acc, b = layers.setdefault(s + 1, {}), a - 2 * s * self.dim
+                for e, c in p.packed.items():
+                    acc[e] = acc.get(e, 0) + c * (-4 * s * (e >> ds) + b)
+            if f := c2 - a:
+                acc = layers.setdefault(s + 2, {})
+                for e, c in p.packed.items():
+                    acc[e] = acc.get(e, 0) + c * f
+        return layers
 
     def box(self):
         """D'Alembertian in normal form (_box_raw, then one normalize)."""
-        return normalize(self._box_raw(), self.dim, self.den)
+        return normalize(self._box_raw(0), self.dim, self.den)
 
     def euler_h(self):
         """Euler operator H = t*dt + sum_i xi*dxi (no metric signs) in normal form:
@@ -486,7 +513,7 @@ class RhoExpr:
                     chunks.append(rho)
                 elif body == "-1":
                     chunks.append(f"-{rho}")
-                elif len(p.terms) == 1:
+                elif len(p.packed) == 1:
                     chunks.append(f"{body}*{rho}")
                 else:
                     chunks.append(f"({body})*{rho}")
@@ -497,26 +524,26 @@ class RhoExpr:
 
 
 def normalize(raw, dim, den=1):
-    """Canonical RhoExpr of (sum of the pairs) / den from a list of (rho_power, Polynomial) pairs.
+    """Canonical RhoExpr of (sum of raw) / den, raw (rho_power, Polynomial) pairs or {s: {key: c}}.
 
-    Pairs with the same rho power are summed, and rational coefficients are
-    cleared once by the lcm of their denominators.  Then comes the one
-    reduction by 1 + x.x, with t^2 as head term (Cox, Little & O'Shea, ch. 2
-    section 3): from the top layer s >= 1 down, and in it from the top t-slice
-    t^k A_k(x) with k >= 2 down, -A_k joins layer s-1 at t^(k-2) and
-    (1 + sum xi^2) A_k joins the slice k-2, leaving each layer at t-degree <= 1.
-    Last, the gcd of den and the coefficients is divided out.
+    Pairs with the same rho power are summed (layers are reduced in place), and
+    rational coefficients are cleared once by the lcm of their denominators.  Then
+    comes the one reduction by 1 + x.x, with t^2 as head term (Cox, Little & O'Shea,
+    ch. 2 section 3): from the top layer s >= 1 down, and in it from the top t-slice
+    t^k A_k(x) with k >= 2 down, -A_k joins layer s-1 at t^(k-2) and (1 + sum xi^2)
+    A_k joins the slice k-2 (by `steps`, as keys less t^k's field), leaving each
+    layer at t-degree <= 1.  Last, the gcd of den and the coefficients is divided out.
     """
-    layers = {}
-    for s, poly in raw:
+    layers = raw if type(raw) is dict else {}
+    for s, poly in () if layers is raw else raw:
         if s < 0:
             raise ValueError("rho powers must be non-negative")
         _check_dim(poly.dim, dim)
         acc = layers.get(s)
         if acc is None:
-            layers[s] = dict(poly.terms)
+            layers[s] = dict(poly.packed)
         else:
-            for e, c in poly.terms.items():
+            for e, c in poly.packed.items():
                 acc[e] = acc.get(e, 0) + c
     dens = [c.denominator for t in layers.values() for c in t.values() if type(c) is not int]
     if dens:
@@ -524,27 +551,31 @@ def normalize(raw, dim, den=1):
         den *= d
         layers = {s: {e: c * d if type(c) is int else c.numerator * (d // c.denominator)
                       for e, c in terms.items()} for s, terms in layers.items()}
+    t_sh, down = _BITS * (dim - 1), -2 << _BITS * dim
+    steps = (down, *(2 << sh for sh in _shifts(dim)[1:]))
+    high_t = _MASK - 1 << t_sh  # nonzero in a key iff its t exponent is >= 2
     for s in range(max(layers, default=0), 0, -1):
         terms = layers.get(s)
-        if not terms or max(e[0] for e in terms) < 2:
+        if not terms or not any(e & high_t for e in terms):
             continue
         slices, quot = {}, layers.setdefault(s - 1, {})
         for e, c in terms.items():
-            slices.setdefault(e[0], {})[e[1:]] = c
+            k = e >> t_sh & _MASK
+            slices.setdefault(k, {})[e - (k << t_sh)] = c
         for k in range(max(slices), 1, -1):
-            below = slices.setdefault(k - 2, {})
+            below, tk = slices.setdefault(k - 2, {}), (k - 2 << t_sh) + down
             for x, c in slices.pop(k, {}).items():
                 if c:
-                    e = (k - 2,) + x
-                    quot[e] = quot.get(e, 0) - c
-                    for xe in (x, *(x[:i] + (x[i] + 2,) + x[i + 1:] for i in range(len(x)))):
+                    quot[x + tk] = quot.get(x + tk, 0) - c
+                    for step in steps:
+                        xe = x + step
                         below[xe] = below.get(xe, 0) + c
-        layers[s] = {(k,) + x: c for k, a in slices.items() for x, c in a.items()}
+        layers[s] = {x + (k << t_sh): c for k, a in slices.items() for x, c in a.items()}
     layers = {s: terms for s, terms in
               ((s, {e: c for e, c in terms.items() if c}) for s, terms in layers.items()) if terms}
     g = math.gcd(den, *(c for terms in layers.values() for c in terms.values()))
     if g != 1:
         den //= g
         layers = {s: {e: c // g for e, c in terms.items()} for s, terms in layers.items()}
-    return RhoExpr(dim, {s: Polynomial(dim, terms, _trusted=True) for s, terms in layers.items()},
+    return RhoExpr(dim, {s: Polynomial(dim, terms, _packed=True) for s, terms in layers.items()},
                    den)

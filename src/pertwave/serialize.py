@@ -18,7 +18,7 @@ import numpy as np
 
 from .cauchy import Field2D, Grid2D
 from .errors import FormatError
-from .ring import Polynomial, RhoExpr, normalize
+from .ring import Polynomial, RhoExpr, _pack, normalize
 
 FORMAT_VERSION = 1
 
@@ -89,7 +89,8 @@ def doc_to_expr(doc):
                              for e in terms if e[0] > 1)
             if reduction > MAX_REDUCTION:
                 raise FormatError(f"reduction by 1 + x.x of size {reduction} > {MAX_REDUCTION}")
-            raw.append((rho_power, Polynomial(dim, terms, _trusted=True)))
+            packed = {_pack(e): c for e, c in terms.items()}  # DomainError past the degree bound
+            raw.append((rho_power, Polynomial(dim, packed, _packed=True)))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed document: {exc}") from exc
     return normalize(raw, dim)

@@ -79,12 +79,10 @@ def build_phi(seed, n, check=True):
 def residual(phi, n):
     """Normal form of box(phi) + n(n+2) rho^2 phi; zero iff phi solves the PDE.
 
-    Both terms are taken on phi's int layers, as unreduced pairs (the raw
-    pairs of box, and each layer times n(n+2) two rho powers up), and
-    reduced by one normalize over phi's denominator.
+    Both terms are added in one pass over phi's int layers (RhoExpr._box_raw with the
+    rho^2 coefficient n(n+2)) and reduced by one normalize over phi's denominator.
     """
-    shifted = [(s + 2, p.scale(n * (n + 2))) for s, p in phi.num.items()]
-    return normalize(phi._box_raw() + shifted, phi.dim, phi.den)
+    return normalize(phi._box_raw(n * (n + 2)), phi.dim, phi.den)
 
 
 def psi0_residual(n):

@@ -590,6 +590,8 @@ def test_split_layers_read(tmp_path, capsys):
     (["basis", "--dim", "1", "--degree", "2", "--out", "{tmp}/b.jsonl"], EXIT_USAGE, "usage"),
     (["basis", "--dim", "0", "--degree", "2", "--out", "{tmp}/b.jsonl"], EXIT_USAGE, "usage"),
     (["basis", "--dim", "13", "--degree", "8", "--out", "{tmp}/b.jsonl"], EXIT_USAGE, "usage"),
+    # 128 exponents of MAX_EXPONENT sum past ring.MAX_TOTAL_DEGREE
+    (["verify", "--dim", "128", "--phi", "{tmp}/phideg.json"], DomainError.exit_code, "domain"),
     *[(["verify", "--dim", "0" if name == "dim-zero" else "2", "--phi", f"{{tmp}}/{name}.json"],
        FormatError.exit_code, "parse") for name in MALFORMED],
 ], ids=["negative-degree", "degree-above-cap", "verify-missing", "build-missing",
@@ -603,7 +605,7 @@ def test_split_layers_read(tmp_path, capsys):
         "invert-nan-point", "invert-inf-point", "evolve-out-is-directory", "compare-off-grid",
         "evolve-overflow-data", "invert-overflow-point",
         "invert-huge-coefficient", "evolve-huge-coefficient", "basis-dim-1", "basis-dim-0",
-        "basis-above-monomial-cap", *MALFORMED])
+        "basis-above-monomial-cap", "verify-above-degree-bound", *MALFORMED])
 def test_error_contract(tmp_path, capsys, argv, code, kind):
     """Every failure exits with its documented code and one error line."""
     phi = build_phi(Polynomial(2, {(1, 1): Fraction(1)}), 2).phi
@@ -615,6 +617,7 @@ def test_error_contract(tmp_path, capsys, argv, code, kind):
         write_doc(str(tmp_path / f"{name}.json"), expr_to_doc(phi))
     (tmp_path / "far.csv").write_text("t,x1\n0,1e150\n")
     write_doc(str(tmp_path / "phibig.json"), one_term_doc(rho_power=1, coeff=HUGE_COEFF))
+    write_doc(str(tmp_path / "phideg.json"), one_term_doc(dim=128, exponents=[MAX_EXPONENT] * 128))
     for name, doc in MALFORMED.items():
         path = tmp_path / f"{name}.json"
         path.write_bytes(doc) if isinstance(doc, bytes) else write_doc(str(path), doc)
@@ -653,3 +656,16 @@ def test_error_contract_in_a_fresh_interpreter(tmp_path, argv, code):
                          capture_output=True, text=True)
     assert run.returncode == code, run.stderr
     assert len(run.stderr.splitlines()) == 1 and "Traceback" not in run.stderr, run.stderr
+
+
+def test_convergence_study_malformed_grid_is_a_usage_error():
+    """scripts/convergence_study.py parses --grid with cli.parse_grid: a malformed one
+    exits 2 through argparse, its last line naming the expected form, with no traceback."""
+    root = Path(pertwave.__file__).resolve().parent.parent
+    script = Path(__file__).resolve().parent.parent / "scripts" / "convergence_study.py"
+    run = subprocess.run([sys.executable, str(script), "--grid=-1,1,11"], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(root)})
+    assert run.returncode == EXIT_USAGE, run.stderr
+    assert "Traceback" not in run.stderr
+    assert run.stderr.splitlines()[-1] == ("convergence_study.py: error: argument --grid: "
+                                           "expected x0,x1,nx:t0,t1,nt, got '-1,1,11'")

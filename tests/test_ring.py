@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from operator import add
 
 import hypothesis.strategies as st
 import numpy as np
@@ -11,7 +12,7 @@ from pertwave.basis import wave_basis
 from pertwave.cauchy import InitialData
 from pertwave.errors import DomainError
 from pertwave.hyp2f1 import radial_numerator
-from pertwave.ring import Polynomial, RhoExpr, margin, normalize
+from pertwave.ring import MAX_TOTAL_DEGREE, Polynomial, RhoExpr, margin, normalize
 from pertwave.serialize import doc_to_expr, expr_to_doc
 from pertwave.solutions import build_phi, residual
 
@@ -562,6 +563,56 @@ def test_polynomial_ring_laws(a, b):
     assert (a - b) + b == a
 
 
+@st.composite
+def bound_terms(draw, dim, max_degree=MAX_TOTAL_DEGREE):
+    """{exponent tuple: coefficient} of total degrees up to max_degree: each tuple is a
+    composition of a drawn degree into dim parts."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        degree = draw(st.integers(min_value=0, max_value=max_degree))
+        cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=degree),
+                                    min_size=dim - 1, max_size=dim - 1)))
+        exps = tuple(b - a for a, b in zip([0, *cuts], [*cuts, degree]))
+        terms[exps] = draw(st.fractions(min_value=-4, max_value=4, max_denominator=3))
+    return dim, terms
+
+
+DIMS = st.integers(min_value=1, max_value=8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(DIMS.flatmap(bound_terms))
+@example((1, {(MAX_TOTAL_DEGREE,): 1}))
+@example((8, {(0,) * 7 + (MAX_TOTAL_DEGREE,): 2, (MAX_TOTAL_DEGREE,) + (0,) * 7: -1,
+              (1,) * 8: Fraction(1, 2)}))
+def test_packed_keys_round_trip(case):
+    """The tuple view of the packed keys gives back the polynomial, in its term order,
+    and the keys sort as descending graded-lex (degree, then t, x1, ... lexically)."""
+    dim, terms = case
+    p = Polynomial(dim, terms)
+    assert Polynomial(dim, p.terms) == p
+    assert list(p.terms) == [e for e in terms if terms[e]]
+    assert p.sorted_terms() == sorted(p.terms.items(), key=lambda item: (sum(item[0]), item[0]),
+                                      reverse=True)
+    assert p.degree() == max((sum(e) for e in p.terms), default=-1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(DIMS.flatmap(lambda dim: st.tuples(bound_terms(dim, MAX_TOTAL_DEGREE // 2),
+                                          bound_terms(dim, MAX_TOTAL_DEGREE // 2))))
+def test_packed_product_matches_tuples(pair):
+    """A product of packed keys is the product on exponent tuples, term order included,
+    up to the degree bound."""
+    (dim, a), (_, b) = pair
+    p, q = Polynomial(dim, a), Polynomial(dim, b)
+    ref = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(map(add, e1, e2))
+            ref[e] = ref.get(e, 0) + c1 * c2
+    assert list((p * q).terms.items()) == [(e, c) for e, c in ref.items() if c]
+
+
 # Input checks and display branches that no other test reaches, as (call, the error
 # it raises and a pattern of its message) or (call, None, the value it returns).
 EDGE_CASES = {
@@ -579,6 +630,15 @@ EDGE_CASES = {
                                         "axis 2 out of range for dim 2"),
     "negative-rho-power": (lambda: RhoExpr.rho(2, -1), ValueError,
                            "rho powers must be non-negative"),
+    "constructor-above-degree-bound": (
+        lambda: Polynomial(2, {(MAX_TOTAL_DEGREE, 1): 1}), DomainError,
+        rf"exponents \({MAX_TOTAL_DEGREE}, 1\): total degree > {MAX_TOTAL_DEGREE}"),
+    "product-above-degree-bound": (
+        lambda: Polynomial(2, {(0, MAX_TOTAL_DEGREE): 1}) * Polynomial.coordinate(2, 0),
+        DomainError, f"product of total degree {MAX_TOTAL_DEGREE + 1} > {MAX_TOTAL_DEGREE}"),
+    "product-at-degree-bound": (
+        lambda: (Polynomial(2, {(0, MAX_TOTAL_DEGREE - 1): 1}) * Polynomial.coordinate(2, 0)).terms,
+        None, {(1, MAX_TOTAL_DEGREE - 1): 1}),
     "normalize-negative-rho-power": (lambda: normalize([(-1, Polynomial.constant(2, 1))], 2),
                                      ValueError, "rho powers must be non-negative"),
     "rho-expr-times-int": (lambda: RhoExpr.rho(2) * 3, None, RhoExpr.rho(2).scale(3)),

@@ -10,8 +10,8 @@ from hypothesis import HealthCheck, assume, given, settings
 
 from conftest import rho_exprs
 from pertwave.cauchy import Field2D, Grid2D
-from pertwave.errors import FormatError
-from pertwave.ring import Polynomial, RhoExpr, normalize
+from pertwave.errors import DomainError, FormatError
+from pertwave.ring import MAX_TOTAL_DEGREE, Polynomial, RhoExpr, normalize
 from pertwave.serialize import (FORMAT_VERSION, MAX_EXPONENT, MAX_REDUCTION, atomic_write_text,
                                 bundle_to_doc, doc_to_expr, doc_to_poly,
                                 dumps, expr_to_doc, field_to_csv, format_float,
@@ -93,6 +93,16 @@ class TestExprDocs:
             with pytest.raises(FormatError, match=f"in \\[0, {MAX_EXPONENT}\\]"):
                 doc_to_expr(doc)
             layer[key] -= 1
+
+    def test_degree_bound(self):
+        """64 exponents of MAX_EXPONENT (total degree 2^16) read; in dim 128 their total
+        degree 2^17 is above ring.MAX_TOTAL_DEGREE, a DomainError."""
+        def doc(dim):
+            return {"format_version": 1, "dim": dim, "layers": [
+                {"rho_power": 0, "terms": [{"coeff": "1", "exponents": [MAX_EXPONENT] * dim}]}]}
+        assert doc_to_expr(doc(64)).num[0].degree() == 64 * MAX_EXPONENT
+        with pytest.raises(DomainError, match=f"total degree > {MAX_TOTAL_DEGREE}"):
+            doc_to_expr(doc(128))
 
     def test_reduction_bound(self):
         """t^998 at rho^1 in dim 1 weighs 1 * C(499 + 1, 1) * min(1, 499) = 500: layers of

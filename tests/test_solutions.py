@@ -222,3 +222,22 @@ def test_golden_sweep_digest():
     k <= 6 takes about 20 s) hash to the digest pinned in tests/golden."""
     golden = (Path(__file__).parent / "golden" / "sweep_digest.txt").read_text().split()[0]
     assert sweep_digest(4) == golden
+
+
+def term_order_digest(max_degree):
+    """sha256 over the stored order of phi's layers and of each layer's terms (the order
+    eval_points sums in), for every wave_basis(n, k) seed, n in {2, 4, 6, 8}, k <= max_degree."""
+    digest = hashlib.sha256()
+    for n in (2, 4, 6, 8):
+        for k in range(max_degree + 1):
+            for seed in wave_basis(n, k).elements:
+                phi = build_phi(seed, n, check=False).phi
+                digest.update(repr([(s, list(p.terms)) for s, p in phi.num.items()]).encode())
+    return digest.hexdigest()
+
+
+def test_golden_term_order_digest():
+    """phi's layers and terms keep the order pinned in tests/golden (sweep_digest sorts
+    its terms, so it cannot see a change of order)."""
+    golden = (Path(__file__).parent / "golden" / "term_order_digest.txt").read_text().split()[0]
+    assert term_order_digest(4) == golden
