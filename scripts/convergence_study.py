@@ -13,8 +13,8 @@ import sys
 import numpy as np
 
 from pertwave import (Grid2D, InitialData, Polynomial, QuadratureSpec,
-                      build_phi, evolve_grid, fd_reference, pde_residual_fd)
-from pertwave.cli import parse_grid
+                      build_phi, errors, evolve_grid, fd_reference, pde_residual_fd)
+from pertwave.cli import EXIT_USAGE, parse_grid
 
 
 def bump_data(width, center):
@@ -75,14 +75,21 @@ def main(argv=None):
     parser.add_argument("--refinements", default="1,2,4,8")
     parser.add_argument("--order", type=int, default=64)
     parser.add_argument("--out", default=None, help="optional CSV output")
-    args = parser.parse_args(argv)
-
-    q = QuadratureSpec(order=args.order)
-    refinements = [int(r) for r in args.refinements.split(",")]
-    oracle_table(args.grid, q, refinements, args.width, args.center, args.out)
-    print()
-    residual_table(q)
-    return 0
+    try:  # each failure is one error line and its exit code, as in cli.main
+        args = parser.parse_args(argv)
+        q = QuadratureSpec(order=args.order)
+        refinements = [int(r) for r in args.refinements.split(",")]
+        oracle_table(args.grid, q, refinements, args.width, args.center, args.out)
+        print()
+        residual_table(q)
+    except errors.PertwaveError as exc:  # a grid that parses but Grid2D refuses, say
+        kind, reason, code = exc.kind, exc, exc.exit_code
+    except (ValueError, OSError) as exc:  # a bad --order or --refinements, an unwritable --out
+        kind, reason, code = "usage", exc, EXIT_USAGE
+    else:
+        return 0
+    print(f"error: {kind}: {reason}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

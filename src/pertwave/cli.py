@@ -157,7 +157,7 @@ def build_parser():
 
     def add_quad(p):
         p.add_argument("--order", type=int, default=64,
-                       help="Gauss-Legendre node count (default 64)")
+                       help="Gauss order N: 2N+1 Gauss-Kronrod nodes a panel (default 64)")
         p.add_argument("--abs-tol", type=float, default=1e-12,
                        help="absolute quadrature tolerance (default 1e-12)")
 

@@ -669,3 +669,20 @@ def test_convergence_study_malformed_grid_is_a_usage_error():
     assert "Traceback" not in run.stderr
     assert run.stderr.splitlines()[-1] == ("convergence_study.py: error: argument --grid: "
                                            "expected x0,x1,nx:t0,t1,nt, got '-1,1,11'")
+
+
+@pytest.mark.parametrize("arg, code, line", [
+    ("--grid=-1,1,1:0,0.5,21", DomainError.exit_code,
+     "error: domain: grid needs nx, nt >= 2, got 1x21"),
+    ("--order=1", EXIT_USAGE, "error: usage: order must be in [2, 1024], got 1"),
+    ("--refinements=1,x", EXIT_USAGE, "error: usage: invalid literal for int() with base 10: 'x'"),
+], ids=["refused-grid", "bad-order", "bad-refinements"])
+def test_convergence_study_failures_are_one_line(arg, code, line):
+    """A grid that parses but that Grid2D refuses exits 4, and a value the study cannot use
+    exits 2, each with one `error:` line, as cli.main reports them, and no traceback."""
+    root = Path(pertwave.__file__).resolve().parent.parent
+    script = Path(__file__).resolve().parent.parent / "scripts" / "convergence_study.py"
+    run = subprocess.run([sys.executable, str(script), arg], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(root)})
+    assert run.returncode == code, run.stderr
+    assert run.stderr == line + "\n"
