@@ -13,8 +13,8 @@ import sys
 import numpy as np
 
 from pertwave import (Grid2D, InitialData, Polynomial, QuadratureSpec,
-                      build_phi, errors, evolve_grid, fd_reference, pde_residual_fd)
-from pertwave.cli import EXIT_USAGE, parse_grid
+                      build_phi, evolve_grid, fd_reference, pde_residual_fd)
+from pertwave.cli import parse_grid, report
 
 
 def bump_data(width, center):
@@ -66,8 +66,11 @@ def residual_table(q):
         prev = err
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
+def study(argv):
+    """Print both tables for the options in argv; 0 once they are printed."""
+    # argparse reports its own errors, in its one "convergence_study.py: error:" line and
+    # exit 2 (the usage block suppressed); report prints every other failure
+    parser = argparse.ArgumentParser(description=__doc__, usage=argparse.SUPPRESS)
     parser.add_argument("--width", type=float, default=8.0)
     parser.add_argument("--center", type=float, default=0.0)
     parser.add_argument("--grid", default="-1,1,41:0,0.5,21", type=parse_grid,
@@ -75,21 +78,17 @@ def main(argv=None):
     parser.add_argument("--refinements", default="1,2,4,8")
     parser.add_argument("--order", type=int, default=64)
     parser.add_argument("--out", default=None, help="optional CSV output")
-    try:  # each failure is one error line and its exit code, as in cli.main
-        args = parser.parse_args(argv)
-        q = QuadratureSpec(order=args.order)
-        refinements = [int(r) for r in args.refinements.split(",")]
-        oracle_table(args.grid, q, refinements, args.width, args.center, args.out)
-        print()
-        residual_table(q)
-    except errors.PertwaveError as exc:  # a grid that parses but Grid2D refuses, say
-        kind, reason, code = exc.kind, exc, exc.exit_code
-    except (ValueError, OSError) as exc:  # a bad --order or --refinements, an unwritable --out
-        kind, reason, code = "usage", exc, EXIT_USAGE
-    else:
-        return 0
-    print(f"error: {kind}: {reason}", file=sys.stderr)
-    return code
+    args = parser.parse_args(argv)  # a grid that parses but Grid2D refuses raises here
+    q = QuadratureSpec(order=args.order)
+    refinements = [int(r) for r in args.refinements.split(",")]
+    oracle_table(args.grid, q, refinements, args.width, args.center, args.out)
+    print()
+    residual_table(q)
+    return 0
+
+
+def main(argv=None):
+    return report(study, argv)
 
 
 if __name__ == "__main__":

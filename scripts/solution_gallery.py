@@ -5,15 +5,16 @@ For each even dimension, prints the wave-polynomial basis dimensions up to a
 degree cap, spells out one full coefficient chain P_{n/2} ... P_0, confirms
 the residual is structurally zero, and (for each n in invert.KERNELS) recovers
 the coefficients back from pointwise samples of phi.  Exits 1 when a recovered
-coefficient misses the exact one by more than 1e-8 max(1, |P|).
+coefficient misses the exact one by more than 1e-8 max(1, |P|); any other
+failure prints one "error:" line and exits as pertwave does (2 usage, 4 domain).
 """
 
-import argparse
 import sys
 
 import numpy as np
 
 from pertwave import QuadratureSpec, RayField, build_phi, recover, residual, wave_basis
+from pertwave.cli import _Parser, report
 from pertwave.invert import KERNELS
 
 
@@ -58,8 +59,9 @@ def inversion_demo(bundle, q):
     return ok
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
+def gallery(argv):
+    """Print the gallery for the options in argv; 0, or 1 if an inversion missed."""
+    parser = _Parser(description=__doc__)
     parser.add_argument("--dims", default="2,4,6,8")
     parser.add_argument("--max-degree", type=int, default=6)
     parser.add_argument("--show-degree", type=int, default=3,
@@ -78,6 +80,11 @@ def main(argv=None):
         print(f"inversion missed an exact coefficient by more than {TOL:g} max(1, |P|)",
               file=sys.stderr)
     return 0 if ok else 1
+
+
+def main(argv=None):
+    """gallery's code; any other failure is one error line and cli's exit code for it."""
+    return report(gallery, argv)
 
 
 if __name__ == "__main__":

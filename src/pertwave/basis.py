@@ -64,7 +64,7 @@ def _seed(n, exps):
              for step, f in [((e0 + 2 * j) * t, top // factorial(e0 + 2 * j))]
              for e, c in sorted(layers[j].items(), reverse=True)}
     g = gcd(*terms.values())
-    return Polynomial(n, {e: c // g for e, c in terms.items()}, _packed=True)
+    return Polynomial(n, {e: c // g for e, c in terms.items()}, 1)
 
 
 @dataclass(frozen=True)

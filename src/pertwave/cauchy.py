@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, float_guard
 from .quadrature import QuadratureSpec, adaptive_gauss
-from .ring import _SING_TOL, Polynomial, RhoExpr, check_margin, margin
+from .ring import _SING_TOL, Polynomial, RhoExpr, _pack, check_margin, margin
 
 # Cauchy guard: nodes, grids and the data intervals on t = a keep
 # 1 + x^2 - t^2 >= EPS_SING (ring.check_margin).  The kernel divides by that margin
@@ -77,6 +77,7 @@ class InitialData:
         if not math.isfinite(a * a):  # a float a^2 overflows to inf, with no warning
             raise DomainError(f"data slice t = a must be finite, with a finite a^2, got {a}")
         ta, zero = Fraction(a), Polynomial.zero(1)  # Fraction(a) is exact for every float
+        p, q = ta.as_integer_ratio()
         m = Polynomial(1, {(0,): 1 - ta * ta, (2,): 1})
         m0 = margin([(a, 0.0)])[0]  # ring.margin at (a, w) is m0 + w^2, rounded as below
         scan = not m0 >= _SING_TOL  # else fl(w^2 + m0) >= m0 for every w: the scan never fires
@@ -84,9 +85,12 @@ class InitialData:
         def on_slice(phi):
             top, num = max(phi.num, default=0), zero
             for s in range(top + 1):  # Horner in m over the int layers, then over den once
-                terms = phi.num.get(s, zero).terms.items()
-                num = num * m + sum((Polynomial.monomial(1, e[1:], c * ta ** e[0])
-                                     for e, c in terms), zero)
+                terms, at_a = phi.num.get(s, zero).terms, {}
+                deg = max((i for i, _ in terms), default=0)  # P_s(a, w) over q^deg:
+                for (i, k), c in terms.items():  # c t^i w^k gives c p^i q^(deg - i) w^k
+                    key = _pack((k,))
+                    at_a[key] = at_a.get(key, 0) + c * p ** i * q ** (deg - i)
+                num = num * m + Polynomial(1, at_a, q ** deg)
             num = num.scale(Fraction(1, phi.den))
             head, *tail = ([float(num.terms.get((k,), 0)) for k in range(num.degree(), -1, -1)]
                            or [0.0])

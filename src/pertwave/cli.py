@@ -5,7 +5,8 @@ malformed --grid among them, a ValueError or an OSError), else the exit_code
 of the errors.PertwaveError raised: 3 parse, 4 domain, 5 tolerance or
 verification failure.  Each command runs under errors.float_guard.  A failure
 prints one machine-readable "error: <kind>: <reason>" line on stderr, its
-reason cut to REASON_CHARS in the middle; only --help exits by itself.
+reason cut to REASON_CHARS in the middle (report, which the experiment scripts
+share); only --help exits by itself.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def cmd_compare(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose errors raise a ValueError, which main reports as usage."""
+    """ArgumentParser whose errors raise a ValueError, which report prints as usage."""
 
     def error(self, message):
         raise ValueError(message)
@@ -206,10 +207,11 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
+def report(run, *args):
+    """run(*args), whose result is an exit code; if it fails, the failure's exit code once
+    one "error: <kind>: <reason>" line is on stderr, its reason cut to REASON_CHARS."""
     try:
-        args = build_parser().parse_args(argv)
-        return errors.float_guard(args.command)(globals()[f"cmd_{args.command}"])(args)
+        return run(*args)
     except errors.PertwaveError as exc:
         kind, reason, code = exc.kind, str(exc), exc.exit_code
     except (ValueError, OSError) as exc:
@@ -219,6 +221,13 @@ def main(argv=None):
         reason = f"{reason[:half]} ... {reason[-half:]}"
     print(f"error: {kind}: {reason}", file=sys.stderr)
     return code
+
+
+def main(argv=None):
+    def run():
+        args = build_parser().parse_args(argv)
+        return errors.float_guard(args.command)(globals()[f"cmd_{args.command}"])(args)
+    return report(run)
 
 
 if __name__ == "__main__":

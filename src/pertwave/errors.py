@@ -36,7 +36,7 @@ class ToleranceNotMet(PertwaveError):
 def float_guard(what):
     """Decorator: a float overflow or invalid operation (inf - inf, 0 * inf) in a call is
     a DomainError naming `what`, not a warning, and so is an OverflowError (an int or
-    Fraction too large for a float, as c / den and float(c) raise it)."""
+    Fraction too large for a float, as c / den and float(q) raise it)."""
     def decorate(fn):
         @functools.wraps(fn)
         def guarded(*args, **kwargs):

@@ -14,17 +14,17 @@ H rho = -2 rho + 2 rho^2 and x.x = 1/rho - 1: one normalize call per operator.
 A Polynomial keys each term by one int, the fields [total degree | t | x1 |
 ... | x_{n-1}] of _BITS each (Monagan & Pearce, CASC 2007): a product of
 terms is the sum of their keys, and the keys sort in graded-lex order.  A
-coefficient is an int when integral, else a Fraction.  A RhoExpr is stored
-one way only: int layers over one positive den coprime to all their
-coefficients (a unique pair: content and primitive part, Knuth TAOCP 4.6.1),
-so operators run on ints; Polynomial.terms (keyed by exponent tuples) and
-RhoExpr.layers (rational) are views built on each read.  normalize is the
-one place that reduces by 1 + x.x: it clears rational input once and divides
-each rho-layer's int terms in place, one t-slice at a time.  Floating point
-enters only at evaluation: eval_points (Polynomial is its rho^0 case) rounds
-each int coefficient over den once, as c / den, and builds each coordinate
-and rho power once per call for all terms and layers; exact n = 2 Cauchy
-data are one rational function of w on t = a, evaluated by Horner (cauchy).
+Polynomial and a RhoExpr store their coefficients one way: nonzero ints over
+one positive den coprime to all of them (a unique pair: content and primitive
+part, Knuth TAOCP 4.6.1), so operators run on ints; Polynomial.terms (keyed by
+exponent tuples, rational) and RhoExpr.layers are views built on each read.
+normalize is the one place that reduces by 1 + x.x: it brings its pairs over
+the lcm of their dens and divides each rho-layer's int terms in place, one
+t-slice at a time.  Floating point enters only at evaluation: eval_points
+(Polynomial is its rho^0 case) rounds each int coefficient over den once, as
+c / den, and builds each coordinate and rho power once per call for all terms
+and layers; exact n = 2 Cauchy data are one rational function of w on t = a,
+evaluated by Horner (cauchy).
 """
 
 from __future__ import annotations
@@ -59,20 +59,6 @@ def _pack(exps):
     for k in exps:
         key = key << _BITS | k
     return key
-
-
-def _coeff(value):
-    """value as a stored coefficient: an int when integral, else a Fraction."""
-    if type(value) is int:
-        return value
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
-
-
-def _nonzero(terms):
-    """Drop the zero coefficients that accumulation left behind; integral ones become int."""
-    return {e: c if type(c) is int or c.denominator != 1 else c.numerator
-            for e, c in terms.items() if c}
 
 
 def _add_box(out, terms, dim):
@@ -129,13 +115,13 @@ def check_margin(points, floor, subject):
     return m
 
 
-def _evaluate(dim, layers, points, den=None):
-    """sum_s P_s rho^s at each row of an (m, dim) array, from layers {s: P_s}.
+def _evaluate(dim, layers, den, points, with_rho=True):
+    """sum_s P_s rho^s / den at each row of an (m, dim) array, from int layers {s: P_s}.
 
-    Powers come from repeated multiplication when first needed (numpy's pow is
-    far slower for k >= 3).  Given den, the layers hold ints over it, each rounded
-    once as c / den, and rho = 1/(1 + x.x) after the _SING_TOL guard; without
-    it, layers may only hold s = 0.
+    Each coefficient is rounded once, as c / den.  Powers come from repeated
+    multiplication when first needed (numpy's pow is far slower for k >= 3).  With
+    rho, rho = 1/(1 + x.x) after the _SING_TOL guard; without it, layers may only
+    hold s = 0.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -143,7 +129,7 @@ def _evaluate(dim, layers, points, den=None):
     if points.shape[1] != dim:
         raise DomainError(f"points have {points.shape[1]} coords, expected {dim}")
     powers = [[None, col] for col in points.T]  # powers[axis][k]; axis dim is rho
-    if den is not None:
+    if with_rho:
         denom = margin(points)
         if (np.abs(denom) < _SING_TOL).any():
             raise DomainError("evaluation on the singular set 1 + x.x = 0")
@@ -155,7 +141,7 @@ def _evaluate(dim, layers, points, den=None):
     for s, p in layers.items():
         acc = 0.0
         for e, c in p.packed.items():
-            term = float(c) if den is None else c / den
+            term = c / den
             for row, sh in fields:
                 if k := e >> sh & mask:
                     while len(row) <= k:
@@ -167,26 +153,25 @@ def _evaluate(dim, layers, points, den=None):
 
 
 class Polynomial:
-    """Multivariate polynomial over Q with a canonical term dictionary.
+    """Multivariate polynomial over Q, stored as int coefficients over one den.
 
-    ``packed`` maps packed keys to nonzero coefficients, each an int when
-    integral and a Fraction otherwise; no zero coefficient is ever stored, so
-    equality is plain structural equality.  Given _packed, terms is keyed by packed ints.
+    ``packed`` maps packed keys to nonzero int coefficients and ``den`` is a
+    positive int coprime to all of them, so equality is plain structural
+    equality.  Polynomial(dim, {exponent tuple: rational}) validates and accepts
+    any rationals; given den, terms is a {packed key: int} dict that the new
+    Polynomial owns, which it brings to that form by dropping zeros and dividing
+    out gcd(den, coefficients), the one canonicalisation.
     """
 
-    __slots__ = ("dim", "packed")
+    __slots__ = ("dim", "packed", "den")
 
-    def __init__(self, dim, terms=None, _packed=False):
+    def __init__(self, dim, terms=None, den=None):
         if dim < 1:
             raise DomainError(f"dim must be >= 1, got {dim}")
         self.dim = int(dim)
-        if terms is None:
-            self.packed = {}
-        elif _packed:
-            self.packed = terms
-        else:
+        if den is None:
             clean = {}
-            for exps, coeff in terms.items():
+            for exps, coeff in (terms or {}).items():
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != self.dim:
                     raise DomainError(f"exponent tuple {exps} does not match dim {self.dim}")
@@ -194,36 +179,46 @@ class Polynomial:
                     raise ValueError(f"negative exponent in {exps}")
                 key = _pack(exps)
                 clean[key] = clean.get(key, 0) + Fraction(coeff)
-            self.packed = _nonzero(clean)
+            den = math.lcm(*(c.denominator for c in clean.values()))
+            terms = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        if not all(terms.values()):
+            terms = {e: c for e, c in terms.items() if c}
+        if den != 1 and (g := math.gcd(den, *terms.values())) != 1:
+            den //= g
+            terms = {e: c // g for e, c in terms.items()}
+        self.packed, self.den = terms, den
+
+    def _decoded(self, items):
+        """(exponent tuple, coefficient) of packed items: an int when integral, else a Fraction."""
+        shifts, den = _shifts(self.dim), self.den
+        return [(tuple([e >> sh & _MASK for sh in shifts]),
+                 c // den if c % den == 0 else Fraction(c, den))
+                for e, c in items]
 
     @property
     def terms(self):
         """{exponent tuple: coefficient}, built on each read from the packed keys."""
-        shifts = _shifts(self.dim)
-        return {tuple([e >> sh & _MASK for sh in shifts]): c for e, c in self.packed.items()}
+        return dict(self._decoded(self.packed.items()))
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, dim):
-        return cls(dim, None)
+        return cls(dim, {}, 1)
 
     @classmethod
     def constant(cls, dim, value):
-        value = _coeff(value)
-        if not value:
-            return cls.zero(dim)
-        return cls(dim, {0: value}, _packed=True)
+        return cls(dim, {(0,) * dim: value})
 
     @classmethod
     def coordinate(cls, dim, axis):
         if not 0 <= axis < dim:
             raise DomainError(f"axis {axis} out of range for dim {dim}")
-        return cls(dim, {1 << _BITS * dim | 1 << _BITS * (dim - 1 - axis): 1}, _packed=True)
+        return cls(dim, {1 << _BITS * dim | 1 << _BITS * (dim - 1 - axis): 1}, 1)
 
     @classmethod
     def monomial(cls, dim, exponents, coeff=1):
-        return cls(dim, {tuple(exponents): Fraction(coeff)})
+        return cls(dim, {tuple(exponents): coeff})
 
     # -- structure --------------------------------------------------------
 
@@ -233,10 +228,10 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.dim == other.dim and self.packed == other.packed
+        return self.dim == other.dim and self.den == other.den and self.packed == other.packed
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self.packed.items())))
+        return hash((self.dim, self.den, frozenset(self.packed.items())))
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
@@ -244,23 +239,23 @@ class Polynomial:
 
     def sorted_terms(self):
         """Terms in descending graded-lex order (leading term first): the keys sorted."""
-        shifts = _shifts(self.dim)
-        return [(tuple([e >> sh & _MASK for sh in shifts]), c)
-                for e, c in sorted(self.packed.items(), reverse=True)]
+        return self._decoded(sorted(self.packed.items(), reverse=True))
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Polynomial):
             _check_dim(self.dim, other.dim)
-            terms = dict(self.packed)
-            for e, c in other.packed.items():
-                terms[e] = terms.get(e, 0) + c
-            return Polynomial(self.dim, _nonzero(terms), _packed=True)
+            den, terms = math.lcm(self.den, other.den), {}
+            for p in (self, other):
+                f = den // p.den
+                for e, c in p.packed.items():
+                    terms[e] = terms.get(e, 0) + c * f
+            return Polynomial(self.dim, terms, den)
         return NotImplemented
 
     def __neg__(self):
-        return Polynomial(self.dim, {e: -c for e, c in self.packed.items()}, _packed=True)
+        return Polynomial(self.dim, {e: -c for e, c in self.packed.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -275,7 +270,7 @@ class Polynomial:
                 for e2, c2 in other.packed.items():
                     e = e1 + e2
                     terms[e] = terms.get(e, 0) + c1 * c2
-            return Polynomial(self.dim, _nonzero(terms), _packed=True)
+            return Polynomial(self.dim, terms, self.den * other.den)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -283,15 +278,9 @@ class Polynomial:
     __rmul__ = __mul__
 
     def scale(self, scalar):
-        """scalar * self: an int product per coefficient, or one reduced Fraction."""
-        scalar = _coeff(scalar)
-        if not scalar:
-            return Polynomial.zero(self.dim)
-        num, den = scalar.numerator, scalar.denominator
-        terms = {e: c * num if den == 1 and type(c) is int
-                 else Fraction(c.numerator * num, c.denominator * den)
-                 for e, c in self.packed.items()}
-        return Polynomial(self.dim, _nonzero(terms), _packed=True)
+        """scalar * self: each coefficient times its numerator, den times its denominator."""
+        num, den = Fraction(scalar).as_integer_ratio()
+        return Polynomial(self.dim, {e: c * num for e, c in self.packed.items()}, self.den * den)
 
     # -- calculus ---------------------------------------------------------
 
@@ -300,13 +289,13 @@ class Polynomial:
             raise DomainError(f"axis {axis} out of range for dim {self.dim}")
         sh = _BITS * (self.dim - 1 - axis)
         step = 1 << _BITS * self.dim | 1 << sh  # one off the exponent and the degree
-        return Polynomial(self.dim, _nonzero({e - step: c * k for e, c in self.packed.items()
-                                              if (k := e >> sh & _MASK)}), _packed=True)
+        return Polynomial(self.dim, {e - step: c * k for e, c in self.packed.items()
+                                     if (k := e >> sh & _MASK)}, self.den)
 
     def box(self):
         """D'Alembertian -d2/dt2 + sum_i d2/dxi2, term by term (_add_box): a power k >= 2 of
         t gives -k(k-1), of xi +k(k-1), on the power k - 2."""
-        return Polynomial(self.dim, _nonzero(_add_box({}, self.packed, self.dim)), _packed=True)
+        return Polynomial(self.dim, _add_box({}, self.packed, self.dim), self.den)
 
     def euler_h(self):
         """Euler operator t*dt + sum_i xi*dxi: each term times its total degree."""
@@ -315,14 +304,14 @@ class Polynomial:
     def _h_affine(self, a, b):
         """(a*H + b) self for integers a, b: each term times a*(its total degree) + b."""
         ds = _BITS * self.dim
-        return Polynomial(self.dim, _nonzero({e: c * (a * (e >> ds) + b)
-                                              for e, c in self.packed.items()}), _packed=True)
+        return Polynomial(self.dim, {e: c * (a * (e >> ds) + b) for e, c in self.packed.items()},
+                          self.den)
 
     # -- evaluation -------------------------------------------------------
 
     def eval_points(self, points):
         """Evaluate at an (m, dim) float array; returns an (m,) array."""
-        return _evaluate(self.dim, {0: self}, points)
+        return _evaluate(self.dim, {0: self}, self.den, points, with_rho=False)
 
     # -- display ----------------------------------------------------------
 
@@ -358,9 +347,9 @@ class Polynomial:
 class RhoExpr:
     """Canonical element of Q[t, x, rho] / (rho*(1+x.x) - 1), stored as num / den.
 
-    ``num`` maps the rho power s to a Polynomial with int coefficients; every
-    layer with s >= 1 is kept at t-degree <= 1 and zero layers are dropped.
-    ``den`` is a positive int coprime to all of num's coefficients.
+    ``num`` maps the rho power s to a Polynomial over den 1; every layer with
+    s >= 1 is kept at t-degree <= 1 and zero layers are dropped.  ``den`` is a
+    positive int coprime to all of num's coefficients.
     """
 
     __slots__ = ("dim", "den", "num")
@@ -373,9 +362,9 @@ class RhoExpr:
 
     @property
     def layers(self):
-        """{s: Polynomial} with rational coefficients, built on each read (num if den is 1)."""
+        """{s: Polynomial} with each layer over den, built on each read (num if den is 1)."""
         return self.num if self.den == 1 else {
-            s: p.scale(Fraction(1, self.den)) for s, p in self.num.items()}
+            s: Polynomial(self.dim, p.packed, self.den) for s, p in self.num.items()}
 
     # -- constructors -----------------------------------------------------
 
@@ -412,9 +401,7 @@ class RhoExpr:
         if not isinstance(other, RhoExpr):
             return NotImplemented
         _check_dim(self.dim, other.dim)
-        den = math.lcm(self.den, other.den)
-        return normalize([(s, p.scale(den // x.den)) for x in (self, other)
-                          for s, p in x.num.items()], self.dim, den)
+        return normalize([*self.layers.items(), *other.layers.items()], self.dim)
 
     def __neg__(self):
         return RhoExpr(self.dim, {s: -p for s, p in self.num.items()}, self.den)
@@ -439,11 +426,7 @@ class RhoExpr:
     __rmul__ = __mul__
 
     def scale(self, scalar):
-        scalar = _coeff(scalar)
-        if not scalar:
-            return RhoExpr.zero(self.dim)
-        return normalize([(s, p.scale(scalar.numerator)) for s, p in self.num.items()],
-                         self.dim, self.den * scalar.denominator)
+        return normalize([(s, p.scale(scalar)) for s, p in self.num.items()], self.dim, self.den)
 
     # -- calculus ---------------------------------------------------------
 
@@ -496,7 +479,7 @@ class RhoExpr:
 
     def eval_points(self, points):
         """Evaluate at an (m, dim) float array, substituting rho = 1/(1+x.x)."""
-        return _evaluate(self.dim, self.num, points, self.den)
+        return _evaluate(self.dim, self.num, self.den, points)
 
     # -- display ----------------------------------------------------------
 
@@ -526,31 +509,27 @@ class RhoExpr:
 def normalize(raw, dim, den=1):
     """Canonical RhoExpr of (sum of raw) / den, raw (rho_power, Polynomial) pairs or {s: {key: c}}.
 
-    Pairs with the same rho power are summed (layers are reduced in place), and
-    rational coefficients are cleared once by the lcm of their denominators.  Then
-    comes the one reduction by 1 + x.x, with t^2 as head term (Cox, Little & O'Shea,
-    ch. 2 section 3): from the top layer s >= 1 down, and in it from the top t-slice
-    t^k A_k(x) with k >= 2 down, -A_k joins layer s-1 at t^(k-2) and (1 + sum xi^2)
-    A_k joins the slice k-2 (by `steps`, as keys less t^k's field), leaving each
-    layer at t-degree <= 1.  Last, the gcd of den and the coefficients is divided out.
+    Pairs with the same rho power are summed over the lcm of their dens, which joins den
+    (layers are reduced in place).  Then comes the one reduction by 1 + x.x, with t^2 as
+    head term (Cox, Little & O'Shea, ch. 2 section 3): from the top layer s >= 1 down, and
+    in it from the top t-slice t^k A_k(x) with k >= 2 down, -A_k joins layer s-1 at
+    t^(k-2) and (1 + sum xi^2) A_k joins the slice k-2 (by `steps`, as keys less t^k's
+    field), leaving each layer at t-degree <= 1.  Last, the gcd of den and the
+    coefficients is divided out.
     """
-    layers = raw if type(raw) is dict else {}
+    layers, d = (raw, 1) if type(raw) is dict else ({}, math.lcm(*(p.den for _, p in raw)))
     for s, poly in () if layers is raw else raw:
         if s < 0:
             raise ValueError("rho powers must be non-negative")
         _check_dim(poly.dim, dim)
-        acc = layers.get(s)
-        if acc is None:
+        acc, f = layers.get(s), d // poly.den
+        if acc is None and f == 1:
             layers[s] = dict(poly.packed)
         else:
+            acc = layers.setdefault(s, {})
             for e, c in poly.packed.items():
-                acc[e] = acc.get(e, 0) + c
-    dens = [c.denominator for t in layers.values() for c in t.values() if type(c) is not int]
-    if dens:
-        d = math.lcm(*dens)
-        den *= d
-        layers = {s: {e: c * d if type(c) is int else c.numerator * (d // c.denominator)
-                      for e, c in terms.items()} for s, terms in layers.items()}
+                acc[e] = acc.get(e, 0) + c * f
+    den *= d
     t_sh, down = _BITS * (dim - 1), -2 << _BITS * dim
     steps = (down, *(2 << sh for sh in _shifts(dim)[1:]))
     high_t = _MASK - 1 << t_sh  # nonzero in a key iff its t exponent is >= 2
@@ -577,5 +556,4 @@ def normalize(raw, dim, den=1):
     if g != 1:
         den //= g
         layers = {s: {e: c // g for e, c in terms.items()} for s, terms in layers.items()}
-    return RhoExpr(dim, {s: Polynomial(dim, terms, _packed=True) for s, terms in layers.items()},
-                   den)
+    return RhoExpr(dim, {s: Polynomial(dim, terms, 1) for s, terms in layers.items()}, den)

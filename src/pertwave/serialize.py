@@ -12,7 +12,6 @@ import json
 import math
 import os
 import re
-from fractions import Fraction
 
 import numpy as np
 
@@ -37,12 +36,17 @@ COEFF = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def _parse_coeff(s):
+    """(num, den) of a COEFF string as ints, den > 0 and not reduced: no Fraction is built."""
     if not (isinstance(s, str) and COEFF.fullmatch(s)):  # before any int is built
         raise FormatError(f"bad coefficient {s!r}: not a string num or num/den")
+    num, _, den = s.partition("/")
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
+        num, den = int(num), int(den or 1)
+    except ValueError as exc:  # past Python's limit on the digits of an int
         raise FormatError(f"bad coefficient {s!r}: {exc}") from exc
+    if not den:
+        raise FormatError(f"bad coefficient {s!r}: Fraction({num}, 0)")  # as Fraction(s) puts it
+    return num, den
 
 
 def _layer_entry(rho_power, poly):
@@ -78,19 +82,22 @@ def doc_to_expr(doc):
         dim = _integer(doc["dim"], "dim", 1)
         raw, reduction = [], 0
         for layer in doc["layers"]:
-            terms = {}
+            parsed = []
             for term in layer["terms"]:
                 exps = tuple(_integer(e, "exponent", 0, MAX_EXPONENT) for e in term["exponents"])
                 if len(exps) != dim:
                     raise FormatError(f"exponents {list(exps)} do not have dim = {dim} entries")
-                terms[exps] = terms.get(exps, Fraction(0)) + _parse_coeff(term["coeff"])
+                parsed.append((exps, *_parse_coeff(term["coeff"])))
+            den, terms = math.lcm(*(d for _, _, d in parsed)), {}  # the layer over one den
+            for exps, c, d in parsed:
+                terms[exps] = terms.get(exps, 0) + c * (den // d)
             rho_power = _integer(layer["rho_power"], "rho_power", 0, MAX_EXPONENT)
             reduction += sum(dim * math.comb(e[0] // 2 + dim, dim) * min(rho_power, e[0] // 2)
                              for e in terms if e[0] > 1)
             if reduction > MAX_REDUCTION:
                 raise FormatError(f"reduction by 1 + x.x of size {reduction} > {MAX_REDUCTION}")
             packed = {_pack(e): c for e, c in terms.items()}  # DomainError past the degree bound
-            raw.append((rho_power, Polynomial(dim, packed, _packed=True)))
+            raw.append((rho_power, Polynomial(dim, packed, den)))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed document: {exc}") from exc
     return normalize(raw, dim)

@@ -53,8 +53,8 @@ class SolutionBundle:
 def build_phi(seed, n, check=True):
     """Build the exact solution bundle from the seed P_{n/2}.
 
-    phi is one normalize of the pairs (r, P_r): their denominators are
-    cleared once, into phi's denominator, and the reduction runs on ints.
+    Each P_r is ints over one denominator, as every Polynomial is; phi is one
+    normalize of the pairs (r, P_r) over the lcm of their denominators.
     """
     if n % 2 or n < 2:
         raise DomainError(f"explicit solutions exist for even n >= 2, got {n}")

@@ -686,3 +686,24 @@ def test_convergence_study_failures_are_one_line(arg, code, line):
                          env={**os.environ, "PYTHONPATH": str(root)})
     assert run.returncode == code, run.stderr
     assert run.stderr == line + "\n"
+
+
+@pytest.mark.parametrize("script, args, code", [
+    ("convergence_study.py", ["--width", "abc"], EXIT_USAGE),
+    ("convergence_study.py", ["--grid=-1,1,11:0,0.5,6", "--refinements=1",
+                              "--out", "/nonexistent/" + "y" * 1000 + "/c.csv"], EXIT_USAGE),
+    ("solution_gallery.py", ["--dims", "2,x"], EXIT_USAGE),
+    ("solution_gallery.py", ["--dims", "3", "--max-degree", "1"], DomainError.exit_code),
+], ids=["study-bad-width", "study-long-out", "gallery-bad-dims", "gallery-odd-dim"])
+def test_script_failures_are_one_bounded_line(script, args, code):
+    """An experiment script reports a failure as pertwave does: its exit code (the
+    gallery's own 1 is for a missed inversion only) and one stderr line of at most
+    len("error: usage: ") + REASON_CHARS characters, with no traceback."""
+    root = Path(pertwave.__file__).resolve().parent.parent
+    path = Path(__file__).resolve().parent.parent / "scripts" / script
+    run = subprocess.run([sys.executable, str(path), *args], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(root)})
+    assert run.returncode == code, run.stderr
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and len(lines[0]) <= len("error: usage: ") + REASON_CHARS, lines
+    assert "error: " in lines[0] and "Traceback" not in run.stderr

@@ -14,7 +14,7 @@ from pertwave.errors import DomainError
 from pertwave.hyp2f1 import radial_numerator
 from pertwave.ring import MAX_TOTAL_DEGREE, Polynomial, RhoExpr, margin, normalize
 from pertwave.serialize import doc_to_expr, expr_to_doc
-from pertwave.solutions import build_phi, residual
+from pertwave.solutions import build_phi, recursion_step, residual
 
 
 def one_plus_xx(dim):
@@ -311,6 +311,90 @@ class TestIntegerLayers:
         q = Fraction(2 ** 54 + 1, 3)
         value = RhoExpr.rho(2, 0).scale(q).eval_points([[0.0, 0.0]])[0]
         assert value == float(q) == 6004799503160662.0
+
+
+
+def oracle_sum(*dicts):
+    """{exponents: Fraction} sum of term dicts, zeros dropped."""
+    out = {}
+    for terms in dicts:
+        for e, c in terms.items():
+            out[e] = out.get(e, 0) + Fraction(c)
+    return {e: c for e, c in out.items() if c}
+
+
+def oracle_map(terms, f):
+    """{exponents: Fraction} of f(e, c) -> (new exponents, value) over terms, summed."""
+    return oracle_sum(*(dict([f(e, Fraction(c))]) for e, c in terms.items()))
+
+
+def oracle_box(terms):
+    out = []
+    for e, c in terms.items():
+        for axis, k in enumerate(e):
+            if k >= 2:
+                de = e[:axis] + (k - 2,) + e[axis + 1:]
+                out.append({de: (-1 if axis == 0 else 1) * k * (k - 1) * Fraction(c)})
+    return oracle_sum(*out)
+
+
+class TestOneRepresentation:
+    """Every Polynomial is nonzero ints over one den >= 1 coprime to them, whatever made
+    it, and its rational terms are those of the same operation on Fraction dicts."""
+
+    @staticmethod
+    def assert_form(p, expected):
+        assert type(p.den) is int and p.den >= 1
+        assert all(type(c) is int and c for c in p.packed.values())
+        assert math.gcd(p.den, *p.packed.values()) == 1
+        assert p.terms == expected
+        assert_canonical(p)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=1, max_value=4).flatmap(
+        lambda dim: st.tuples(polynomials(dim), polynomials(dim), st.integers(0, dim - 1))),
+        st.integers(-6, 6), st.fractions(-5, 5, max_denominator=9))
+    def test_operators(self, case, k, q):
+        a, b, axis = case
+        ta, tb, dim = a.terms, b.terms, a.dim
+        product = [{tuple(map(add, e1, e2)): Fraction(c1) * c2} for e1, c1 in ta.items()
+                   for e2, c2 in tb.items()]
+        unit = tuple(int(i == axis) for i in range(dim))
+        results = [
+            (a + b, oracle_sum(ta, tb)),
+            (a - b, oracle_sum(ta, {e: -c for e, c in tb.items()})),
+            (-a, oracle_sum({e: -c for e, c in ta.items()})),
+            (a * b, oracle_sum(*product)),
+            (a.scale(k), oracle_map(ta, lambda e, c: (e, c * k))),
+            (a.scale(q), oracle_map(ta, lambda e, c: (e, c * q))),
+            (q * a, oracle_map(ta, lambda e, c: (e, c * q))),
+            (a.diff(axis), oracle_sum(*({tuple(map(lambda x, u: x - u, e, unit)): c * e[axis]}
+                                        for e, c in ta.items() if e[axis]))),
+            (a.box(), oracle_box(ta)),
+            (a.euler_h(), oracle_map(ta, lambda e, c: (e, c * sum(e)))),
+            (Polynomial.constant(dim, q), oracle_sum({(0,) * dim: q})),
+            (Polynomial.monomial(dim, unit, q), oracle_sum({unit: q})),
+        ]
+        for got, expected in results:
+            self.assert_form(got, expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 4, 6]).flatmap(
+        lambda n: st.tuples(polynomials(n), st.integers(0, n // 2 - 1), st.just(n))))
+    def test_recursion_step(self, case):
+        p, r, n = case
+        factor = Fraction(2 * (r + 1), (n - 2 * r) * (n + 2 * r + 2))
+        self.assert_form(recursion_step(p, n, r), oracle_map(
+            p.terms, lambda e, c: (e, c * factor * (2 * sum(e) + n - 2 * r - 4))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=4).flatmap(rho_exprs),
+           st.fractions(-5, 5, max_denominator=9))
+    def test_layers(self, expr, q):
+        for x in (expr, expr.scale(q)):
+            for s, p in x.layers.items():
+                self.assert_form(p, oracle_map(x.num[s].terms,
+                                               lambda e, c: (e, c / x.den)))
 
 
 class TestArithmetic:

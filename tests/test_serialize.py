@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -69,6 +70,7 @@ class TestExprDocs:
 
     @pytest.mark.parametrize("coeff, value", [
         ("7", 7), ("-12/8", Fraction(-3, 2)), ("0", 0), ("-0/5", 0), ("007/010", Fraction(7, 10)),
+        ("2/4", Fraction(1, 2)), ("-0/7", 0),
         ("+1", None), ("1/-2", None), ("1/0", None), ("1/00", None), ("1_000", None),
         ("\u0663", None), ("1/2 ", None), ("1/2\n", None), ("1.", None), ("", None)])
     def test_coefficient_grammar(self, coeff, value):
@@ -80,6 +82,25 @@ class TestExprDocs:
                 doc_to_expr(doc)
         else:
             assert doc_to_expr(doc) == RhoExpr.from_polynomial(Polynomial(2, {(1, 0): value}))
+
+    def test_terms_read_over_one_den(self):
+        """Coefficients at one exponent add up over the lcm of their denominators: two 1/2
+        read as the int 1, 1/2 + 1/3 as 5/6, and 1/3 - 1/3 leaves no term; a zero
+        denominator keeps its message."""
+        doc = expr_to_doc(RhoExpr.from_polynomial(Polynomial(2, {(1, 0): 1, (0, 1): 1})))
+        terms = doc["layers"][0]["terms"]
+        terms[0]["coeff"] = terms[1]["coeff"] = "1/2"
+        terms[1]["exponents"] = terms[0]["exponents"]
+        layer = doc_to_expr(doc).layers[0]
+        assert layer.terms == {tuple(terms[0]["exponents"]): 1}
+        assert type(layer.terms[tuple(terms[0]["exponents"])]) is int
+        terms[1]["coeff"] = "1/3"
+        assert doc_to_expr(doc).layers[0].terms == {tuple(terms[0]["exponents"]): Fraction(5, 6)}
+        terms[0]["coeff"], terms[1]["coeff"] = "1/3", "-1/3"
+        assert doc_to_expr(doc).is_zero()
+        terms[0]["coeff"] = "1/0"
+        with pytest.raises(FormatError, match=re.escape("bad coefficient '1/0': Fraction(1, 0)")):
+            doc_to_expr(doc)
 
     def test_exponent_bound(self):
         """A rho power or exponent of MAX_EXPONENT reads and evaluates; one more is refused."""
