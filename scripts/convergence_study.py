@@ -7,14 +7,13 @@ shows the interior PDE residual of the kernel solution shrinking at second
 order.  Results stream to stdout and optionally to a CSV.
 """
 
-import argparse
 import sys
 
 import numpy as np
 
 from pertwave import (Grid2D, InitialData, Polynomial, QuadratureSpec,
                       build_phi, evolve_grid, fd_reference, pde_residual_fd)
-from pertwave.cli import parse_grid, report
+from pertwave.cli import _Parser, parse_grid, report
 
 
 def bump_data(width, center):
@@ -68,9 +67,7 @@ def residual_table(q):
 
 def study(argv):
     """Print both tables for the options in argv; 0 once they are printed."""
-    # argparse reports its own errors, in its one "convergence_study.py: error:" line and
-    # exit 2 (the usage block suppressed); report prints every other failure
-    parser = argparse.ArgumentParser(description=__doc__, usage=argparse.SUPPRESS)
+    parser = _Parser(description=__doc__)  # an argparse error too is report's one line
     parser.add_argument("--width", type=float, default=8.0)
     parser.add_argument("--center", type=float, default=0.0)
     parser.add_argument("--grid", default="-1,1,41:0,0.5,21", type=parse_grid,

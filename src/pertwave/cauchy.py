@@ -12,8 +12,8 @@ adaptive_gauss batch; evolve_point is the one-node grid.  On the slice a = 0
 (the CLI default) every a-term of the kernel is an exact zero, so the
 kernel skips them, with the same result to the bit.  A float overflow or
 invalid operation is a DomainError (errors.float_guard), not a warning.
-Data from an exact phi are restricted to t = a once, exactly: each of u0
-and v0 is one rational function of w, evaluated by Horner in place.
+Data from an exact phi are its restriction to t = a and that of its
+t-derivative, which the ring gives as functions of w (RhoExpr.on_slice).
 Tabulated data are a natural cubic spline, one cubic per interval.
 fd_reference is a leapfrog oracle; it shares no code path with the kernel.
 """
@@ -23,14 +23,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, float_guard
 from .quadrature import QuadratureSpec, adaptive_gauss
-from .ring import _SING_TOL, Polynomial, RhoExpr, _pack, check_margin, margin
+from .ring import RhoExpr, check_margin
 
 # Cauchy guard: nodes, grids and the data intervals on t = a keep
 # 1 + x^2 - t^2 >= EPS_SING (ring.check_margin).  The kernel divides by that margin
@@ -66,57 +65,13 @@ class InitialData:
     @classmethod
     @float_guard("exact Cauchy data")  # a coefficient rounded to float may overflow
     def from_rho_expr(cls, expr, a=0.0):
-        """Restrict an exact dim-2 solution, and for v0 its t-derivative, to t = a.
-
-        Each is N(w) rho^S on the slice, with S the top rho power and
-        1/rho = m = 1 - a^2 + w^2; N = sum_s P_s(a, w) m^(S-s) is exact until
-        its coefficients are rounded to float, once.
-        """
+        """Restrict an exact dim-2 solution, and for v0 its t-derivative, to t = a, each
+        exactly and then as one rational function of w (RhoExpr.on_slice)."""
         if expr.dim != 2:
             raise DomainError(f"Cauchy data needs dim 2, got {expr.dim}")
         if not math.isfinite(a * a):  # a float a^2 overflows to inf, with no warning
             raise DomainError(f"data slice t = a must be finite, with a finite a^2, got {a}")
-        ta, zero = Fraction(a), Polynomial.zero(1)  # Fraction(a) is exact for every float
-        p, q = ta.as_integer_ratio()
-        m = Polynomial(1, {(0,): 1 - ta * ta, (2,): 1})
-        m0 = margin([(a, 0.0)])[0]  # ring.margin at (a, w) is m0 + w^2, rounded as below
-        scan = not m0 >= _SING_TOL  # else fl(w^2 + m0) >= m0 for every w: the scan never fires
-
-        def on_slice(phi):
-            top, num = max(phi.num, default=0), zero
-            for s in range(top + 1):  # Horner in m over the int layers, then over den once
-                terms, at_a = phi.num.get(s, zero).terms, {}
-                deg = max((i for i, _ in terms), default=0)  # P_s(a, w) over q^deg:
-                for (i, k), c in terms.items():  # c t^i w^k gives c p^i q^(deg - i) w^k
-                    key = _pack((k,))
-                    at_a[key] = at_a.get(key, 0) + c * p ** i * q ** (deg - i)
-                num = num * m + Polynomial(1, at_a, q ** deg)
-            num = num.scale(Fraction(1, phi.den))
-            head, *tail = ([float(num.terms.get((k,), 0)) for k in range(num.degree(), -1, -1)]
-                           or [0.0])
-
-            def data(w):
-                w = np.atleast_1d(np.asarray(w, dtype=float))
-                if tail:  # Horner in place, from the buffer of its first product
-                    out = head * w
-                    out += tail[0]
-                    for c in tail[1:]:
-                        out *= w
-                        out += c
-                else:
-                    out = np.full(w.shape, head)
-                den = w * w
-                den += m0
-                if scan and (np.abs(den) < _SING_TOL).any():
-                    raise DomainError(f"data slice t = {a} meets the singular set 1 + x.x = 0")
-                rho = np.divide(1.0, den, out=den)
-                for _ in range(top):
-                    out *= rho
-                return out
-
-            return data
-
-        return cls(a=float(a), u0=on_slice(expr), v0=on_slice(expr.diff(0)), expr=expr)
+        return cls(a=float(a), u0=expr.on_slice(a), v0=expr.diff(0).on_slice(a), expr=expr)
 
     @classmethod
     def from_samples(cls, w, u, v, a=0.0):

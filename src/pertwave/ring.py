@@ -20,16 +20,21 @@ part, Knuth TAOCP 4.6.1), so operators run on ints; Polynomial.terms (keyed by
 exponent tuples, rational) and RhoExpr.layers are views built on each read.
 normalize is the one place that reduces by 1 + x.x: it brings its pairs over
 the lcm of their dens and divides each rho-layer's int terms in place, one
-t-slice at a time.  Floating point enters only at evaluation: eval_points
-(Polynomial is its rho^0 case) rounds each int coefficient over den once, as
-c / den, and builds each coordinate and rho power once per call for all terms
-and layers; exact n = 2 Cauchy data are one rational function of w on t = a,
-evaluated by Horner (cauchy).
+t-slice at a time.  Exact values enter one checked way per type, from rational
+terms: Polynomial(dim, {exponent tuple: rational}) and normalize([(rho power,
+Polynomial)], dim) refuse a negative or non-integer exponent or power with a
+ValueError; Polynomial(dim, packed, den) and RhoExpr(dim, num, den) are the
+trusted constructors of the ring's own operators.  Floats leave two ways, each
+exact coefficient rounded once: eval_points at an (m, dim) array (Polynomial
+is its rho^0 case), which builds each coordinate and rho power once per call,
+and RhoExpr.on_slice, a dim-2 element on t = a as one rational function of w,
+evaluated by Horner (the exact n = 2 Cauchy data of cauchy).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -124,8 +129,8 @@ def _evaluate(dim, layers, den, points, with_rho=True):
     hold s = 0.
     """
     points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[None, :]
+    if points.ndim != 2:
+        raise DomainError(f"points of shape {points.shape}, expected (m, {dim})")
     if points.shape[1] != dim:
         raise DomainError(f"points have {points.shape[1]} coords, expected {dim}")
     powers = [[None, col] for col in points.T]  # powers[axis][k]; axis dim is rho
@@ -157,8 +162,9 @@ class Polynomial:
 
     ``packed`` maps packed keys to nonzero int coefficients and ``den`` is a
     positive int coprime to all of them, so equality is plain structural
-    equality.  Polynomial(dim, {exponent tuple: rational}) validates and accepts
-    any rationals; given den, terms is a {packed key: int} dict that the new
+    equality.  Polynomial(dim, {exponent tuple: rational}) is the checked way in:
+    it accepts any rationals at exponents that are non-negative integers of any
+    integral type.  Given den, terms is a {packed key: int} dict that the new
     Polynomial owns, which it brings to that form by dropping zeros and dividing
     out gcd(den, coefficients), the one canonicalisation.
     """
@@ -172,12 +178,12 @@ class Polynomial:
         if den is None:
             clean = {}
             for exps, coeff in (terms or {}).items():
-                exps = tuple(int(e) for e in exps)
+                exps = tuple(exps)
                 if len(exps) != self.dim:
                     raise DomainError(f"exponent tuple {exps} does not match dim {self.dim}")
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps}")
-                key = _pack(exps)
+                if not all(isinstance(e, numbers.Integral) and e >= 0 for e in exps):
+                    raise ValueError(f"non-integer or negative exponent in {exps}")
+                key = _pack(tuple(map(int, exps)))
                 clean[key] = clean.get(key, 0) + Fraction(coeff)
             den = math.lcm(*(c.denominator for c in clean.values()))
             terms = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
@@ -215,10 +221,6 @@ class Polynomial:
         if not 0 <= axis < dim:
             raise DomainError(f"axis {axis} out of range for dim {dim}")
         return cls(dim, {1 << _BITS * dim | 1 << _BITS * (dim - 1 - axis): 1}, 1)
-
-    @classmethod
-    def monomial(cls, dim, exponents, coeff=1):
-        return cls(dim, {tuple(exponents): coeff})
 
     # -- structure --------------------------------------------------------
 
@@ -349,16 +351,15 @@ class RhoExpr:
 
     ``num`` maps the rho power s to a Polynomial over den 1; every layer with
     s >= 1 is kept at t-degree <= 1 and zero layers are dropped.  ``den`` is a
-    positive int coprime to all of num's coefficients.
+    positive int coprime to all of num's coefficients.  RhoExpr(dim, num, den)
+    trusts its arguments to be that normal form; normalize is the checked way in,
+    from (rho power, Polynomial) pairs.
     """
 
     __slots__ = ("dim", "den", "num")
 
-    def __init__(self, dim, layers, _den=None):
-        if _den is None:  # any rational layers; given _den, int layers in normal form over it
-            built = normalize(list(layers.items()), dim)
-            layers, _den = built.num, built.den
-        self.dim, self.den, self.num = dim, _den, layers
+    def __init__(self, dim, num, den):
+        self.dim, self.den, self.num = dim, den, num
 
     @property
     def layers(self):
@@ -369,18 +370,12 @@ class RhoExpr:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls, dim):
-        return cls(dim, {}, 1)
-
-    @classmethod
     def from_polynomial(cls, poly):
         return normalize([(0, poly)], poly.dim)
 
     @classmethod
     def rho(cls, dim, power=1):
-        if power < 0:
-            raise ValueError("rho powers must be non-negative")
-        return cls(dim, {power: Polynomial.constant(dim, 1)}, 1)
+        return normalize([(power, Polynomial.constant(dim, 1))], dim)
 
     # -- structure --------------------------------------------------------
 
@@ -419,8 +414,6 @@ class RhoExpr:
             return normalize(raw, self.dim, self.den * other.den)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        if isinstance(other, Polynomial):
-            return self * RhoExpr.from_polynomial(other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -481,6 +474,53 @@ class RhoExpr:
         """Evaluate at an (m, dim) float array, substituting rho = 1/(1+x.x)."""
         return _evaluate(self.dim, self.num, self.den, points)
 
+    def on_slice(self, a):
+        """The function of a float array w that gives this dim-2 element at (t, x) = (a, w).
+
+        On the slice self is N(w) rho^S, with S the top rho power and 1/rho = m =
+        1 - a^2 + w^2; N = sum_s P_s(a, w) m^(S-s) is exact until its coefficients are
+        rounded to float, once.  The function takes a number w as the array [w], and a
+        w on the singular set is a DomainError, as in eval_points.
+        """
+        _check_dim(self.dim, 2)
+        ta, zero = Fraction(a), Polynomial.zero(1)  # Fraction(a) is exact for every float
+        p, q = ta.as_integer_ratio()
+        m = Polynomial(1, {(0,): 1 - ta * ta, (2,): 1})
+        m0 = margin([(a, 0.0)])[0]  # margin at (a, w) is m0 + w^2, rounded as below
+        scan = not m0 >= _SING_TOL  # else fl(w^2 + m0) >= m0 for every w: the scan never fires
+        top, num = max(self.num, default=0), zero
+        for s in range(top + 1):  # Horner in m over the int layers, then over den once
+            terms, at_a = self.num.get(s, zero).terms, {}
+            deg = max((i for i, _ in terms), default=0)  # P_s(a, w) over q^deg:
+            for (i, k), c in terms.items():  # c t^i w^k gives c p^i q^(deg - i) w^k
+                key = _pack((k,))
+                at_a[key] = at_a.get(key, 0) + c * p ** i * q ** (deg - i)
+            num = num * m + Polynomial(1, at_a, q ** deg)
+        num = num.scale(Fraction(1, self.den))
+        head, *tail = ([float(num.terms.get((k,), 0)) for k in range(num.degree(), -1, -1)]
+                       or [0.0])
+
+        def data(w):
+            w = np.atleast_1d(np.asarray(w, dtype=float))
+            if tail:  # Horner in place, from the buffer of its first product
+                out = head * w
+                out += tail[0]
+                for c in tail[1:]:
+                    out *= w
+                    out += c
+            else:
+                out = np.full(w.shape, head)
+            den = w * w
+            den += m0
+            if scan and (np.abs(den) < _SING_TOL).any():
+                raise DomainError(f"data slice t = {a} meets the singular set 1 + x.x = 0")
+            rho = np.divide(1.0, den, out=den)
+            for _ in range(top):
+                out *= rho
+            return out
+
+        return data
+
     # -- display ----------------------------------------------------------
 
     def __str__(self):
@@ -509,18 +549,21 @@ class RhoExpr:
 def normalize(raw, dim, den=1):
     """Canonical RhoExpr of (sum of raw) / den, raw (rho_power, Polynomial) pairs or {s: {key: c}}.
 
-    Pairs with the same rho power are summed over the lcm of their dens, which joins den
-    (layers are reduced in place).  Then comes the one reduction by 1 + x.x, with t^2 as
-    head term (Cox, Little & O'Shea, ch. 2 section 3): from the top layer s >= 1 down, and
-    in it from the top t-slice t^k A_k(x) with k >= 2 down, -A_k joins layer s-1 at
-    t^(k-2) and (1 + sum xi^2) A_k joins the slice k-2 (by `steps`, as keys less t^k's
-    field), leaving each layer at t-degree <= 1.  Last, the gcd of den and the
-    coefficients is divided out.
+    The pairs are the checked way in: a rho power must be a non-negative integer of any
+    integral type (ValueError otherwise), and pairs with the same power are summed over
+    the lcm of their dens, which joins den (layers are reduced in place).  Then comes the
+    one reduction by 1 + x.x, with t^2 as head term (Cox, Little & O'Shea, ch. 2 section
+    3): from the top layer s >= 1 down, and in it from the top t-slice t^k A_k(x) with
+    k >= 2 down, -A_k joins layer s-1 at t^(k-2) and (1 + sum xi^2) A_k joins the slice
+    k-2 (by `steps`, as keys less t^k's field), leaving each layer at t-degree <= 1.
+    Last, the gcd of den and the coefficients is divided out.
     """
     layers, d = (raw, 1) if type(raw) is dict else ({}, math.lcm(*(p.den for _, p in raw)))
     for s, poly in () if layers is raw else raw:
-        if s < 0:
-            raise ValueError("rho powers must be non-negative")
+        if type(s) is not int or s < 0:
+            if not isinstance(s, numbers.Integral) or s < 0:
+                raise ValueError(f"rho powers must be non-negative integers, got {s!r}")
+            s = int(s)
         _check_dim(poly.dim, dim)
         acc, f = layers.get(s), d // poly.den
         if acc is None and f == 1:

@@ -4,7 +4,7 @@ import warnings
 import hypothesis.strategies as st
 import numpy as np
 
-from pertwave.ring import Polynomial, RhoExpr
+from pertwave.ring import Polynomial, normalize
 
 # hypothesis imports its failure-patch writer (and libcst, which emits a
 # DeprecationWarning on import) inside pytest_runtest_makereport when a test
@@ -35,7 +35,7 @@ def rho_exprs(dim, max_power=3, max_degree=3, max_terms=3):
         st.integers(min_value=0, max_value=max_power),
         polynomials(dim, max_degree, max_terms),
         min_size=0, max_size=max_power + 1,
-    ).map(lambda layers: RhoExpr(dim, layers))
+    ).map(lambda layers: normalize(list(layers.items()), dim))
 
 
 def nonsingular_points(rng, dim, count, scale=0.8, margin=0.1):

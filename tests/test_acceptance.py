@@ -16,7 +16,7 @@ from pertwave.cauchy import (Grid2D, InitialData, evolve_grid, evolve_point,
 from pertwave.hyp2f1 import fk_ode_residual
 from pertwave.invert import RayField, recover_n2, recover_n4
 from pertwave.quadrature import QuadratureSpec
-from pertwave.ring import Polynomial, RhoExpr
+from pertwave.ring import Polynomial, normalize
 from pertwave.solutions import (beta_coefficients, build_phi,
                                 check_n2_background, psi0_residual, residual,
                                 recursion_step)
@@ -106,7 +106,7 @@ def random_rho_expr(rng, dim=3, max_power=4, max_degree=6):
                 terms[e] = Fraction(int(rng.integers(-6, 7)))
         if terms:
             layers[s] = Polynomial(dim, terms)
-    return RhoExpr(dim, layers)
+    return normalize(list(layers.items()), dim)
 
 
 def test_criterion_4_commutator_law(verdict):

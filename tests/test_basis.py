@@ -95,7 +95,7 @@ def brute_force_rank(n, k):
     codomain_index = {m: i for i, m in enumerate(codomain)}
     rows = [[Fraction(0)] * len(domain) for _ in codomain]
     for j, m in enumerate(domain):
-        image = Polynomial.monomial(n, m).box()
+        image = Polynomial(n, {m: 1}).box()
         for e, c in image.terms.items():
             rows[codomain_index[e]][j] = c
     rank = 0

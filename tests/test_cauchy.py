@@ -374,7 +374,7 @@ def plain_slice_data(expr, a):
         top, num = max(phi.num, default=0), zero
         for s in range(top + 1):
             terms = phi.num.get(s, zero).terms.items()
-            num = num * m + sum((Polynomial.monomial(1, e[1:], c * ta ** e[0])
+            num = num * m + sum((Polynomial(1, {e[1:]: c * ta ** e[0]})
                                  for e, c in terms), zero)
         num = num.scale(Fraction(1, phi.den))
         coeffs = [float(num.terms.get((k,), 0)) for k in range(num.degree(), -1, -1)] or [0.0]
@@ -406,13 +406,15 @@ class TestSliceData:
     @pytest.mark.parametrize("a", [0.0, 0.1, -0.37, 0.999, 2.5])
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
     def test_bitwise_equal_to_plain_horner(self, k, a):
-        """Same bits as plain_slice_data, signed zeros, NaN and overflow included."""
+        """Same bits as plain_slice_data, signed zeros, NaN and overflow included, for the
+        data of from_rho_expr and for RhoExpr.on_slice of expr and of its t-derivative."""
         w = np.concatenate([np.linspace(-3.0, 3.0, 601),
                             [0.0, -0.0, 5e-324, 1e200, -1e200, np.inf, -np.inf, np.nan]])
         for seed in wave_basis(2, k).elements:
             expr = build_phi(seed, 2).phi
             d = InitialData.from_rho_expr(expr, a=a)
-            for got, want in zip((d.u0, d.v0), plain_slice_data(expr, a)):
+            on_slice = (expr.on_slice(a), expr.diff(0).on_slice(a))
+            for got, want in zip((d.u0, d.v0, *on_slice), 2 * plain_slice_data(expr, a)):
                 with np.errstate(all="ignore"):
                     assert got(w).tobytes() == want(w).tobytes()
 

@@ -667,7 +667,7 @@ def test_convergence_study_malformed_grid_is_a_usage_error():
                          text=True, env={**os.environ, "PYTHONPATH": str(root)})
     assert run.returncode == EXIT_USAGE, run.stderr
     assert "Traceback" not in run.stderr
-    assert run.stderr.splitlines()[-1] == ("convergence_study.py: error: argument --grid: "
+    assert run.stderr.splitlines()[-1] == ("error: usage: argument --grid: "
                                            "expected x0,x1,nx:t0,t1,nt, got '-1,1,11'")
 
 
@@ -690,11 +690,13 @@ def test_convergence_study_failures_are_one_line(arg, code, line):
 
 @pytest.mark.parametrize("script, args, code", [
     ("convergence_study.py", ["--width", "abc"], EXIT_USAGE),
+    ("convergence_study.py", ["--grid=" + "1" * 50_000], EXIT_USAGE),
     ("convergence_study.py", ["--grid=-1,1,11:0,0.5,6", "--refinements=1",
                               "--out", "/nonexistent/" + "y" * 1000 + "/c.csv"], EXIT_USAGE),
     ("solution_gallery.py", ["--dims", "2,x"], EXIT_USAGE),
     ("solution_gallery.py", ["--dims", "3", "--max-degree", "1"], DomainError.exit_code),
-], ids=["study-bad-width", "study-long-out", "gallery-bad-dims", "gallery-odd-dim"])
+], ids=["study-bad-width", "study-long-grid", "study-long-out", "gallery-bad-dims",
+        "gallery-odd-dim"])
 def test_script_failures_are_one_bounded_line(script, args, code):
     """An experiment script reports a failure as pertwave does: its exit code (the
     gallery's own 1 is for a missed inversion only) and one stderr line of at most

@@ -27,7 +27,7 @@ class TestTerminatingSeries:
         a, b, c = Fraction(-3), Fraction(1, 2), Fraction(7, 3)
         poly = hyp2f1_terminating(a, b, c)
         for z in (-0.7, -0.2, 0.3, 0.9, 2.5):
-            assert poly.eval_points([z])[0] == pytest.approx(
+            assert poly.eval_points([[z]])[0] == pytest.approx(
                 sp(float(a), float(b), float(c), z), rel=1e-12)
 
     def test_requires_terminating(self):
@@ -52,7 +52,7 @@ class TestRadialSolution:
         assert str(radial_numerator(2, 2)) == "-u + 1/3"
 
     def test_scalar_evaluation(self):
-        assert radial_numerator(2, 2).eval_points([0.3])[0] == pytest.approx(1 / 3 - 0.3)
+        assert radial_numerator(2, 2).eval_points([[0.3]])[0] == pytest.approx(1 / 3 - 0.3)
 
     def test_g12_numeric_crosscheck(self):
         """g12 = N (1-u)^{-1-n} against scipy away from u = 0, 1."""
@@ -63,7 +63,7 @@ class TestRadialSolution:
             for u in (-1.5, -0.4, 0.3, 2.0):
                 expect = ((-u) ** half * (1 - u) ** (-1 - n)
                           * sp(-half, k - 1, k + half, 1.0 / u))
-                got = num.eval_points([u])[0] / (1 - u) ** (n + 1)
+                got = num.eval_points([[u]])[0] / (1 - u) ** (n + 1)
                 assert got == pytest.approx(expect, rel=1e-10)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])

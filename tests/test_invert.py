@@ -248,7 +248,7 @@ class TestRecoverN4:
 @pytest.mark.parametrize("n, recover", [(2, recover_n2), (4, recover_n4)])
 def test_domain_margin_boundary(n, recover):
     """1 + x.x = 0.25 exactly at t = 1, x1 = 0.5 recovers; one ulp further in t is rejected."""
-    bundle = build_phi(Polynomial.monomial(n, (1, 1) + (0,) * (n - 2)), n)
+    bundle = build_phi(Polynomial(n, {(1, 1) + (0,) * (n - 2): 1}), n)
     f = RayField.from_rho_expr(bundle.phi)
     x = np.zeros(n)
     x[:2] = 1.0, 0.5
@@ -349,7 +349,7 @@ def test_core_matches_reference_on_criterion_6_points():
     """The fields and points of the inversion round-trip acceptance criterion."""
     rng = np.random.default_rng(41)
     for n in (2, 4):
-        seed = Polynomial.monomial(n, (1, 1) + (0,) * (n - 2))
+        seed = Polynomial(n, {(1, 1) + (0,) * (n - 2): 1})
         assert_matches_reference(n, build_phi(seed, n).phi, safe_points(rng, n, 20))
 
 
@@ -377,7 +377,7 @@ def test_one_ray_integral_batch_per_recovery(monkeypatch, n):
 
     for name in counts:
         monkeypatch.setattr(invert, name, counted(name))
-    phi = build_phi(Polynomial.monomial(n, (1, 1) + (0,) * (n - 2)), n).phi
+    phi = build_phi(Polynomial(n, {(1, 1) + (0,) * (n - 2): 1}), n).phi
     field = RayField.from_rho_expr(phi)
     RECOVERIES[n][0](field, np.full(n, 0.2), Q)
     assert counts == {"adaptive_gauss": 1, "_check_rays": 1}

@@ -135,7 +135,7 @@ class TestCanonicalCoefficients:
         assert a == b and hash(a) == hash(b)
         assert type(a.terms[(1, 0)]) is int
         assert_canonical(a, Polynomial.constant(3, Fraction(4, 2)), RhoExpr.rho(2, 0).scale(1.0),
-                         Polynomial.coordinate(2, 1), Polynomial.monomial(2, (1, 1), Fraction(3)),
+                         Polynomial.coordinate(2, 1), Polynomial(2, {(1, 1): Fraction(3)}),
                          b.scale(2), b.scale(Fraction(1, 2)), b.euler_h(), b.diff(1))
         assert str(a) == "2*t + 1/2*x"
 
@@ -147,7 +147,7 @@ class TestCanonicalCoefficients:
                 for s in (seed, seed.scale(Fraction(3, 7))):
                     bundle = build_phi(s, n, check=False)
                     assert_canonical(bundle.seed, bundle.phi, *bundle.coefficients)
-                    truncated = RhoExpr(n, {r: p for r, p in bundle.phi.layers.items() if r})
+                    truncated = normalize([(r, p) for r, p in bundle.phi.layers.items() if r], n)
                     assert_canonical(residual(truncated, n))
 
     @settings(max_examples=60, deadline=None)
@@ -287,21 +287,21 @@ class TestIntegerLayers:
         assert (x == y) == (x.layers == y.layers)
         same = x.scale(q).scale(1 / q)
         assert same == x and same.layers == x.layers and hash(same) == hash(x)
-        rebuilt = RhoExpr(x.dim, x.layers)
+        rebuilt = normalize(list(x.layers.items()), x.dim)
         assert rebuilt == x and hash(rebuilt) == hash(x)
         assert x + y - y == x and hash(x + y - y) == hash(x)
 
     def test_layers_view(self):
         """With den 1 the view is the int layers; otherwise it is num over den, built on read."""
         t = Polynomial.coordinate(2, 0)
-        ints = (RhoExpr.rho(2) * t).scale(3)
+        ints = (RhoExpr.rho(2) * RhoExpr.from_polynomial(t)).scale(3)
         assert ints.den == 1 and ints.layers is ints.num
         half = ints.scale(Fraction(1, 6))
         assert half.den == 2 and half.num == ints.scale(Fraction(1, 3)).num
         assert half.layers == {1: Polynomial(2, {(1, 0): Fraction(1, 2)})}
         assert {s: p.scale(half.den) for s, p in half.layers.items()} == half.num
         assert RhoExpr.rho(2, 0).scale(Fraction(-3, 4)).den == 4
-        assert ints.scale(Fraction(1, 6)) - half == RhoExpr.zero(2) == RhoExpr.zero(2).scale(5)
+        assert ints.scale(Fraction(1, 6)) - half == normalize([], 2) == normalize([], 2).scale(5)
         assert (half - half).den == 1
         assert half != ints.scale(Fraction(1, 3)) and hash(half) != hash(ints.scale(Fraction(1, 3)))
 
@@ -373,7 +373,7 @@ class TestOneRepresentation:
             (a.box(), oracle_box(ta)),
             (a.euler_h(), oracle_map(ta, lambda e, c: (e, c * sum(e)))),
             (Polynomial.constant(dim, q), oracle_sum({(0,) * dim: q})),
-            (Polynomial.monomial(dim, unit, q), oracle_sum({unit: q})),
+            (Polynomial(dim, {unit: q}), oracle_sum({unit: q})),
         ]
         for got, expected in results:
             self.assert_form(got, expected)
@@ -507,8 +507,9 @@ def diff_chain_box(x):
 def diff_chain_euler_h(x):
     """Reference H: sum_mu x_mu d_mu, one diff at a time."""
     out = x.scale(0)
+    lift = RhoExpr.from_polynomial if isinstance(x, RhoExpr) else (lambda p: p)
     for axis in range(x.dim):
-        out = out + Polynomial.coordinate(x.dim, axis) * x.diff(axis)
+        out = out + lift(Polynomial.coordinate(x.dim, axis)) * x.diff(axis)
     return out
 
 
@@ -550,11 +551,11 @@ class TestEval:
         assert x_rho.eval_points([(0.0, 1.0)])[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_scalar_point(self):
-        assert RhoExpr.rho(1).eval_points([0.5])[0] == pytest.approx(4 / 3)
+        assert RhoExpr.rho(1).eval_points([[0.5]])[0] == pytest.approx(4 / 3)
         with pytest.raises(DomainError, match="points have 1 coords, expected 2"):
-            RhoExpr.rho(2).eval_points([0.5])
+            RhoExpr.rho(2).eval_points([[0.5]])
         with pytest.raises(DomainError, match="points have 1 coords, expected 3"):
-            Polynomial.coordinate(3, 1).eval_points([0.5])
+            Polynomial.coordinate(3, 1).eval_points([[0.5]])
 
     def test_singular_point(self):
         with pytest.raises(DomainError, match="evaluation on the singular set"):
@@ -600,7 +601,7 @@ class TestEval:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_special_elements_and_empty_points(self, dim):
         pts = nonsingular_points(np.random.default_rng(dim), dim, 12)
-        cases = [RhoExpr.zero(dim), RhoExpr.rho(dim, 0).scale(Fraction(-3, 7)), RhoExpr.rho(dim),
+        cases = [normalize([], dim), RhoExpr.rho(dim, 0).scale(Fraction(-3, 7)), RhoExpr.rho(dim),
                  RhoExpr.rho(dim, 5), Polynomial.zero(dim), Polynomial.constant(dim, 5)]
         for x in cases:
             layers = x.layers if isinstance(x, RhoExpr) else {0: x}
@@ -705,6 +706,36 @@ EDGE_CASES = {
                                   r"exponent tuple \(1,\) does not match dim 2"),
     "negative-exponent": (lambda: Polynomial(2, {(1, -1): 1}), ValueError,
                           "negative exponent"),
+    # exponents and rho powers are integers of any integral type, never truncated or parsed
+    "float-exponent": (lambda: Polynomial(2, {(1.9, 0): 1}), ValueError,
+                       r"non-integer or negative exponent in \(1\.9, 0\)"),
+    "string-exponent": (lambda: Polynomial(2, {("2", 0): 1}), ValueError,
+                        r"non-integer or negative exponent in \('2', 0\)"),
+    "float-rho-power": (lambda: RhoExpr.rho(2, 2.5), ValueError,
+                        "rho powers must be non-negative integers, got 2.5"),
+    "normalize-float-rho-power": (lambda: normalize([(1.5, Polynomial.coordinate(2, 1))], 2),
+                                  ValueError, "rho powers must be non-negative integers, got 1.5"),
+    "numpy-ints-read-as-ints": (
+        lambda: ([type(s) for s in normalize([(np.int32(3), Polynomial.constant(2, 1))], 2).num],
+                 RhoExpr.rho(2, np.int64(2)) == RhoExpr.rho(2, 2),
+                 Polynomial(4, {(np.int64(2), np.uint8(1), np.int32(1), 0): 3})
+                 == Polynomial(4, {(2, 1, 1, 0): 3})),
+        None, ([int], True, True)),
+    # one checked way in: normalize for a RhoExpr, from_polynomial to multiply by a Polynomial
+    "rho-expr-from-rational-layers": (lambda: RhoExpr(2, {0: Polynomial.constant(2, 1)}),
+                                      TypeError, "missing 1 required positional argument: 'den'"),
+    "rho-expr-times-polynomial": (lambda: RhoExpr.rho(2) * Polynomial.coordinate(2, 1),
+                                  TypeError, "unsupported operand"),
+    "polynomial-times-rho-expr": (lambda: Polynomial.coordinate(2, 1) * RhoExpr.rho(2),
+                                  TypeError, "unsupported operand"),
+    # points are an (m, dim) array, one point a row; any other shape is refused by name
+    "eval-points-of-one-point": (lambda: RhoExpr.rho(2).eval_points(np.array([0.1, 0.2])),
+                                 DomainError, r"points of shape \(2,\), expected \(m, 2\)"),
+    "polynomial-eval-points-of-a-scalar": (lambda: Polynomial.coordinate(2, 1).eval_points(0.5),
+                                           DomainError, r"points of shape \(\), expected \(m, 2\)"),
+    "on-slice-needs-dim-2": (lambda: RhoExpr.rho(3).on_slice(0.0), DomainError, "dim 3 vs 2"),
+    "removed-constructors": (lambda: (hasattr(Polynomial, "monomial"), hasattr(RhoExpr, "zero")),
+                             None, (False, False)),
     "zero-constant-has-no-terms": (lambda: Polynomial.constant(2, 0).terms, None, {}),
     "coordinate-axis-out-of-range": (lambda: Polynomial.coordinate(2, -1), DomainError,
                                      "axis -1 out of range for dim 2"),

@@ -104,7 +104,8 @@ class TestExprDocs:
 
     def test_exponent_bound(self):
         """A rho power or exponent of MAX_EXPONENT reads and evaluates; one more is refused."""
-        top = RhoExpr.rho(2, MAX_EXPONENT) * Polynomial(2, {(1, MAX_EXPONENT): 1})
+        top = RhoExpr.rho(2, MAX_EXPONENT) * RhoExpr.from_polynomial(
+            Polynomial(2, {(1, MAX_EXPONENT): 1}))
         doc = expr_to_doc(top)
         assert doc_to_expr(doc) == top
         assert top.eval_points(np.array([[0.0, 0.5]])).shape == (1,)

@@ -9,7 +9,7 @@ from conftest import nonsingular_points
 from pertwave import solutions
 from pertwave.basis import is_wave_polynomial, wave_basis
 from pertwave.errors import DomainError
-from pertwave.ring import Polynomial, RhoExpr
+from pertwave.ring import Polynomial, RhoExpr, normalize
 from pertwave.serialize import bundle_to_doc, dumps, expr_to_doc
 from pertwave.solutions import (beta_coefficients, build_phi,
                                 check_n2_background, psi0_residual,
@@ -103,7 +103,7 @@ def test_each_coefficient_checked_once(monkeypatch, n):
         return is_wave_polynomial(p)
 
     monkeypatch.setattr(solutions, "is_wave_polynomial", counting)
-    bundle = build_phi(Polynomial.monomial(n, (1, 1) + (0,) * (n - 2)), n)
+    bundle = build_phi(Polynomial(n, {(1, 1) + (0,) * (n - 2): 1}), n)
     assert checked == list(bundle.coefficients)
 
 
@@ -186,7 +186,7 @@ class TestBetaCoefficients:
         seed = next(p for p in wave_basis(n, k).elements if p.degree() == k)
         cs = beta_coefficients(n, k)
         half = n // 2
-        phi = RhoExpr(n, {half - i: seed.scale(c) for i, c in enumerate(cs)})
+        phi = normalize([(half - i, seed.scale(c)) for i, c in enumerate(cs)], n)
         assert residual(phi, n).is_zero()
         bundle = build_phi(seed, n)
         for i, c in enumerate(cs):
@@ -209,7 +209,7 @@ def sweep_digest(max_degree):
             for seed in wave_basis(n, k).elements:
                 bundle = build_phi(seed, n, check=False)
                 phi = bundle.phi
-                truncated = RhoExpr(n, {s: p for s, p in phi.layers.items() if s})
+                truncated = normalize([(s, p) for s, p in phi.layers.items() if s], n)
                 for x in (phi, residual(phi, n), residual(truncated, n)):
                     digest.update(dumps(expr_to_doc(x)).encode())
                     digest.update(str(x).encode() + b"\n")
