@@ -4,22 +4,19 @@ wave_basis(n, k) returns an exact basis of the kernel of the D'Alembertian
 restricted to homogeneous degree-k polynomials, in closed form.  A wave
 polynomial is fixed by its part of t-degree <= 1 (the Cauchy problem for
 box(y) = 0 at t = 0), so each degree-k monomial t^e0 x^alpha with e0 <= 1
-gives one element,
-
-    P = sum_j t^(e0+2j) e0!/(e0+2j)! Lap^j x^alpha,
-
-with Lap the spatial Laplacian.  Everything is deterministic: monomials are
-ordered graded-lex (t most significant) and elements are scaled to coprime
-integer coefficients with positive leading coefficient.
+gives one element, its Cauchy-Kovalevskaya series (Polynomial.wave).
+Everything is deterministic: monomials are ordered graded-lex (t most
+significant) and elements are scaled to coprime integer coefficients with
+positive leading coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, factorial, gcd
+from math import comb
 
-from .ring import Polynomial, _add_box, _pack
+from .ring import Polynomial
 
 MAX_DEGREE = 12
 # Most monomials wave_basis(n, k) may enumerate, C(k + n - 1, n - 1), before it
@@ -39,32 +36,6 @@ def monomials(dim, degree):
     slots = degree + dim - 1
     return [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
             for bars in reversed(list(combinations(range(slots), dim - 1)))]
-
-
-def _seed(n, exps):
-    """The wave polynomial whose part of t-degree <= 1 is a multiple of t^e0 x^alpha = exps.
-
-    It is the Cauchy-Kovalevskaya series (e0 <= 1)
-    P = sum_j t^(e0+2j) e0!/(e0+2j)! Lap^j x^alpha,
-    scaled by (e0+2J)!/e0! (J the last nonzero j) to integer coefficients and
-    then by their gcd.  On the t-free x^alpha the D'Alembertian is the spatial
-    Laplacian, so each Lap^j x^alpha is one box of the packed terms before it
-    (positive coefficients: no term cancels, and every coefficient of P is
-    positive), and a product of monomials is the sum of their keys.
-    """
-    e0, t, layers = exps[0], _pack((1,) + (0,) * (n - 1)), []  # t^m x^beta: key x^beta + m t
-    terms = {_pack((0,) + exps[1:]): 1}  # x^alpha, t-free
-    while terms:
-        layers.append(terms)
-        terms = _add_box({}, terms, n)
-    top = factorial(e0 + 2 * (len(layers) - 1))
-    # Term order is the order every evaluation sums in: the t-degree <= 1
-    # monomial first, then the rest descending graded-lex.
-    terms = {e + step: f * c for j in [0, *range(len(layers) - 1, 0, -1)]
-             for step, f in [((e0 + 2 * j) * t, top // factorial(e0 + 2 * j))]
-             for e, c in sorted(layers[j].items(), reverse=True)}
-    g = gcd(*terms.values())
-    return Polynomial(n, {e: c // g for e, c in terms.items()}, 1)
 
 
 @dataclass(frozen=True)
@@ -90,7 +61,7 @@ def wave_basis(n, k):
     if (count := comb(k + n - 1, n - 1)) > MAX_MONOMIALS:
         raise ValueError(f"dim {n}, degree {k} has {count} monomials, "
                          f"above the cap {MAX_MONOMIALS}")
-    elements = tuple(_seed(n, e) for e in monomials(n, k) if e[0] <= 1)
+    elements = tuple(Polynomial.wave(n, e) for e in monomials(n, k) if e[0] <= 1)
     return WaveBasis(dim=n, degree=k, elements=elements)
 
 

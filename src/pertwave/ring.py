@@ -1,40 +1,32 @@
 """Exact arithmetic in the quotient ring Q[t, x1..x_{n-1}, rho] / (rho*(1+x.x) - 1).
 
-Coordinates are indexed 0..n-1 with index 0 the time coordinate t.  The
-Minkowski square is x.x = -t^2 + sum(xi^2) (signature -,+,+,...), rho stands
-for 1/(1 + x.x), and the relation rho*(1 - t^2 + sum(xi^2)) = 1 is eliminated
-by keeping every rho-layer s >= 1 at t-degree <= 1.  With that convention two
-elements are equal iff their layer dictionaries are structurally equal, so
-every identity below reduces to an exact zero test.
+Index 0 is the time coordinate t, x.x = -t^2 + sum(xi^2) and rho = 1/(1 + x.x).
+The relation rho*(1 - t^2 + sum(xi^2)) = 1 is eliminated by keeping every
+rho-layer s >= 1 at t-degree <= 1, so two elements are equal iff their layers
+are structurally equal and every identity below is an exact zero test.  The
+D'Alembertian and the Euler operator H act on each layer in closed form, from
+d_mu rho = -2 x_mu rho^2, H rho = -2 rho + 2 rho^2 and x.x = 1/rho - 1.
 
-The D'Alembertian and the Euler operator H act on each rho-layer in closed
-form (RhoExpr.box, RhoExpr.euler_h), from d_mu rho = -2 x_mu rho^2,
-H rho = -2 rho + 2 rho^2 and x.x = 1/rho - 1: one normalize call per operator.
-
-A Polynomial keys each term by one int, the fields [total degree | t | x1 |
-... | x_{n-1}] of _BITS each (Monagan & Pearce, CASC 2007): a product of
-terms is the sum of their keys, and the keys sort in graded-lex order.  A
-Polynomial and a RhoExpr store their coefficients one way: nonzero ints over
-one positive den coprime to all of them (a unique pair: content and primitive
-part, Knuth TAOCP 4.6.1), so operators run on ints; Polynomial.terms (keyed by
-exponent tuples, rational) and RhoExpr.layers are views built on each read.
-normalize is the one place that reduces by 1 + x.x: it brings its pairs over
-the lcm of their dens and divides each rho-layer's int terms in place, one
-t-slice at a time.  Exact values enter one checked way per type, from rational
-terms: Polynomial(dim, {exponent tuple: rational}) and normalize([(rho power,
-Polynomial)], dim) refuse a negative or non-integer exponent or power with a
-ValueError; Polynomial(dim, packed, den) and RhoExpr(dim, num, den) are the
-trusted constructors of the ring's own operators.  Floats leave two ways, each
-exact coefficient rounded once: eval_points at an (m, dim) array (Polynomial
-is its rho^0 case), which builds each coordinate and rho power once per call,
-and RhoExpr.on_slice, a dim-2 element on t = a as one rational function of w,
-evaluated by Horner (the exact n = 2 Cauchy data of cauchy).
+Only this module knows how terms are stored.  A Polynomial keys each term by one
+int, the fields [total degree | t | x1 | ... | x_{n-1}] of _BITS each (Monagan &
+Pearce, CASC 2007): a product of terms is the sum of their keys, and the keys
+sort in graded-lex order.  Both types store nonzero int coefficients over one
+positive den coprime to them (content and primitive part, Knuth TAOCP 4.6.1).
+_poly and _reduce, the one reduction by 1 + x.x, build them for the operators.
+Exact values enter one checked way per type, Polynomial(dim, {exponent tuple:
+rational}, den=1) with its classmethods and normalize([(rho power, Polynomial)],
+dim) with from_polynomial and rho, which refuse a dim, exponent or rho power that
+is not an integer (dim >= 1, the others >= 0); RhoExpr(...) is a TypeError.
+Floats leave two ways, each exact coefficient rounded once: eval_points at an
+(m, dim) array, which builds each coordinate and rho power once per call, and
+RhoExpr.on_slice, a dim-2 element on t = a as one rational function of w.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -57,15 +49,6 @@ def _shifts(dim):
     return range(_BITS * (dim - 1), -1, -_BITS)
 
 
-def _pack(exps):
-    """Packed key of an exponent tuple (t first); DomainError past MAX_TOTAL_DEGREE."""
-    if (key := sum(exps)) > MAX_TOTAL_DEGREE:
-        raise DomainError(f"exponents {exps}: total degree > {MAX_TOTAL_DEGREE}")
-    for k in exps:
-        key = key << _BITS | k
-    return key
-
-
 def _add_box(out, terms, dim):
     """Add the D'Alembertian of the packed terms into out, and return out (Polynomial.box)."""
     drop, t_sh, shifts = 2 << _BITS * dim, _BITS * (dim - 1), _shifts(dim)
@@ -75,6 +58,57 @@ def _add_box(out, terms, dim):
                 de = e - (2 << sh) - drop
                 out[de] = out.get(de, 0) + c * (k * (k - 1) if sh != t_sh else -k * (k - 1))
     return out
+
+
+def _positive(value, name="dim"):
+    """value as an int: ValueError unless it is an integer, DomainError below 1."""
+    if type(value) is not int:
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        value = int(value)
+    if value < 1:
+        raise DomainError(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def _key(exps, dim):
+    """Packed key of a tuple of dim exponents (t first), non-negative integers of any
+    integral type: ValueError otherwise, DomainError past MAX_TOTAL_DEGREE."""
+    if type(exps) is tuple and len(exps) == dim:
+        key = 0
+        for e in exps:
+            if type(e) is not int or e < 0:
+                break
+            key = key << _BITS | e
+        else:
+            if (degree := sum(exps)) > MAX_TOTAL_DEGREE:
+                raise DomainError(f"exponents {exps}: total degree > {MAX_TOTAL_DEGREE}")
+            return degree << _BITS * dim | key
+    if not (isinstance(exps, tuple)
+            and all(isinstance(e, numbers.Integral) and e >= 0 for e in exps)):
+        raise ValueError(f"non-integer or negative exponent in {exps!r}")
+    if len(exps) != dim:
+        raise DomainError(f"exponent tuple {exps} does not match dim {dim}")
+    return _key(tuple(map(int, exps)), dim)
+
+
+def _axis(axis, dim):
+    if not (isinstance(axis, numbers.Integral) and 0 <= axis < dim):
+        raise DomainError(f"axis {axis} out of range for dim {dim}")
+    return int(axis)
+
+
+def _poly(dim, packed, den):
+    """Trusted Polynomial of {packed key: int} over an int den >= 1, in its one form:
+    zeros dropped and gcd(den, coefficients) divided out.  It owns packed."""
+    if not all(packed.values()):
+        packed = {e: c for e, c in packed.items() if c}
+    if den != 1 and (g := math.gcd(den, *packed.values())) != 1:
+        den //= g
+        packed = {e: c // g for e, c in packed.items()}
+    p = object.__new__(Polynomial)
+    p.dim, p.packed, p.den = dim, packed, den
+    return p
 
 
 def _check_dim(a, b):
@@ -158,41 +192,29 @@ def _evaluate(dim, layers, den, points, with_rho=True):
 
 
 class Polynomial:
-    """Multivariate polynomial over Q, stored as int coefficients over one den.
+    """Multivariate polynomial over Q: ``packed`` maps keys to nonzero int coefficients
+    over ``den``, a positive int coprime to them, so equality is structural equality.
 
-    ``packed`` maps packed keys to nonzero int coefficients and ``den`` is a
-    positive int coprime to all of them, so equality is plain structural
-    equality.  Polynomial(dim, {exponent tuple: rational}) is the checked way in:
-    it accepts any rationals at exponents that are non-negative integers of any
-    integral type.  Given den, terms is a {packed key: int} dict that the new
-    Polynomial owns, which it brings to that form by dropping zeros and dividing
-    out gcd(den, coefficients), the one canonicalisation.
+    Polynomial(dim, {exponent tuple: rational}, den=1) is the checked way in, for
+    the terms over den: any rationals (an int is taken as it is, with no Fraction
+    built) at exponents that are non-negative integers of any integral type.
     """
 
     __slots__ = ("dim", "packed", "den")
 
-    def __init__(self, dim, terms=None, den=None):
-        if dim < 1:
-            raise DomainError(f"dim must be >= 1, got {dim}")
-        self.dim = int(dim)
-        if den is None:
-            clean = {}
-            for exps, coeff in (terms or {}).items():
-                exps = tuple(exps)
-                if len(exps) != self.dim:
-                    raise DomainError(f"exponent tuple {exps} does not match dim {self.dim}")
-                if not all(isinstance(e, numbers.Integral) and e >= 0 for e in exps):
-                    raise ValueError(f"non-integer or negative exponent in {exps}")
-                key = _pack(tuple(map(int, exps)))
-                clean[key] = clean.get(key, 0) + Fraction(coeff)
-            den = math.lcm(*(c.denominator for c in clean.values()))
-            terms = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
-        if not all(terms.values()):
-            terms = {e: c for e, c in terms.items() if c}
-        if den != 1 and (g := math.gcd(den, *terms.values())) != 1:
-            den //= g
-            terms = {e: c // g for e, c in terms.items()}
-        self.packed, self.den = terms, den
+    def __new__(cls, dim, terms=None, den=1):
+        dim, den, terms = _positive(dim), _positive(den, "den"), terms or {}
+        # keys equal as tuples are one dict key, so their packed keys are distinct
+        packed = {_key(exps, dim): c for exps, c in terms.items() if type(c) is int}
+        if len(packed) < len(terms):  # not all ints: the rationals over their lcm
+            packed = {_key(exps, dim): Fraction(c) for exps, c in terms.items()}
+            lcm = math.lcm(*(c.denominator for c in packed.values()))
+            packed = {e: c.numerator * (lcm // c.denominator) for e, c in packed.items()}
+            den *= lcm
+        return _poly(dim, packed, den)
+
+    def __reduce__(self):  # copy and pickle rebuild through the trusted constructor
+        return _poly, (self.dim, self.packed, self.den)
 
     def _decoded(self, items):
         """(exponent tuple, coefficient) of packed items: an int when integral, else a Fraction."""
@@ -210,17 +232,40 @@ class Polynomial:
 
     @classmethod
     def zero(cls, dim):
-        return cls(dim, {}, 1)
+        return cls(dim)
 
     @classmethod
     def constant(cls, dim, value):
-        return cls(dim, {(0,) * dim: value})
+        return cls(dim, {(0,) * _positive(dim): value})
 
     @classmethod
     def coordinate(cls, dim, axis):
-        if not 0 <= axis < dim:
-            raise DomainError(f"axis {axis} out of range for dim {dim}")
-        return cls(dim, {1 << _BITS * dim | 1 << _BITS * (dim - 1 - axis): 1}, 1)
+        axis = _axis(axis, dim := _positive(dim))
+        return _poly(dim, {1 << _BITS * dim | 1 << _BITS * (dim - 1 - axis): 1}, 1)
+
+    @classmethod
+    def wave(cls, dim, exps):
+        """The wave polynomial whose part of t-degree <= 1 (e0 <= 1, else ValueError) is a
+        multiple of t^e0 x^alpha = exps: the Cauchy-Kovalevskaya series
+        P = sum_j t^(e0+2j) e0!/(e0+2j)! Lap^j x^alpha, scaled by (e0+2J)!/e0! (J the last
+        nonzero j) and then by the gcd to coprime integer coefficients.  Each Lap^j x^alpha
+        is one box of the t-free keys before it, all positive: no term cancels."""
+        dim = _positive(dim)
+        t_sh, key = _BITS * (dim - 1), _key(exps, dim)
+        if (e0 := key >> t_sh & _MASK) > 1:
+            raise ValueError(f"exponents {exps!r}: t-degree {e0} > 1")
+        t, layers = 1 << _BITS * dim | 1 << t_sh, []  # t^m x^beta: key x^beta + m t
+        terms = {key - e0 * t: 1}  # x^alpha, t-free
+        while terms:
+            layers.append(terms)
+            terms = _add_box({}, terms, dim)
+        top = math.factorial(e0 + 2 * (len(layers) - 1))
+        # Term order is the order every evaluation sums in: the t-degree <= 1
+        # monomial first, then the rest descending graded-lex.
+        terms = {e + step: f * c for j in [0, *range(len(layers) - 1, 0, -1)]
+                 for step, f in [((e0 + 2 * j) * t, top // math.factorial(e0 + 2 * j))]
+                 for e, c in sorted(layers[j].items(), reverse=True)}
+        return _poly(dim, terms, math.gcd(*terms.values()))  # over the gcd: it divides out
 
     # -- structure --------------------------------------------------------
 
@@ -253,11 +298,11 @@ class Polynomial:
                 f = den // p.den
                 for e, c in p.packed.items():
                     terms[e] = terms.get(e, 0) + c * f
-            return Polynomial(self.dim, terms, den)
+            return _poly(self.dim, terms, den)
         return NotImplemented
 
     def __neg__(self):
-        return Polynomial(self.dim, {e: -c for e, c in self.packed.items()}, self.den)
+        return _poly(self.dim, {e: -c for e, c in self.packed.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -272,7 +317,7 @@ class Polynomial:
                 for e2, c2 in other.packed.items():
                     e = e1 + e2
                     terms[e] = terms.get(e, 0) + c1 * c2
-            return Polynomial(self.dim, terms, self.den * other.den)
+            return _poly(self.dim, terms, self.den * other.den)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -282,32 +327,27 @@ class Polynomial:
     def scale(self, scalar):
         """scalar * self: each coefficient times its numerator, den times its denominator."""
         num, den = Fraction(scalar).as_integer_ratio()
-        return Polynomial(self.dim, {e: c * num for e, c in self.packed.items()}, self.den * den)
+        return _poly(self.dim, {e: c * num for e, c in self.packed.items()}, self.den * den)
 
     # -- calculus ---------------------------------------------------------
 
     def diff(self, axis):
-        if not 0 <= axis < self.dim:
-            raise DomainError(f"axis {axis} out of range for dim {self.dim}")
-        sh = _BITS * (self.dim - 1 - axis)
+        sh = _BITS * (self.dim - 1 - _axis(axis, self.dim))
         step = 1 << _BITS * self.dim | 1 << sh  # one off the exponent and the degree
-        return Polynomial(self.dim, {e - step: c * k for e, c in self.packed.items()
-                                     if (k := e >> sh & _MASK)}, self.den)
+        return _poly(self.dim, {e - step: c * k for e, c in self.packed.items()
+                                if (k := e >> sh & _MASK)}, self.den)
 
     def box(self):
         """D'Alembertian -d2/dt2 + sum_i d2/dxi2, term by term (_add_box): a power k >= 2 of
         t gives -k(k-1), of xi +k(k-1), on the power k - 2."""
-        return Polynomial(self.dim, _add_box({}, self.packed, self.dim), self.den)
+        return _poly(self.dim, _add_box({}, self.packed, self.dim), self.den)
 
-    def euler_h(self):
-        """Euler operator t*dt + sum_i xi*dxi: each term times its total degree."""
-        return self._h_affine(1, 0)
-
-    def _h_affine(self, a, b):
-        """(a*H + b) self for integers a, b: each term times a*(its total degree) + b."""
-        ds = _BITS * self.dim
-        return Polynomial(self.dim, {e: c * (a * (e >> ds) + b) for e, c in self.packed.items()},
-                          self.den)
+    def euler_h(self, a=1, b=0):
+        """(a*H + b) self for integers a, b, with H = t*dt + sum_i xi*dxi the Euler
+        operator: each term times a*(its total degree) + b."""
+        a, b, ds = operator.index(a), operator.index(b), _BITS * self.dim
+        return _poly(self.dim, {e: c * (a * (e >> ds) + b) for e, c in self.packed.items()},
+                     self.den)
 
     # -- evaluation -------------------------------------------------------
 
@@ -318,19 +358,10 @@ class Polynomial:
     # -- display ----------------------------------------------------------
 
     def _term_str(self, exps, coeff):
-        if self.dim == 1:
-            names = ["u"]  # dim-1 polynomials are in the radial variable u (hyp2f1)
-        elif self.dim == 2:
-            names = ["t", "x"]
-        else:
-            names = ["t"] + [f"x{i}" for i in range(1, self.dim)]
-        parts = []
-        for name, k in zip(names, exps):
-            if k == 1:
-                parts.append(name)
-            elif k > 1:
-                parts.append(f"{name}^{k}")
-        body = "*".join(parts)
+        # dim-1 polynomials are in the radial variable u (hyp2f1)
+        names = (["u"] if self.dim == 1 else ["t", "x"] if self.dim == 2
+                 else ["t"] + [f"x{i}" for i in range(1, self.dim)])
+        body = "*".join(name if k == 1 else f"{name}^{k}" for name, k in zip(names, exps) if k)
         if not body:
             return str(coeff)
         if coeff == 1:
@@ -349,23 +380,21 @@ class Polynomial:
 class RhoExpr:
     """Canonical element of Q[t, x, rho] / (rho*(1+x.x) - 1), stored as num / den.
 
-    ``num`` maps the rho power s to a Polynomial over den 1; every layer with
-    s >= 1 is kept at t-degree <= 1 and zero layers are dropped.  ``den`` is a
-    positive int coprime to all of num's coefficients.  RhoExpr(dim, num, den)
-    trusts its arguments to be that normal form; normalize is the checked way in,
-    from (rho power, Polynomial) pairs.
+    ``num`` maps the rho power s to a Polynomial over den 1, nonzero and at t-degree
+    <= 1 for s >= 1; ``den`` is a positive int coprime to num's coefficients.  Only
+    _reduce builds one from parts; RhoExpr(...) is a TypeError.
     """
 
     __slots__ = ("dim", "den", "num")
 
-    def __init__(self, dim, num, den):
-        self.dim, self.den, self.num = dim, den, num
+    def __init__(self, *args, **kwargs):
+        raise TypeError("RhoExpr has no public constructor: use normalize or its callers")
 
     @property
     def layers(self):
         """{s: Polynomial} with each layer over den, built on each read (num if den is 1)."""
         return self.num if self.den == 1 else {
-            s: Polynomial(self.dim, p.packed, self.den) for s, p in self.num.items()}
+            s: _poly(self.dim, p.packed, self.den) for s, p in self.num.items()}
 
     # -- constructors -----------------------------------------------------
 
@@ -396,10 +425,10 @@ class RhoExpr:
         if not isinstance(other, RhoExpr):
             return NotImplemented
         _check_dim(self.dim, other.dim)
-        return normalize([*self.layers.items(), *other.layers.items()], self.dim)
+        return _normalize([*self.layers.items(), *other.layers.items()], self.dim)
 
     def __neg__(self):
-        return RhoExpr(self.dim, {s: -p for s, p in self.num.items()}, self.den)
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
@@ -411,7 +440,7 @@ class RhoExpr:
             for s1, p1 in self.num.items():
                 for s2, p2 in other.num.items():
                     raw.append((s1 + s2, p1 * p2))
-            return normalize(raw, self.dim, self.den * other.den)
+            return _normalize(raw, self.dim, self.den * other.den)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -419,7 +448,7 @@ class RhoExpr:
     __rmul__ = __mul__
 
     def scale(self, scalar):
-        return normalize([(s, p.scale(scalar)) for s, p in self.num.items()], self.dim, self.den)
+        return _normalize([(s, p.scale(scalar)) for s, p in self.num.items()], self.dim, self.den)
 
     # -- calculus ---------------------------------------------------------
 
@@ -433,14 +462,13 @@ class RhoExpr:
                 raw.append((s, dp))
             if s:
                 raw.append((s + 1, (coord * p).scale(2 * s if axis == 0 else -2 * s)))
-        return normalize(raw, self.dim, self.den)
+        return _normalize(raw, self.dim, self.den)
 
-    def _box_raw(self, c2):
-        """den * (box + c2 rho^2)(self) added into int layers {s: {key: c}}, with a = 4s(s+1):
-
-        box(P rho^s) = rho^s box P + rho^(s+1) [-4s HP + (a - 2sn) P] - a rho^(s+2) P.
-        """
-        ds, layers = _BITS * self.dim, {}
+    def box(self, rho2=0):
+        """(box + rho2 rho^2) self for an integer rho2 (0: the D'Alembertian), in one pass
+        into int layers and one reduction: with a = 4s(s+1), box(P rho^s) =
+        rho^s box P + rho^(s+1) [-4s HP + (a - 2sn) P] - a rho^(s+2) P."""
+        c2, ds, layers = operator.index(rho2), _BITS * self.dim, {}
         for s, p in self.num.items():
             _add_box(layers.setdefault(s, {}), p.packed, self.dim)
             a = 4 * s * (s + 1)
@@ -452,21 +480,15 @@ class RhoExpr:
                 acc = layers.setdefault(s + 2, {})
                 for e, c in p.packed.items():
                     acc[e] = acc.get(e, 0) + c * f
-        return layers
-
-    def box(self):
-        """D'Alembertian in normal form (_box_raw, then one normalize)."""
-        return normalize(self._box_raw(0), self.dim, self.den)
+        return _reduce(layers, self.dim, self.den)
 
     def euler_h(self):
-        """Euler operator H = t*dt + sum_i xi*dxi (no metric signs) in normal form:
-
-        H(P rho^s) = rho^s (HP - 2s P) + 2s rho^(s+1) P on each layer.
-        """
+        """Euler operator H = t*dt + sum_i xi*dxi (no metric signs) in normal form, from
+        H(P rho^s) = rho^s (HP - 2s P) + 2s rho^(s+1) P on each layer."""
         raw = []
         for s, p in self.num.items():
-            raw += [(s, p._h_affine(1, -2 * s)), (s + 1, p.scale(2 * s))]
-        return normalize(raw, self.dim, self.den)
+            raw += [(s, p.euler_h(1, -2 * s)), (s + 1, p.scale(2 * s))]
+        return _normalize(raw, self.dim, self.den)
 
     # -- evaluation -------------------------------------------------------
 
@@ -493,9 +515,9 @@ class RhoExpr:
             terms, at_a = self.num.get(s, zero).terms, {}
             deg = max((i for i, _ in terms), default=0)  # P_s(a, w) over q^deg:
             for (i, k), c in terms.items():  # c t^i w^k gives c p^i q^(deg - i) w^k
-                key = _pack((k,))
+                key = _key((k,), 1)
                 at_a[key] = at_a.get(key, 0) + c * p ** i * q ** (deg - i)
-            num = num * m + Polynomial(1, at_a, q ** deg)
+            num = num * m + _poly(1, at_a, q ** deg)
         num = num.scale(Fraction(1, self.den))
         head, *tail = ([float(num.terms.get((k,), 0)) for k in range(num.degree(), -1, -1)]
                        or [0.0])
@@ -526,45 +548,40 @@ class RhoExpr:
     def __str__(self):
         chunks, layers = [], self.layers
         for s in sorted(layers):
-            p = layers[s]
+            body, rho = str(layers[s]), "rho" if s == 1 else f"rho^{s}"
             if s == 0:
-                chunks.append(str(p))
+                chunks.append(body)
+            elif body in ("1", "-1"):
+                chunks.append(body[:-1] + rho)
             else:
-                rho = "rho" if s == 1 else f"rho^{s}"
-                body = str(p)
-                if body == "1":
-                    chunks.append(rho)
-                elif body == "-1":
-                    chunks.append(f"-{rho}")
-                elif len(p.packed) == 1:
-                    chunks.append(f"{body}*{rho}")
-                else:
-                    chunks.append(f"({body})*{rho}")
+                chunks.append(f"{body}*{rho}" if len(layers[s].packed) == 1 else f"({body})*{rho}")
         return _join(chunks)
 
     def __repr__(self):
         return f"RhoExpr({self.dim}, {self})"
 
 
-def normalize(raw, dim, den=1):
-    """Canonical RhoExpr of (sum of raw) / den, raw (rho_power, Polynomial) pairs or {s: {key: c}}.
-
-    The pairs are the checked way in: a rho power must be a non-negative integer of any
-    integral type (ValueError otherwise), and pairs with the same power are summed over
-    the lcm of their dens, which joins den (layers are reduced in place).  Then comes the
-    one reduction by 1 + x.x, with t^2 as head term (Cox, Little & O'Shea, ch. 2 section
-    3): from the top layer s >= 1 down, and in it from the top t-slice t^k A_k(x) with
-    k >= 2 down, -A_k joins layer s-1 at t^(k-2) and (1 + sum xi^2) A_k joins the slice
-    k-2 (by `steps`, as keys less t^k's field), leaving each layer at t-degree <= 1.
-    Last, the gcd of den and the coefficients is divided out.
-    """
-    layers, d = (raw, 1) if type(raw) is dict else ({}, math.lcm(*(p.den for _, p in raw)))
-    for s, poly in () if layers is raw else raw:
+def normalize(pairs, dim):
+    """Canonical RhoExpr of the sum of P rho^s over (rho power s, Polynomial P) pairs:
+    each s a non-negative integer of any integral type, each P a Polynomial of dim."""
+    dim, checked = _positive(dim), []
+    for s, poly in pairs:
         if type(s) is not int or s < 0:
             if not isinstance(s, numbers.Integral) or s < 0:
                 raise ValueError(f"rho powers must be non-negative integers, got {s!r}")
             s = int(s)
+        if not isinstance(poly, Polynomial):
+            raise TypeError(f"normalize takes (rho power, Polynomial) pairs, got {poly!r}")
         _check_dim(poly.dim, dim)
+        checked.append((s, poly))
+    return _normalize(checked, dim)
+
+
+def _normalize(pairs, dim, den=1):
+    """Canonical RhoExpr of (sum of P rho^s over trusted pairs (s, P)) / den: pairs with
+    the same power are summed over the lcm of their dens, which joins den, and _reduce."""
+    layers, d = {}, math.lcm(*(p.den for _, p in pairs))
+    for s, poly in pairs:
         acc, f = layers.get(s), d // poly.den
         if acc is None and f == 1:
             layers[s] = dict(poly.packed)
@@ -572,7 +589,18 @@ def normalize(raw, dim, den=1):
             acc = layers.setdefault(s, {})
             for e, c in poly.packed.items():
                 acc[e] = acc.get(e, 0) + c * f
-    den *= d
+    return _reduce(layers, dim, den * d)
+
+
+def _reduce(layers, dim, den):
+    """Canonical RhoExpr of sum_s layers[s] rho^s / den, from int layers {s: {key: c}}.
+
+    The one reduction by 1 + x.x, in place, with t^2 as head term (Cox, Little &
+    O'Shea, ch. 2 section 3): from the top layer s >= 1 down, and in it from the top
+    t-slice t^k A_k(x) with k >= 2 down, -A_k joins layer s-1 at t^(k-2) and
+    (1 + sum xi^2) A_k joins the slice k-2 (by `steps`, as keys less t^k's field).
+    Last, the gcd of den and the coefficients is divided out.
+    """
     t_sh, down = _BITS * (dim - 1), -2 << _BITS * dim
     steps = (down, *(2 << sh for sh in _shifts(dim)[1:]))
     high_t = _MASK - 1 << t_sh  # nonzero in a key iff its t exponent is >= 2
@@ -593,10 +621,11 @@ def normalize(raw, dim, den=1):
                         xe = x + step
                         below[xe] = below.get(xe, 0) + c
         layers[s] = {x + (k << t_sh): c for k, a in slices.items() for x, c in a.items()}
-    layers = {s: terms for s, terms in
-              ((s, {e: c for e, c in terms.items() if c}) for s, terms in layers.items()) if terms}
-    g = math.gcd(den, *(c for terms in layers.values() for c in terms.values()))
+    layers = {s: terms for s, terms in layers.items() if any(terms.values())}  # _poly drops 0s
+    g = math.gcd(den, *(math.gcd(*terms.values()) for terms in layers.values()))
     if g != 1:
         den //= g
         layers = {s: {e: c // g for e, c in terms.items()} for s, terms in layers.items()}
-    return RhoExpr(dim, {s: Polynomial(dim, terms, 1) for s, terms in layers.items()}, den)
+    out = object.__new__(RhoExpr)
+    out.dim, out.den, out.num = dim, den, {s: _poly(dim, terms, 1) for s, terms in layers.items()}
+    return out

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cauchy import Field2D, Grid2D
 from .errors import FormatError
-from .ring import Polynomial, RhoExpr, _pack, normalize
+from .ring import Polynomial, RhoExpr, normalize
 
 FORMAT_VERSION = 1
 
@@ -84,20 +84,21 @@ def doc_to_expr(doc):
         for layer in doc["layers"]:
             parsed = []
             for term in layer["terms"]:
-                exps = tuple(_integer(e, "exponent", 0, MAX_EXPONENT) for e in term["exponents"])
+                exps = tuple(term["exponents"])
+                if not all(type(e) is int and 0 <= e <= MAX_EXPONENT for e in exps):
+                    exps = tuple(_integer(e, "exponent", 0, MAX_EXPONENT) for e in exps)
                 if len(exps) != dim:
                     raise FormatError(f"exponents {list(exps)} do not have dim = {dim} entries")
-                parsed.append((exps, *_parse_coeff(term["coeff"])))
-            den, terms = math.lcm(*(d for _, _, d in parsed)), {}  # the layer over one den
-            for exps, c, d in parsed:
+                parsed.append((exps, _parse_coeff(term["coeff"])))
+            den, terms = math.lcm(*(d for _, (_, d) in parsed)), {}  # the layer over one den
+            for exps, (c, d) in parsed:
                 terms[exps] = terms.get(exps, 0) + c * (den // d)
             rho_power = _integer(layer["rho_power"], "rho_power", 0, MAX_EXPONENT)
             reduction += sum(dim * math.comb(e[0] // 2 + dim, dim) * min(rho_power, e[0] // 2)
                              for e in terms if e[0] > 1)
             if reduction > MAX_REDUCTION:
                 raise FormatError(f"reduction by 1 + x.x of size {reduction} > {MAX_REDUCTION}")
-            packed = {_pack(e): c for e, c in terms.items()}  # DomainError past the degree bound
-            raw.append((rho_power, Polynomial(dim, packed, den)))
+            raw.append((rho_power, Polynomial(dim, terms, den)))  # DomainError past the degree cap
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed document: {exc}") from exc
     return normalize(raw, dim)

@@ -30,7 +30,7 @@ def recursion_step(p_next, n, r):
     if not 0 <= r <= n // 2 - 1:
         raise IndexError(f"recursion index r={r} out of range for n={n}")
     factor = Fraction(2 * (r + 1), (n - 2 * r) * (n + 2 * r + 2))
-    return p_next._h_affine(2, n - 2 * r - 4).scale(factor)
+    return p_next.euler_h(2, n - 2 * r - 4).scale(factor)
 
 
 @dataclass(frozen=True)
@@ -77,12 +77,9 @@ def build_phi(seed, n, check=True):
 
 
 def residual(phi, n):
-    """Normal form of box(phi) + n(n+2) rho^2 phi; zero iff phi solves the PDE.
-
-    Both terms are added in one pass over phi's int layers (RhoExpr._box_raw with the
-    rho^2 coefficient n(n+2)) and reduced by one normalize over phi's denominator.
-    """
-    return normalize(phi._box_raw(n * (n + 2)), phi.dim, phi.den)
+    """Normal form of box(phi) + n(n+2) rho^2 phi, in one pass of RhoExpr.box; zero iff
+    phi solves the PDE."""
+    return phi.box(n * (n + 2))
 
 
 def psi0_residual(n):

@@ -1,6 +1,10 @@
+import ast
+import copy
 import math
+import pickle
 from fractions import Fraction
 from operator import add
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import nonsingular_points, polynomials, rho_exprs
+from pertwave import ring
 from pertwave.basis import wave_basis
 from pertwave.cauchy import InitialData
 from pertwave.errors import DomainError
@@ -723,7 +728,54 @@ EDGE_CASES = {
         None, ([int], True, True)),
     # one checked way in: normalize for a RhoExpr, from_polynomial to multiply by a Polynomial
     "rho-expr-from-rational-layers": (lambda: RhoExpr(2, {0: Polynomial.constant(2, 1)}),
-                                      TypeError, "missing 1 required positional argument: 'den'"),
+                                      TypeError, "RhoExpr has no public constructor"),
+    # no public call stores a key that is not an exponent tuple, or a RhoExpr not in normal form
+    "polynomial-terms-over-den": (
+        lambda: (str(Polynomial(2, {(1, 0): 3}, 2)),
+                 Polynomial(2, {(1, 0): 3}, 2) == Polynomial(2, {(1, 0): Fraction(3, 2)}),
+                 Polynomial(2, {(1, 0): Fraction(3, 2), (0, 1): 1}, np.int64(3)).terms),
+        None, ("3/2*t", True, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)})),
+    "polynomial-int-key": (lambda: Polynomial(2, {5: 1}, 1), ValueError,
+                           "non-integer or negative exponent in 5"),
+    "rho-expr-of-a-layer-not-in-normal-form": (
+        lambda: RhoExpr(2, {1: Polynomial(2, {(2, 0): 1})}, 1), TypeError,
+        "RhoExpr has no public constructor"),
+    "normalize-of-int-layers": (lambda: normalize({1: {5: 1}}, 2), TypeError, "cannot unpack"),
+    "normalize-of-a-dict-layer": (lambda: normalize([(1, {5: 1})], 2), TypeError,
+                                  r"\(rho power, Polynomial\) pairs, got \{5: 1\}"),
+    "polynomial-den-below-one": (lambda: Polynomial(2, {(1, 0): 1}, 0), DomainError,
+                                 "den must be >= 1, got 0"),
+    "polynomial-fraction-den": (lambda: Polynomial(2, {(1, 0): 1}, Fraction(1, 2)), ValueError,
+                                "den must be an integer >= 1, got Fraction"),
+    # dims are integers of any integral type, read as ints; nothing else is one
+    "float-dim": (lambda: Polynomial(2.5, {(1, 0): 1}), ValueError,
+                  "dim must be an integer >= 1, got 2.5"),
+    "string-dim": (lambda: Polynomial("2", {}), ValueError, "dim must be an integer >= 1, got '2'"),
+    "normalize-float-dim": (lambda: normalize([], 2.5), ValueError,
+                            "dim must be an integer >= 1, got 2.5"),
+    "coordinate-float-dim": (lambda: Polynomial.coordinate(2.0, 0), ValueError,
+                             "dim must be an integer >= 1, got 2.0"),
+    "numpy-dims-and-axes-read-as-ints": (
+        lambda: (type(Polynomial(np.int64(2)).dim), type(normalize([], np.int32(2)).dim),
+                 [type(k) for k in Polynomial.coordinate(np.int64(2), np.int64(1)).packed],
+                 Polynomial.coordinate(2, np.int64(1)).diff(np.int64(1))
+                 == Polynomial.constant(2, 1)),
+        None, (int, int, [int], True)),
+    "copy-and-pickle": (
+        lambda: [pickle.loads(pickle.dumps(x)) == x == copy.deepcopy(x) for x in
+                 (Polynomial(3, {(1, 2, 0): Fraction(1, 3)}),
+                  RhoExpr.rho(2).scale(Fraction(2, 5)))],
+        None, [True, True]),
+    # the public faces of what the wave basis and the recursion compute on keys
+    "wave-needs-t-degree-at-most-one": (lambda: Polynomial.wave(2, (2, 0)), ValueError,
+                                        r"exponents \(2, 0\): t-degree 2 > 1"),
+    "wave-of-a-monomial": (lambda: str(Polynomial.wave(3, (1, 2, 0))), None, "t^3 + 3*t*x1^2"),
+    "polynomial-h-affine": (lambda: Polynomial(2, {(1, 1): 1, (0, 0): 5}).euler_h(2, -1).terms,
+                            None, {(1, 1): 3, (0, 0): -5}),
+    "polynomial-h-affine-needs-integers": (lambda: Polynomial.constant(2, 1).euler_h(0.5),
+                                           TypeError, "'float' object cannot be interpreted"),
+    "box-with-rho-squared": (lambda: RhoExpr.rho(2).box(8) == RhoExpr.rho(2).box()
+                             + RhoExpr.rho(2, 3).scale(8), None, True),
     "rho-expr-times-polynomial": (lambda: RhoExpr.rho(2) * Polynomial.coordinate(2, 1),
                                   TypeError, "unsupported operand"),
     "polynomial-times-rho-expr": (lambda: Polynomial.coordinate(2, 1) * RhoExpr.rho(2),
@@ -771,3 +823,21 @@ def test_input_checks_and_display_edges(case):
     else:
         with pytest.raises(error, match=expected):
             call()
+
+
+def test_only_ring_knows_the_packed_keys():
+    """No module of the package but ring imports an underscored name from ring, reads
+    ring._name, or reads .packed: the key layout and the trusted constructors stay in ring."""
+    offences = []
+    for path in sorted(Path(ring.__file__).parent.glob("*.py")):
+        if path.name == "ring.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "ring":
+                offences += [f"{path.name}:{node.lineno}: imports {alias.name}"
+                             for alias in node.names if alias.name.startswith("_")]
+            elif isinstance(node, ast.Attribute) and (
+                    node.attr == "packed" or node.attr.startswith("_")
+                    and isinstance(node.value, ast.Name) and node.value.id == "ring"):
+                offences.append(f"{path.name}:{node.lineno}: reads .{node.attr}")
+    assert offences == []

@@ -83,6 +83,15 @@ class TestExprDocs:
         else:
             assert doc_to_expr(doc) == RhoExpr.from_polynomial(Polynomial(2, {(1, 0): value}))
 
+    @pytest.mark.parametrize("exponent", [-1, True, False, 1.0, "1", None, [1], MAX_EXPONENT + 1])
+    def test_exponent_grammar(self, exponent):
+        """An exponent is a JSON integer in [0, MAX_EXPONENT], named when it is not."""
+        doc = expr_to_doc(RhoExpr.from_polynomial(Polynomial.coordinate(2, 0)))
+        doc["layers"][0]["terms"][0]["exponents"][1] = exponent
+        with pytest.raises(FormatError, match=re.escape(
+                f"exponent must be an integer in [0, {MAX_EXPONENT}], got {exponent!r}")):
+            doc_to_expr(doc)
+
     def test_terms_read_over_one_den(self):
         """Coefficients at one exponent add up over the lcm of their denominators: two 1/2
         read as the int 1, 1/2 + 1/3 as 5/6, and 1/3 - 1/3 leaves no term; a zero
