@@ -1,13 +1,13 @@
 """Inverse homogeneity operators (H+m)^-1 as ray integrals; coefficient recovery.
 
 H = x . grad is the Euler operator, and (H+k+1)^-1 f at x is the ray integral
-int_0^1 v^k f(vx) dv.  recover(phi, points, q) inverts phi = sum_r P_r rho^r,
-rho = 1/(1 + x.x), at each row x of an (m, n) points array whose rays keep
-1 + x.x >= DEFAULT_DELTA (ring.check_margin), with one adaptive_gauss batch
-whose row block r holds the rays of kernel r of KERNELS[n].  recover_n2,
-recover_n4 and h_shift_inverse take one point x and run the same batch code
-on the one-row array x[None].  A float overflow or invalid operation on the
-way is a DomainError (errors.float_guard).
+int_0^1 v^k f(vx) dv.  recover(phi, points, q) inverts phi = sum_r P_r rho^r, rho =
+1/(1 + x.x), at each row x of an (m, n) points array whose rays keep 1 + x.x >=
+DEFAULT_DELTA (ring.check_margin), with one adaptive_gauss batch whose row block r
+holds the rays of kernel r of KERNELS[n]; its evaluate calls take phi at the rows x
+too, as a field's evaluate treats each row on its own (one point a row).  recover_n2,
+recover_n4 and h_shift_inverse run the same code on the one-row array x[None].  A float
+overflow or invalid operation on the way is a DomainError (errors.float_guard).
 """
 
 from __future__ import annotations
@@ -49,11 +49,11 @@ KERNELS = {
 class RayField:
     """Scalar field sampled along rays from the origin.
 
-    ``evaluate`` maps an (m, dim) array of points to an (m,) array and must be
-    re-entrant.  A target x is admissible when its whole ray {sx : s in [0, 1]}
-    keeps 1 + (sx).(sx) >= DEFAULT_DELTA; h_shift_inverse and the recoveries
-    reject any other x with DomainError before sampling.  ``expr`` optionally
-    records the exact ring element behind the samples; nothing in this module
+    ``evaluate`` maps an (m, dim) array of points to an (m,) array, treating each row on
+    its own (one point a row), and must be re-entrant.  A target x is admissible when its
+    whole ray {sx : s in [0, 1]} keeps 1 + (sx).(sx) >= DEFAULT_DELTA; h_shift_inverse
+    and the recoveries reject any other x with DomainError before sampling.  ``expr``
+    optionally records the exact ring element behind the samples; nothing in this module
     reads it, so recovery is the same with or without it.
     """
 
@@ -77,25 +77,27 @@ def _check_rays(f, points):
 
 def _ray_integrals(f, points, s, kernels, q):
     """The (len(kernels), m) array of int_0^1 K(v, rho, s) f(vx) dv, rho its value at vx,
-    for each K of kernels and each checked row x of the (m, dim) points.
+    for each K of kernels and each checked row x of the (m, dim) points, and the (m,) f(x).
 
     One adaptive_gauss batch whose row block j holds kernel j's rays; each row keeps
     its own panels, so every value is that of one call per kernel, bit for bit.
     """
     m, rays = len(points), points.T[:, None, :, None]
+    targets = np.empty(m)  # f(x), evaluated with vx in every integrand call (none if m = 0)
 
     def integrand(v):
-        # the rows vx, block by block, built with contiguous coordinate columns (faster to evaluate)
-        pts = (rays * v.reshape(len(kernels), m, -1)).reshape(points.shape[1], -1).T
-        values = f.evaluate(pts).reshape(v.shape)
-        out = 1.0 / margin(pts).reshape(v.shape)  # rho, overwritten block by block
+        # the coordinate columns of vx, block by block, then of x (contiguous: faster to evaluate)
+        cols = np.hstack([(rays * v.reshape(len(kernels), m, -1)).reshape(len(rays), -1), points.T])
+        values = f.evaluate(cols.T)
+        targets[:], values = values[v.size:], values[:v.size].reshape(v.shape)
+        out = 1.0 / margin(cols.T[:v.size]).reshape(v.shape)  # rho, overwritten block by block
         for j, K in enumerate(kernels):
             block = slice(j * m, (j + 1) * m)
             np.multiply(K(v[block], out[block], s), values[block], out=out[block])
         return out
 
     lo = np.zeros(len(kernels) * m)
-    return adaptive_gauss(integrand, lo, lo + 1.0, q).reshape(len(kernels), m)
+    return adaptive_gauss(integrand, lo, lo + 1.0, q).reshape(len(kernels), m), targets
 
 
 @float_guard("ray recovery")
@@ -104,7 +106,7 @@ def h_shift_inverse(f, k, x, q=QuadratureSpec()):
     if k < 0:
         raise ValueError(f"shift k must be non-negative, got {k}")
     points, _ = _check_rays(f, np.asarray(x, dtype=float)[None])
-    return float(_ray_integrals(f, points, None, (lambda v, rho, s: v ** k,), q)[0, 0])
+    return float(_ray_integrals(f, points, None, (lambda v, rho, s: v ** k,), q)[0][0, 0])
 
 
 @float_guard("ray recovery")
@@ -115,8 +117,7 @@ def _recover(phi, points, q, n):
     if phi.dim != n or n not in KERNELS:
         raise DomainError(f"no KERNELS[{n}] for a dim-{phi.dim} field; KERNELS has {list(KERNELS)}")
     points, rho_inv = _check_rays(phi, points)
-    top = phi.evaluate(points)
-    integrals = _ray_integrals(phi, points, rho_inv[:, None] - 1.0, KERNELS[n], q)
+    integrals, top = _ray_integrals(phi, points, rho_inv[:, None] - 1.0, KERNELS[n], q)
     coeffs = [integrals[0] + top, *integrals[1:]]
     for p in coeffs:
         top = (top - p) * rho_inv

@@ -98,6 +98,12 @@ def _axis(axis, dim):
     return int(axis)
 
 
+def _rational(c):  # Fraction(c), but not of a str, which Fraction would parse (' 2 ', '1/3')
+    if isinstance(c, str):
+        raise ValueError(f"coefficients must be numbers, got the string {c!r}")
+    return Fraction(c)
+
+
 def _poly(dim, packed, den):
     """Trusted Polynomial of {packed key: int} over an int den >= 1, in its one form:
     zeros dropped and gcd(den, coefficients) divided out.  It owns packed."""
@@ -207,7 +213,7 @@ class Polynomial:
         # keys equal as tuples are one dict key, so their packed keys are distinct
         packed = {_key(exps, dim): c for exps, c in terms.items() if type(c) is int}
         if len(packed) < len(terms):  # not all ints: the rationals over their lcm
-            packed = {_key(exps, dim): Fraction(c) for exps, c in terms.items()}
+            packed = {_key(exps, dim): _rational(c) for exps, c in terms.items()}
             lcm = math.lcm(*(c.denominator for c in packed.values()))
             packed = {e: c.numerator * (lcm // c.denominator) for e, c in packed.items()}
             den *= lcm
@@ -326,7 +332,7 @@ class Polynomial:
 
     def scale(self, scalar):
         """scalar * self: each coefficient times its numerator, den times its denominator."""
-        num, den = Fraction(scalar).as_integer_ratio()
+        num, den = _rational(scalar).as_integer_ratio()
         return _poly(self.dim, {e: c * num for e, c in self.packed.items()}, self.den * den)
 
     # -- calculus ---------------------------------------------------------
@@ -448,7 +454,8 @@ class RhoExpr:
     __rmul__ = __mul__
 
     def scale(self, scalar):
-        return _normalize([(s, p.scale(scalar)) for s, p in self.num.items()], self.dim, self.den)
+        k, d = _rational(scalar).as_integer_ratio()
+        return _normalize([(s, p.scale(k)) for s, p in self.num.items()], self.dim, self.den * d)
 
     # -- calculus ---------------------------------------------------------
 

@@ -402,12 +402,83 @@ def test_stacked_kernels_equal_one_batch_per_kernel():
 
     def alone(K):
         steps.clear()
-        return invert._ray_integrals(field, points, None, (K,), Q)[0], len(steps)
+        integrals, _ = invert._ray_integrals(field, points, None, (K,), Q)
+        return integrals[0], len(steps)
 
     (smooth, smooth_steps), (peaked, peaked_steps) = map(alone, kernels)
     assert smooth_steps == 1 < peaked_steps
-    stacked = invert._ray_integrals(field, points, None, kernels, Q)
+    stacked, _ = invert._ray_integrals(field, points, None, kernels, Q)
     assert stacked.shape == (2, len(points)) and np.array_equal(stacked, [smooth, peaked])
+
+
+def separate_target_recover(phi, points, n):
+    """recover's rows computed with phi(x) evaluated on its own call, before the ray batch."""
+    points, rho_inv = invert._check_rays(phi, points)
+    top = phi.evaluate(points)
+    integrals, _ = invert._ray_integrals(phi, points, rho_inv[:, None] - 1.0, KERNELS[n], Q)
+    coeffs = [integrals[0] + top, *integrals[1:]]
+    for p in coeffs:
+        top = (top - p) * rho_inv
+    return np.column_stack(coeffs + [top])
+
+
+def counting_recover(monkeypatch, phi, points):
+    """recover(phi, points) with phi's evaluate calls kept, and the number of integrand
+    calls that adaptive_gauss made."""
+    calls, steps, original = [], [], invert.adaptive_gauss
+
+    def evaluate(pts):
+        calls.append(np.array(pts))
+        return phi.evaluate(pts)
+
+    def quadrature(f, a, b, spec):
+        def integrand(v):
+            steps.append(v.size)
+            return f(v)
+        return original(integrand, a, b, spec)
+
+    monkeypatch.setattr(invert, "adaptive_gauss", quadrature)
+    counted = RayField(dim=phi.dim, evaluate=evaluate, expr=phi.expr)
+    return recover(counted, points, Q), calls, steps
+
+
+def exact_field(n):
+    seed = max(wave_basis(n, 3).elements, key=lambda p: len(p.terms))
+    return RayField.from_rho_expr(build_phi(seed, n).phi)
+
+
+def blind_field(n):
+    return RayField(dim=n, evaluate=lambda p: np.cos(p[:, 0]) * np.exp(0.5 * p[:, 1]) + p[:, -1])
+
+
+def peaked_field(n):  # a ray to x1 = 0.3 crosses the peak at x1 = 0.15, and bisects
+    return RayField(dim=n, evaluate=lambda p: 1.0 / (1e-4 + (p[:, 1] - 0.15) ** 2))
+
+
+@pytest.mark.parametrize("m", [1, 5])
+@pytest.mark.parametrize("make", [exact_field, blind_field, peaked_field],
+                         ids=["exact", "blind", "bisecting"])
+@pytest.mark.parametrize("n", sorted(KERNELS))
+def test_targets_ride_in_the_ray_evaluations(monkeypatch, n, make, m):
+    """recover evaluates phi once per integrand call, at that call's abscissae with the m
+    targets after them, and at nothing else; its rows equal, bit for bit, those computed
+    with a separate phi(x) call."""
+    phi, points = make(n), safe_points(np.random.default_rng(70 + n + m), n, m)
+    points[:, 1] = np.clip(points[:, 1], -0.1, 0.1)  # only the last ray nears the peak
+    points[-1, 1] = 0.3
+    got, calls, steps = counting_recover(monkeypatch, phi, points)
+    assert len(calls) == len(steps) >= 1
+    assert (len(steps) > 1) == (make is peaked_field)
+    for pts, size in zip(calls, steps):
+        assert pts.shape == (size + m, n) and np.array_equal(pts[size:], points)
+    monkeypatch.undo()
+    assert np.array_equal(got, separate_target_recover(phi, points, n))
+
+
+@pytest.mark.parametrize("n", sorted(KERNELS))
+def test_no_points_no_evaluation(monkeypatch, n):
+    got, calls, steps = counting_recover(monkeypatch, exact_field(n), np.empty((0, n)))
+    assert got.shape == (0, n // 2 + 1) and calls == steps == []
 
 
 @pytest.mark.parametrize("n", sorted(KERNELS))

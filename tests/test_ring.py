@@ -394,6 +394,16 @@ class TestOneRepresentation:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=4).flatmap(rho_exprs),
+           st.fractions(-5, 5, max_denominator=9) | st.integers(-6, 6))
+    def test_rho_expr_scale(self, expr, q):
+        """RhoExpr.scale equals scaling each layer over den and normalizing the pairs."""
+        got = expr.scale(q)
+        assert got == normalize([(s, p.scale(q)) for s, p in expr.layers.items()], expr.dim)
+        for s, p in got.layers.items():
+            self.assert_form(p, oracle_map(got.num[s].terms, lambda e, c: (e, c / got.den)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=4).flatmap(rho_exprs),
            st.fractions(-5, 5, max_denominator=9))
     def test_layers(self, expr, q):
         for x in (expr, expr.scale(q)):
@@ -716,6 +726,26 @@ EDGE_CASES = {
                        r"non-integer or negative exponent in \(1\.9, 0\)"),
     "string-exponent": (lambda: Polynomial(2, {("2", 0): 1}), ValueError,
                         r"non-integer or negative exponent in \('2', 0\)"),
+    # a coefficient or scalar is a number; text is refused by name, never parsed
+    "string-coefficient": (lambda: Polynomial(2, {(1, 0): "1/3"}), ValueError,
+                           "coefficients must be numbers, got the string '1/3'"),
+    "string-coefficient-among-ints": (lambda: Polynomial(2, {(1, 0): 1, (0, 1): " 2 "}),
+                                      ValueError, "got the string ' 2 '"),
+    "string-constant": (lambda: Polynomial.constant(2, "3"), ValueError, "got the string '3'"),
+    "polynomial-scale-by-string": (lambda: Polynomial(2, {(1, 0): 1}).scale(" 2 "), ValueError,
+                                   "coefficients must be numbers, got the string ' 2 '"),
+    "rho-expr-scale-by-string": (lambda: RhoExpr.rho(2).scale("1/3"), ValueError,
+                                 "got the string '1/3'"),
+    "zero-rho-expr-scale-by-string": (lambda: normalize([], 2).scale("2"), ValueError,
+                                      "got the string '2'"),
+    "numbers-still-scale": (
+        lambda: (Polynomial(2, {(1, 0): 1}).scale(2).terms,
+                 Polynomial(2, {(1, 0): 0.5, (0, 1): Fraction(1, 3)}).terms,
+                 RhoExpr.rho(2).scale(Fraction(2, 5))
+                 == normalize([(1, Polynomial.constant(2, Fraction(2, 5)))], 2),
+                 RhoExpr.rho(2).scale(0.25) == normalize([(1, Polynomial.constant(2, 0.25))], 2),
+                 normalize([], 2).scale(Fraction(7, 3)).is_zero()),
+        None, ({(1, 0): 2}, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)}, True, True, True)),
     "float-rho-power": (lambda: RhoExpr.rho(2, 2.5), ValueError,
                         "rho powers must be non-negative integers, got 2.5"),
     "normalize-float-rho-power": (lambda: normalize([(1.5, Polynomial.coordinate(2, 1))], 2),
