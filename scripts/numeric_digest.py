@@ -13,7 +13,10 @@ can be checked by running this script before and after it.  The cases:
   degree <= 3;
 * point: the one-point entries on the same fields and points (recover_n2 or
   recover_n4, and h_shift_inverse for k = 0, 1, 2), and evolve_point on the
-  criterion-7 data at the nodes of an 11 x 6 grid.
+  criterion-7 data at the nodes of an 11 x 6 grid;
+* blocks: recover at order 16 on 2048 points in |x_i| < 0.8, in blocks of 256 as
+  `pertwave invert` takes them, for n = 2 and n = 4, on an exact field and on a
+  black-box one; some of these rays bisect.
 
 Usage: PYTHONPATH=src python3 scripts/numeric_digest.py [--cases]
 """
@@ -30,6 +33,7 @@ from pertwave import (Grid2D, InitialData, Polynomial, QuadratureSpec, RayField,
                       recover_n2, recover_n4, wave_basis)
 
 Q = QuadratureSpec()
+Q16 = QuadratureSpec(order=16)
 DATA_SLICES = (0.0, 0.1, -0.37, 0.999, 2.5)
 
 
@@ -97,6 +101,15 @@ def digests():
                 yield "recover", f"n{n}-k{k}-{i}", recover(field, points, Q)
     for name, values in point_cases():
         yield "point", name, values
+    for n in (2, 4):
+        seed = max(wave_basis(n, 3).elements, key=lambda p: len(p.terms))
+        fields = {"exact": RayField.from_rho_expr(build_phi(seed, n).phi),
+                  "black-box": RayField(dim=n, evaluate=lambda p: np.cos(3.0 * p[:, 0])
+                                        * np.exp(p[:, 1]) + p[:, -1] ** 2)}
+        points = np.random.default_rng(10 + n).uniform(-0.8, 0.8, (2048, n))
+        for name, field in fields.items():
+            for j in range(0, len(points), 256):
+                yield "blocks", f"n{n}-{name}-{j // 256}", recover(field, points[j:j + 256], Q16)
 
 
 def main(argv=None):

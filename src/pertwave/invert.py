@@ -3,9 +3,9 @@
 H = x . grad is the Euler operator, and (H+k+1)^-1 f at x is the ray integral
 int_0^1 v^k f(vx) dv.  recover(phi, points, q) inverts phi = sum_r P_r rho^r, rho =
 1/(1 + x.x), at each row x of an (m, n) points array whose rays keep 1 + x.x >=
-DEFAULT_DELTA (ring.check_margin), with one adaptive_gauss batch whose row block r
-holds the rays of kernel r of KERNELS[n]; its evaluate calls take phi at the rows x
-too, as a field's evaluate treats each row on its own (one point a row).  recover_n2,
+DEFAULT_DELTA (ring.check_margin), with one adaptive_gauss batch: a row per ray, and
+a component per kernel of KERNELS[n] on the row's panels.  Each evaluate call takes phi
+at the rows x too, as evaluate treats each row on its own (one point a row).  recover_n2,
 recover_n4 and h_shift_inverse run the same code on the one-row array x[None].  A float
 overflow or invalid operation on the way is a DomainError (errors.float_guard).
 """
@@ -79,25 +79,24 @@ def _ray_integrals(f, points, s, kernels, q):
     """The (len(kernels), m) array of int_0^1 K(v, rho, s) f(vx) dv, rho its value at vx,
     for each K of kernels and each checked row x of the (m, dim) points, and the (m,) f(x).
 
-    One adaptive_gauss batch whose row block j holds kernel j's rays; each row keeps
-    its own panels, so every value is that of one call per kernel, bit for bit.
+    One adaptive_gauss batch with a row per ray and a component per kernel: the kernels
+    share each ray's panels, and the tolerance bounds each of them.
     """
-    m, rays = len(points), points.T[:, None, :, None]
+    m, rays = len(points), points.T[:, :, None]
     targets = np.empty(m)  # f(x), evaluated with vx in every integrand call (none if m = 0)
 
     def integrand(v):
-        # the coordinate columns of vx, block by block, then of x (contiguous: faster to evaluate)
-        cols = np.hstack([(rays * v.reshape(len(kernels), m, -1)).reshape(len(rays), -1), points.T])
+        # the coordinate columns of vx, then of x (contiguous: faster to evaluate)
+        cols = np.hstack([(rays * v).reshape(len(rays), -1), points.T])
         values = f.evaluate(cols.T)
         targets[:], values = values[v.size:], values[:v.size].reshape(v.shape)
-        out = 1.0 / margin(cols.T[:v.size]).reshape(v.shape)  # rho, overwritten block by block
+        rho = 1.0 / margin(cols.T[:v.size]).reshape(v.shape)
+        out = np.empty((len(kernels), *v.shape))  # component j: K_j(v, rho, s) f(vx)
         for j, K in enumerate(kernels):
-            block = slice(j * m, (j + 1) * m)
-            np.multiply(K(v[block], out[block], s), values[block], out=out[block])
+            np.multiply(K(v, rho, s), values, out=out[j])
         return out
 
-    lo = np.zeros(len(kernels) * m)
-    return adaptive_gauss(integrand, lo, lo + 1.0, q).reshape(len(kernels), m), targets
+    return adaptive_gauss(integrand, np.zeros(m), np.ones(m), q).reshape(len(kernels), m), targets
 
 
 @float_guard("ray recovery")

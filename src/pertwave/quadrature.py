@@ -74,14 +74,15 @@ def kronrod_rule(n):
 
 
 def adaptive_gauss(f, a, b, spec):
-    """The (m,) array of integrals of f over each [a[i], b[i]], for length-m arrays a, b.
+    """The (..., m) array of integrals of f over each [a[i], b[i]], for length-m arrays a, b.
 
-    f maps an (m, P) array, row i holding abscissae in [a[i], b[i]], to its (m, P) values.
-    A panel takes 2N+1 evaluations, N = spec.order, and is accepted once |K - G| <= tol,
-    the absolute tolerance halved per bisection; never when that is NaN.  Each interval
-    keeps the panels, tree-order sums and budget of MAX_SUBDIVISIONS bisections it would
-    have alone (ToleranceNotMet when that runs out), so batching changes no result.
-    a[i] > b[i] gives the signed integral; a[i] == b[i] gives 0.0.
+    f maps an (m, P) array, row i holding abscissae in [a[i], b[i]], to (..., m, P) values,
+    any leading axes being components of one integral that share the row's panels.  A panel
+    takes 2N+1 evaluations, N = spec.order, and is accepted once every component has
+    |K - G| <= tol, the absolute tolerance halved per bisection; never on a NaN.  Each
+    interval keeps the panels, tree-order sums and MAX_SUBDIVISIONS bisections it would
+    have alone (ToleranceNotMet past them), so batching changes no result.  a[i] > b[i]
+    gives the signed integral, a[i] == b[i] 0.0; if all are, f is not called: (m,) zeros.
     """
     a, b = (np.asarray(v, dtype=float).reshape(-1, 1) for v in (a, b))
     live = a != b
@@ -90,18 +91,18 @@ def adaptive_gauss(f, a, b, spec):
     nodes, weights = kronrod_rule(spec.order)
 
     def settle(lo, hi, tol, used, live):
-        """Integrals over the (m, p) panels [lo, hi] of one level, from one call of f."""
+        """(..., m, p) integrals over the (m, p) panels [lo, hi] of one level, from one f call."""
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         points = mid[..., None] + half[..., None] * nodes
-        values = np.reshape(f(points.reshape(len(lo), -1)), points.shape)
+        values = f(points.reshape(len(lo), -1))
+        values = values.reshape(values.shape[:-1] + points.shape[1:])
         # numpy's pairwise sums: a row gets the same bits in any batch, and |K - G| stays accurate
         kronrod, error = (half * (values * w).sum(axis=-1) for w in weights)
-        bisect = live & ~(np.abs(error) <= tol)
+        bisect = live & ~(np.abs(error) <= tol).reshape(-1, *lo.shape).all(axis=0)
         if not bisect.any():
             return kronrod
         count = bisect.sum(axis=1)
-        used = used + count
-        if used.max() > MAX_SUBDIVISIONS:
+        if (used := used + count).max() > MAX_SUBDIVISIONS:
             i = np.argmax(used)
             raise ToleranceNotMet(
                 f"quadrature subdivision budget exhausted on [{a[i, 0]}, {b[i, 0]}]")
@@ -112,7 +113,7 @@ def adaptive_gauss(f, a, b, spec):
         mid = 0.5 * (lo + hi)
         value = settle(np.concatenate([lo, mid], axis=1), np.concatenate([mid, hi], axis=1),
                        0.5 * tol, used, np.tile(kept, 2))
-        kronrod[bisect] = np.add(*np.hsplit(value, 2))[kept]
+        kronrod[..., bisect] = np.add(*np.split(value, 2, axis=-1))[..., kept]
         return kronrod
 
-    return np.where(live, settle(a, b, spec.abs_tol, 0, live), 0.0)[:, 0]
+    return np.where(live, settle(a, b, spec.abs_tol, 0, live), 0.0)[..., 0]

@@ -398,8 +398,8 @@ class RhoExpr:
 
     @property
     def layers(self):
-        """{s: Polynomial} with each layer over den, built on each read (num if den is 1)."""
-        return self.num if self.den == 1 else {
+        """{s: Polynomial} with each layer over den, a new dict on each read."""
+        return dict(self.num) if self.den == 1 else {
             s: _poly(self.dim, p.packed, self.den) for s, p in self.num.items()}
 
     # -- constructors -----------------------------------------------------
@@ -512,7 +512,7 @@ class RhoExpr:
         w on the singular set is a DomainError, as in eval_points.
         """
         _check_dim(self.dim, 2)
-        ta, zero = Fraction(a), Polynomial.zero(1)  # Fraction(a) is exact for every float
+        ta, zero = _rational(a), Polynomial.zero(1)  # exact for every float; a str is refused
         p, q = ta.as_integer_ratio()
         m = Polynomial(1, {(0,): 1 - ta * ta, (2,): 1})
         m0 = margin([(a, 0.0)])[0]  # margin at (a, w) is m0 + w^2, rounded as below

@@ -387,8 +387,10 @@ def test_one_ray_integral_batch_per_recovery(monkeypatch, n):
 
 
 def test_stacked_kernels_equal_one_batch_per_kernel():
-    """Stacking kernels as row blocks of one batch changes no bit, even when one kernel
-    bisects and the other does not: each row keeps the panels it has alone."""
+    """Kernels are components of one row per ray, on the panels the row needs for all of
+    them.  When one kernel bisects and the other does not, the bisecting one keeps the bits
+    of its batch alone, and the smooth one, integrated on the finer panels, stays within
+    1e-12 of its own."""
     phi = build_phi(Polynomial(2, {(1, 1): 1}), 2).phi
     steps = []
 
@@ -407,8 +409,10 @@ def test_stacked_kernels_equal_one_batch_per_kernel():
 
     (smooth, smooth_steps), (peaked, peaked_steps) = map(alone, kernels)
     assert smooth_steps == 1 < peaked_steps
+    steps.clear()
     stacked, _ = invert._ray_integrals(field, points, None, kernels, Q)
-    assert stacked.shape == (2, len(points)) and np.array_equal(stacked, [smooth, peaked])
+    assert stacked.shape == (2, len(points)) and len(steps) == peaked_steps
+    assert np.array_equal(stacked[1], peaked) and np.abs(stacked[0] - smooth).max() <= 1e-12
 
 
 def separate_target_recover(phi, points, n):
@@ -423,8 +427,8 @@ def separate_target_recover(phi, points, n):
 
 
 def counting_recover(monkeypatch, phi, points):
-    """recover(phi, points) with phi's evaluate calls kept, and the number of integrand
-    calls that adaptive_gauss made."""
+    """recover(phi, points) with phi's evaluate calls kept, and adaptive_gauss's integrand
+    calls as (abscissae, shape of the values)."""
     calls, steps, original = [], [], invert.adaptive_gauss
 
     def evaluate(pts):
@@ -433,8 +437,9 @@ def counting_recover(monkeypatch, phi, points):
 
     def quadrature(f, a, b, spec):
         def integrand(v):
-            steps.append(v.size)
-            return f(v)
+            values = f(v)
+            steps.append((v.copy(), values.shape))
+            return values
         return original(integrand, a, b, spec)
 
     monkeypatch.setattr(invert, "adaptive_gauss", quadrature)
@@ -469,10 +474,26 @@ def test_targets_ride_in_the_ray_evaluations(monkeypatch, n, make, m):
     got, calls, steps = counting_recover(monkeypatch, phi, points)
     assert len(calls) == len(steps) >= 1
     assert (len(steps) > 1) == (make is peaked_field)
-    for pts, size in zip(calls, steps):
-        assert pts.shape == (size + m, n) and np.array_equal(pts[size:], points)
+    for pts, (v, _) in zip(calls, steps):
+        assert pts.shape == (v.size + m, n) and np.array_equal(pts[v.size:], points)
     monkeypatch.undo()
     assert np.array_equal(got, separate_target_recover(phi, points, n))
+
+
+@pytest.mark.parametrize("make", [exact_field, peaked_field], ids=["exact", "bisecting"])
+def test_n4_evaluates_phi_once_per_ray_abscissa(monkeypatch, make):
+    """The two n = 4 kernels are components of one row per ray: each integrand call takes
+    (m, P) abscissae v and returns (2, m, P) values, and its one evaluate call takes the P
+    points vx of each of the m rays, then the m targets: P m + m points in all."""
+    m = 5
+    points = safe_points(np.random.default_rng(80), 4, m)
+    points[-1, 1] = 0.3  # near the peak of peaked_field
+    _, calls, steps = counting_recover(monkeypatch, make(4), points)
+    assert len(calls) == len(steps) and (len(steps) > 1) == (make is peaked_field)
+    for pts, (v, shape) in zip(calls, steps):
+        assert v.shape[0] == m and shape == (2, *v.shape)
+        assert pts.shape == (v.shape[1] * m + m, 4) and np.array_equal(pts[-m:], points)
+        assert np.array_equal(pts[:-m], (points[:, None, :] * v[..., None]).reshape(-1, 4))
 
 
 @pytest.mark.parametrize("n", sorted(KERNELS))

@@ -1,4 +1,5 @@
-"""The Gauss-Kronrod rule behind adaptive_gauss, and what one panel costs."""
+"""The Gauss-Kronrod rule behind adaptive_gauss, what one panel costs, and integrands with
+components."""
 
 import math
 import warnings
@@ -6,6 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
+from pertwave import quadrature
+from pertwave.errors import ToleranceNotMet
 from pertwave.quadrature import MAX_ORDER, QuadratureSpec, adaptive_gauss, kronrod_rule
 
 # QUADPACK's qk15 table (Piessens et al. 1983): the non-negative 15-point Kronrod nodes in
@@ -111,3 +114,86 @@ def test_rule_is_built_once_per_order_and_read_only():
     assert kronrod_rule(64)[0] is nodes and kronrod_rule(64)[1] is weights
     with pytest.raises(ValueError):
         weights[0, 0] = 0.0
+
+
+def peaked(t, c=0.1):
+    return 1.0 / (1e-2 + (t - c) ** 2)
+
+
+def test_components_equal_their_scalar_calls():
+    """An integrand of (c, m, P) values, or of any leading axes, is integrated per
+    component from one f call per level; when nothing bisects, each component is its
+    scalar call's integral bit for bit."""
+    spec = QuadratureSpec(order=8)
+    a, b = np.array([0.0, -1.0, 2.0]), np.array([1.0, 0.5, 1.0])
+    components = (np.cos, np.exp, lambda t: t ** 3 - t)
+    calls = []
+
+    def vector(t):
+        calls.append(t.shape)
+        return np.stack([g(t) for g in components])
+
+    got = adaptive_gauss(vector, a, b, spec)
+    assert got.shape == (3, 3) and calls == [(3, 2 * 8 + 1)]
+    for g, row in zip(components, got):
+        assert np.array_equal(row, adaptive_gauss(g, a, b, spec))
+    pair = adaptive_gauss(lambda t: np.stack([vector(t), -vector(t)]), a, b, spec)
+    assert pair.shape == (2, 3, 3) and np.array_equal(pair, [got, -got])
+
+
+def test_one_bisecting_component_sets_the_panels():
+    """The components of a row share its panels, so a component that would settle at once
+    is integrated on the panels that another bisects to: the bisecting one keeps the bits
+    and the f calls of its scalar call, and the settled one stays within abs_tol."""
+    spec = QuadratureSpec(order=8)
+    a, b = np.array([0.0, -1.0, 0.5]), np.array([1.0, 1.0, -0.5])
+    calls = []
+
+    def count(g):
+        def counted(t):
+            calls.append(t.shape)
+            return g(t)
+        return counted
+
+    smooth = adaptive_gauss(count(np.cos), a, b, spec)
+    assert len(calls) == 1
+    calls.clear()
+    alone = adaptive_gauss(count(peaked), a, b, spec)
+    peaked_calls = len(calls)
+    assert peaked_calls > 1
+    calls.clear()
+    got = adaptive_gauss(count(lambda t: np.stack([np.cos(t), peaked(t)])), a, b, spec)
+    assert len(calls) == peaked_calls and np.array_equal(got[1], alone)
+    assert np.abs(got[0] - smooth).max() <= spec.abs_tol
+
+
+def test_nan_in_one_component_bisects_until_the_budget_runs_out(monkeypatch):
+    """A NaN in one component fails the panel's test as it does in a scalar integrand."""
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 5)
+    spec = QuadratureSpec(order=4)
+
+    def nan_right(t):
+        return np.where(t > 0.5, np.nan, 1.0)
+
+    for f in (nan_right, lambda t: np.stack([np.cos(t), nan_right(t)])):
+        with pytest.raises(ToleranceNotMet, match=r"exhausted on \[0.0, 1.0\]"):
+            adaptive_gauss(f, [-1.0, 0.0], [0.0, 1.0], spec)
+
+
+def test_component_rows_equal_each_row_alone():
+    """Smooth, peaked (bisects), reversed and empty intervals, with two components a row:
+    every row is, bit for bit, the (2, 1) result of that row as a one-row batch.  With no
+    live interval f is never called, and the result is the (m,) zeros."""
+    spec = QuadratureSpec(order=16)
+    a, b = np.array([0.0, -1.0, 2.0, 0.5]), np.array([1.0, 1.0, 0.0, 0.5])
+    c = np.array([0.0, 0.3, -0.2, 0.5])
+
+    def rows(keep):
+        return lambda t: np.stack([np.sin(3.0 * t), peaked(t, c[keep, None])])
+
+    got = adaptive_gauss(rows(slice(None)), a, b, spec)
+    assert got.shape == (2, 4) and (got[:, 3] == 0.0).all()
+    for i in range(3):
+        alone = adaptive_gauss(rows(slice(i, i + 1)), a[i:i + 1], b[i:i + 1], spec)
+        assert alone.shape == (2, 1) and np.array_equal(got[:, i], alone[:, 0])
+    assert np.array_equal(adaptive_gauss(None, a[3:], b[3:], spec), [0.0])

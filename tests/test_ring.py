@@ -297,10 +297,11 @@ class TestIntegerLayers:
         assert x + y - y == x and hash(x + y - y) == hash(x)
 
     def test_layers_view(self):
-        """With den 1 the view is the int layers; otherwise it is num over den, built on read."""
+        """With den 1 the view equals the int layers; otherwise it is num over den.  Either
+        way it is a new dict on each read."""
         t = Polynomial.coordinate(2, 0)
         ints = (RhoExpr.rho(2) * RhoExpr.from_polynomial(t)).scale(3)
-        assert ints.den == 1 and ints.layers is ints.num
+        assert ints.den == 1 and ints.layers == ints.num and ints.layers is not ints.num
         half = ints.scale(Fraction(1, 6))
         assert half.den == 2 and half.num == ints.scale(Fraction(1, 3)).num
         assert half.layers == {1: Polynomial(2, {(1, 0): Fraction(1, 2)})}
@@ -309,6 +310,15 @@ class TestIntegerLayers:
         assert ints.scale(Fraction(1, 6)) - half == normalize([], 2) == normalize([], 2).scale(5)
         assert (half - half).den == 1
         assert half != ints.scale(Fraction(1, 3)) and hash(half) != hash(ints.scale(Fraction(1, 3)))
+
+    def test_writing_to_the_layers_view_changes_nothing(self):
+        """x.layers[1] = t^2 once made x = rho print t^2*rho: the den-1 view was num itself."""
+        for c in (1, Fraction(1, 3)):
+            x = RhoExpr.rho(2).scale(c)
+            before = str(x), hash(x)
+            x.layers[1] = Polynomial(2, {(2, 0): 1})
+            assert (str(x), hash(x)) == before and x == RhoExpr.rho(2).scale(c)
+            assert x.layers == {1: Polynomial.constant(2, c)}
 
     def test_eval_rounds_each_coefficient_once(self):
         """An int coefficient over den is rounded once, as c / den, which is
@@ -816,6 +826,8 @@ EDGE_CASES = {
     "polynomial-eval-points-of-a-scalar": (lambda: Polynomial.coordinate(2, 1).eval_points(0.5),
                                            DomainError, r"points of shape \(\), expected \(m, 2\)"),
     "on-slice-needs-dim-2": (lambda: RhoExpr.rho(3).on_slice(0.0), DomainError, "dim 3 vs 2"),
+    "on-slice-of-a-string": (lambda: RhoExpr.rho(2).on_slice("0.1"), ValueError,
+                             "coefficients must be numbers, got the string '0.1'"),
     "removed-constructors": (lambda: (hasattr(Polynomial, "monomial"), hasattr(RhoExpr, "zero")),
                              None, (False, False)),
     "zero-constant-has-no-terms": (lambda: Polynomial.constant(2, 0).terms, None, {}),
