@@ -4,18 +4,16 @@ evolve_grid evaluates the closed-form kernel solution of
 
     -phi_tt + phi_xx + 8 phi / (1 + x^2 - t^2)^2 = 0
 
-from initial position data u0 and velocity data v0 given at t = a.  Its two
-kernel integrals share the data interval, oriented as in the closed form
-from w = x + (t-a) to w = x - (t-a), so they are one integrand.  A grid is
-checked and its boundary terms taken once; then each time row is one
-adaptive_gauss batch; evolve_point is the one-node grid.  On the slice a = 0
-(the CLI default) every a-term of the kernel is an exact zero, so the
-kernel skips them, with the same result to the bit.  A float overflow or
-invalid operation is a DomainError (errors.float_guard), not a warning.
-Data from an exact phi are its restriction to t = a and that of its
-t-derivative, which the ring gives as functions of w (RhoExpr.on_slice).
-Tabulated data are a natural cubic spline, one cubic per interval.
-fd_reference is a leapfrog oracle; it shares no code path with the kernel.
+from initial position data u0 and velocity data v0 given at t = a.  Its two kernel
+integrals share the data interval, oriented as in the closed form from w = x + (t-a)
+to w = x - (t-a), so they are one integrand, on every slice (2A u0 r^2 + B v0 r / 2) / sigma
+with sigma = 1 + x^2 - t^2, r = 1/(1 - a^2 + w^2) and quadratics A, B in w set by the node
+and a (_kernel_coefficients).  A grid is checked and its boundary terms taken once; then
+each time row is one adaptive_gauss batch; evolve_point is the one-node grid.  A float
+overflow or invalid operation is a DomainError (errors.float_guard), not a warning.  Data
+from an exact phi are its restriction to t = a and that of its t-derivative, which the ring
+gives as functions of w (RhoExpr.on_slice).  Tabulated data are a natural cubic spline, one
+cubic per interval.  fd_reference is a leapfrog oracle; it shares no code path with the kernel.
 """
 
 from __future__ import annotations
@@ -125,6 +123,8 @@ class Grid2D:
     nt: int
 
     def __post_init__(self):
+        if not (isinstance(self.nx, numbers.Integral) and isinstance(self.nt, numbers.Integral)):
+            raise ValueError(f"grid sizes nx, nt must be integers, got {self.nx!r}, {self.nt!r}")
         if self.nx < 2 or self.nt < 2:
             raise DomainError(f"grid needs nx, nt >= 2, got {self.nx}x{self.nt}")
         if not (0.0 < self.x_max - self.x_min < math.inf
@@ -178,47 +178,46 @@ def _check_data_intervals(a, w_lo, w_hi):
     check_margin(_tx_rows(a, w), EPS_SING, lambda p: f"data slice t = {p[0]} at w = {p[1]}")
 
 
+def _kernel_coefficients(x, t, a):
+    """The (6, *x.shape) coefficients, w^2 first, of 2A/sigma, then of B/(2 sigma), at (x, t):
+    A = t w^2 - 2ax w + t(1+a^2) - ak, B = -k w^2 + 4x w + (1+a^2)k - 4at, k = 1 - x^2 + t^2."""
+    opa, k = 1.0 + a * a, 1.0 - x * x + t * t
+    return np.stack([2.0 * t, -4.0 * a * x, 2.0 * (t * opa - a * k),
+                     -0.5 * k, 2.0 * x, 0.5 * (opa * k - 4.0 * a * t)]) / (1.0 + x * x - t * t)
+
+
 @float_guard("closed-form evolution")
 def _evolve_nodes(d, x, t, q):
     """Closed-form phi at the nodes (x[i, k], t[i, k]) of (rows x nodes) arrays: the node
-    margins, boundary terms and data intervals once, in that order; then each row with a
-    node off t = a is one adaptive_gauss batch of 2 K1 u0 + K2 v0 / 2, a row per node.
-    A float overflow or invalid operation on the way is a DomainError, not a warning."""
+    margins, boundary terms, data intervals and kernel coefficients once, in that order;
+    then each row is one adaptive_gauss batch, a row per node, float trouble a DomainError."""
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     check_margin(_tx_rows(t, x), EPS_SING, lambda p: f"point (x={p[1]}, t={p[0]})")
-    a, delta = d.a, t - d.a
-    ends = d.u0(np.concatenate([(x - delta).ravel(), (x + delta).ravel()]))
+    w_lo, w_hi = x + (t - d.a), x - (t - d.a)  # the data interval, as in the closed form
+    ends = d.u0(np.concatenate([w_hi.ravel(), w_lo.ravel()]))
     out = 0.5 * (ends[:x.size] + ends[x.size:]).reshape(x.shape)
-    w_lo, w_hi = x + delta, x - delta
-    _check_data_intervals(a, w_lo, w_hi)
-    opa, oma = 1.0 + a * a, 1.0 - a * a
+    _check_data_intervals(d.a, w_lo, w_hi)
+    # a (6, nodes, 1) copy per row: a grid-sized array held through the loop fragments the heap
+    coef = [c.copy() for c in _kernel_coefficients(x, t, d.a)[..., None].swapaxes(0, 1)]
 
-    def row_kernel(xk, tk):  # a row's node constants once, as (nodes, 1) columns
-        xk2, tk2 = xk * xk, tk * tk
-        scale = 1.0 + xk2 - tk2
-        half_scale, two_scale, k2_factor = 0.5 * scale, 2.0 * scale, 1.0 - xk2 + tk2
-        four_xk, four_at = 4.0 * xk, 4.0 * a * tk  # 4 w xk = w (4 xk): scaling by 4 is exact
+    def kernel(w):  # row c's integrand r (2A u0 r + B v0 / 2) / sigma, Horner in place
+        r = 1.0 / (1.0 - d.a * d.a + w * w)
+        k1 = c[0] * w
+        k1 += c[1]
+        k1 *= w
+        k1 += c[2]
+        k1 *= d.u0(w.ravel()).reshape(w.shape)
+        k1 *= r
+        k2 = c[3] * w
+        k2 += c[4]
+        k2 *= w
+        k2 += c[5]
+        k2 *= d.v0(w.ravel()).reshape(w.shape)
+        k1 += k2
+        return np.multiply(k1, r, out=k1)
 
-        def kernel(w):  # w^2 once, and k2 built in its buffer: fewer row-sized temporaries
-            w2 = w * w
-            den = oma + w2
-            if a:
-                k1 = tk * (opa + w2) + a * (xk2 - 2.0 * w * xk - tk2 - 1.0)
-            else:  # every a-term is an exact zero and opa == oma == 1
-                k1 = tk * den
-            k1 *= d.u0(w.ravel()).reshape(w.shape) / (half_scale * den * den)
-            k2 = np.subtract(opa, w2, out=w2)
-            k2 *= k2_factor
-            if a:
-                k2 -= four_at
-            k2 += w * four_xk
-            k2 *= d.v0(w.ravel()).reshape(w.shape) / (two_scale * den)
-            return np.add(k1, k2, out=k1)
-
-        return kernel
-
-    for i in np.flatnonzero(delta.any(axis=1)):  # a row all on t = a integrates over nothing
-        out[i] -= adaptive_gauss(row_kernel(x[i, :, None], t[i, :, None]), w_lo[i], w_hi[i], q)
+    for row, c, lo, hi in zip(out, coef, w_lo, w_hi):  # a row on t = a integrates to 0.0
+        row -= adaptive_gauss(kernel, lo, hi, q)
     return out
 
 

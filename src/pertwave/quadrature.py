@@ -4,6 +4,7 @@ panel's value is its Kronrod estimate K, |K - G| its error estimate, G its Gauss
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,6 +24,8 @@ class QuadratureSpec:
     abs_tol: float = 1e-12
 
     def __post_init__(self):
+        if not isinstance(self.order, numbers.Integral):
+            raise ValueError(f"order must be an integer, got {self.order!r}")
         if not 2 <= self.order <= MAX_ORDER:
             raise ValueError(f"order must be in [2, {MAX_ORDER}], got {self.order}")
         if not 0 < self.abs_tol < np.inf:  # written so that NaN fails it too

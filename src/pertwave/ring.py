@@ -531,14 +531,10 @@ class RhoExpr:
 
         def data(w):
             w = np.atleast_1d(np.asarray(w, dtype=float))
-            if tail:  # Horner in place, from the buffer of its first product
-                out = head * w
-                out += tail[0]
-                for c in tail[1:]:
-                    out *= w
-                    out += c
-            else:
-                out = np.full(w.shape, head)
+            out = np.full(w.shape, head)
+            for c in tail:  # Horner in place
+                out *= w
+                out += c
             den = w * w
             den += m0
             if scan and (np.abs(den) < _SING_TOL).any():

@@ -84,19 +84,19 @@ def row_by_row_reference(d, x, t, q):
         return out
     w_lo, w_hi = x + delta, x - delta
     cauchy._check_data_intervals(d.a, w_lo[None], w_hi[None])
-    a, xk, tk, scale = d.a, x[:, None], t[:, None], (1.0 + x * x - t * t)[:, None]
+    # the closed form's integrand at node (x, t) is (2A u0 r^2 + B v0 r / 2) / sigma, with
+    # sigma = 1 + x^2 - t^2, r = 1/(1 - a^2 + w^2), k = 1 - x^2 + t^2 and the quadratics
+    # A = t w^2 - 2ax w + t(1 + a^2) - ak and B = -k w^2 + 4x w + (1 + a^2)k - 4at in w
+    a, xk, tk, opa = d.a, x[:, None], t[:, None], 1.0 + d.a * d.a
+    k, sigma = 1.0 - xk * xk + tk * tk, 1.0 + xk * xk - tk * tk
+    a2, a1, a0 = 2.0 * tk / sigma, -4.0 * a * xk / sigma, 2.0 * (tk * opa - a * k) / sigma
+    b2, b1, b0 = -0.5 * k / sigma, 2.0 * xk / sigma, 0.5 * (opa * k - 4.0 * a * tk) / sigma
 
     def kernel(w):
-        w2 = w * w
-        den = 1.0 - a * a + w2
-        k1 = tk * (1.0 + a * a + w2) + a * (xk * xk - 2.0 * w * xk - tk * tk - 1.0)
-        k1 *= d.u0(w.ravel()).reshape(w.shape) / (0.5 * scale * den * den)
-        k2 = np.subtract(1.0 + a * a, w2, out=w2)
-        k2 *= 1.0 - xk * xk + tk * tk
-        k2 -= 4.0 * a * tk
-        k2 += 4.0 * w * xk
-        k2 *= d.v0(w.ravel()).reshape(w.shape) / (2.0 * scale * den)
-        return np.add(k1, k2, out=k1)
+        r = 1.0 / (1.0 - a * a + w * w)
+        two_a, half_b = (a2 * w + a1) * w + a0, (b2 * w + b1) * w + b0
+        return (two_a * d.u0(w.ravel()).reshape(w.shape) * r
+                + half_b * d.v0(w.ravel()).reshape(w.shape)) * r
 
     return out - adaptive_gauss(kernel, w_lo, w_hi, q)
 
@@ -470,6 +470,16 @@ class TestGrids:
         with pytest.raises(DomainError, match="finite and increasing"):
             Grid2D(1.0, 0.0, 3, 0.0, 1.0, 3)
 
+    @pytest.mark.parametrize("nx, nt", [(5.5, 3), (5.0, 3), (5, 3.0), ("5", 3)])
+    def test_non_integral_sizes_rejected(self, nx, nt):
+        with pytest.raises(ValueError, match="grid sizes nx, nt must be integers"):
+            Grid2D(-1.0, 1.0, nx, 0.0, 0.5, nt)
+
+    def test_numpy_integer_sizes_accepted(self):
+        g = Grid2D(-1.0, 1.0, np.int64(5), 0.0, 0.5, np.int32(3))
+        d = InitialData.from_rho_expr(exact_x_rho())
+        assert evolve_grid(d, g, Q).values.shape == (5, 3)
+
     @pytest.mark.parametrize("bounds", [(-math.inf, 1.0, 0.0, 0.5), (-1.0, math.inf, 0.0, 0.5),
                                         (-1.0, 1.0, -math.inf, 0.5), (-1.0, 1.0, 0.0, math.inf),
                                         (math.nan, 1.0, 0.0, 0.5),
@@ -674,6 +684,28 @@ class TestOneCallPerGrid:
             reference_grid(d, g, q)
         with pytest.raises(DomainError, match="data slice t = "):
             evolve_grid(d, g, q)
+
+
+class TestKernelCoefficients:
+    """_kernel_coefficients against the closed form's A and B in exact arithmetic, at
+    dyadic nodes and slices, which are floats exactly."""
+
+    NODES = [(x, t) for x in (Fraction(-3, 8), Fraction(1, 4), Fraction(5, 16))
+             for t in (Fraction(-3, 8), Fraction(1, 4), Fraction(5, 16))]
+
+    @pytest.mark.parametrize("a", [Fraction(0), Fraction(1, 8), Fraction(-3, 8), Fraction(3, 2)])
+    def test_matches_exact_coefficients(self, a):
+        xs, ts = np.array(self.NODES, dtype=float).T[:, None]  # one row of nodes
+        got = cauchy._kernel_coefficients(xs, ts, float(a))
+        assert got.shape == (6, 1, len(self.NODES))
+        for i, (x, t) in enumerate(self.NODES):
+            sigma, k = 1 + x * x - t * t, 1 - x * x + t * t
+            big_a = (t, -2 * a * x, t * (1 + a * a) + a * (x * x - t * t - 1))
+            big_b = (-k, 4 * x, (1 + a * a) * k - 4 * a * t)
+            want = [2 * c / sigma for c in big_a] + [c / (2 * sigma) for c in big_b]
+            ulp = math.ulp(float(max(map(abs, want))))
+            errors = [abs(Fraction(float(g)) - w) / ulp for g, w in zip(got[:, 0, i], want)]
+            assert max(errors) <= 4, (x, t, errors)
 
 
 class TestFdReference:

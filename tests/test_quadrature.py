@@ -116,6 +116,18 @@ def test_rule_is_built_once_per_order_and_read_only():
         weights[0, 0] = 0.0
 
 
+@pytest.mark.parametrize("order", [8.5, 64.0, "64"])
+def test_non_integral_order_rejected(order):
+    with pytest.raises(ValueError, match="order must be an integer, got"):
+        QuadratureSpec(order=order)
+
+
+def test_numpy_integer_order_accepted():
+    spec = QuadratureSpec(order=np.int64(8))
+    got = adaptive_gauss(np.cos, [0.0], [1.0], spec)
+    assert got[0] == pytest.approx(math.sin(1.0), abs=1e-14)
+
+
 def peaked(t, c=0.1):
     return 1.0 / (1e-2 + (t - c) ** 2)
 
